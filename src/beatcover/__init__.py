@@ -69,11 +69,11 @@ from .trackers import DegenerateTempoError, dp_track, global_tempo_from_referenc
 from .variants import (
     VariantWindow,
     adaptive_epsilon,
-    all_variants,
     harmonic_variant,
     offbeat_variant,
     subharmonic_variant,
     variant_window,
+    window_table,
 )
 from .viz import render_coverage_svg
 
@@ -110,7 +110,6 @@ __all__ = [
     "WindowTooShortError",
     "acr_scores",
     "adaptive_epsilon",
-    "all_variants",
     "amlt",
     "cmlt",
     "compute_means",
@@ -144,6 +143,7 @@ __all__ = [
     "validate_beats",
     "variant_window",
     "window_match",
+    "window_table",
     "write_activation_file",
     "write_beats_file",
     "write_report",

@@ -20,9 +20,17 @@ from .fileio import (
     write_beats_file,
 )
 from .matching import coverage_matrix
-from .report import METRIC_GROUPS, dataset_stats_from_refs, evaluate_dataset, write_report
+from .metrics import mean_track_tempo
+from .report import (
+    METRIC_GROUPS,
+    check_metric_groups,
+    dataset_stats_from_refs,
+    evaluate_dataset,
+    list_files,
+    write_report,
+)
 from .synth import gen_activation, gen_estimate, gen_reference
-from .trackers import dp_track, global_tempo_from_reference, sppk
+from .trackers import dp_track, sppk
 from .viz import render_coverage_svg
 
 __all__ = ["main", "build_parser"]
@@ -37,13 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _metric_groups(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    unknown = [n for n in names if n not in METRIC_GROUPS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown metric group(s) {unknown}; valid: {sorted(METRIC_GROUPS)}"
-        )
-    return names
+    try:
+        return check_metric_groups(part.strip() for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> _Parser:
@@ -115,9 +120,7 @@ def _cmd_track(args) -> int:
         if args.tempo is None and args.ref is None:
             print("beatcover track: error: --ppt dp needs --tempo or --ref", file=sys.stderr)
             return 1
-        tempo = args.tempo if args.tempo is not None else global_tempo_from_reference(
-            parse_beats_file(args.ref)
-        )
+        tempo = args.tempo if args.tempo is not None else mean_track_tempo(parse_beats_file(args.ref))
         beats = dp_track(act, tempo, tightness=args.tightness)
     write_beats_file(beats, args.out)
     print(f"wrote {len(beats)} beat(s) -> {args.out}")
@@ -148,10 +151,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .report import _listdir  # deterministic listing shared with eval
-
-    paths = _listdir(args.ref)
-    refs = [parse_beats_file(p) for p in paths]
+    refs = [parse_beats_file(p) for p in list_files(args.ref)]
     stats = dataset_stats_from_refs(refs)
     print(f"tracks:              {stats.n_tracks}")
     print(f"total annotated span: {stats.total_duration:.2f} s")

@@ -4,18 +4,46 @@ A window matches when some run of consecutive estimated beats lands
 within the window tolerance of every expected tap.  Requiring the run
 to be consecutive is the point: isolated coincidences do not count as
 following a pulse.
+
+Matching works on whole window tables (see
+:func:`beatcover.variants.window_table`): one private matcher finds,
+for every row at once, the first estimated beat where the row matches.
+Coverage, L-correct detection and the single-window
+:func:`window_match` all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .core import BeatSequence, Condition, CoverageMatrix, ToleranceParams
-from .variants import VariantWindow, offbeat_variant, subharmonic_variant, variant_window
+from .variants import VariantWindow, window_table
 
 __all__ = ["window_match", "coverage_matrix", "l_correct_detection"]
+
+
+def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Smallest matching estimate index per window row, or -1."""
+    n_win, span = windows.shape
+    first = np.full(n_win, -1, dtype=np.intp)
+    n_start = len(est) - span + 1
+    if n_start <= 0 or n_win == 0:
+        return first
+    # Any match must align the first expected tap, so only candidates
+    # within epsilon of the row's first tap need the full check.
+    lo = np.searchsorted(est, windows[:, 0] - eps, side="left")
+    hi = np.minimum(np.searchsorted(est, windows[:, 0] + eps, side="right"), n_start)
+    for offset in range(int(np.max(hi - lo, initial=0))):
+        j = lo + offset
+        rows = np.flatnonzero((first < 0) & (j < hi))
+        taps = est[j[rows, None] + np.arange(span)]
+        ok = np.all(np.abs(windows[rows] - taps) <= eps[rows, None], axis=1)
+        first[rows[ok]] = j[rows[ok]]
+    return first
+
+
+def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> None:
+    flags[starts[:, None] + stride * np.arange(count)] = True
 
 
 def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
@@ -25,19 +53,8 @@ def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
     window.epsilon`` for every position ``t`` of the window (closed
     comparison, so a distance of exactly epsilon still matches).
     """
-    w = window.times
-    e = est.times
-    span = len(w)
-    if len(e) < span:
-        return None
-    # Any match must align the first expected tap, so only candidates
-    # within epsilon of w[0] need the full check.
-    lo = int(np.searchsorted(e, w[0] - window.epsilon, side="left"))
-    hi = int(np.searchsorted(e, w[0] + window.epsilon, side="right"))
-    for j in range(lo, min(hi, len(e) - span + 1)):
-        if np.all(np.abs(w - e[j : j + span]) <= window.epsilon):
-            return j
-    return None
+    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), est.times)[0])
+    return None if j < 0 else j
 
 
 def coverage_matrix(
@@ -48,16 +65,12 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    n = len(ref)
-    rows: dict[Condition, np.ndarray] = {c: np.zeros(n, dtype=bool) for c in Condition}
+    rows: dict[Condition, np.ndarray] = {}
     for condition in Condition:
-        row = rows[condition]
-        for instance in range(n):
-            win = variant_window(ref, instance, condition, params)
-            if win is None:
-                continue
-            if window_match(win, est) is not None:
-                row[sorted(win.cover_set)] = True
+        windows, eps, stride = window_table(ref.times, condition, params.context, params)
+        row = np.zeros(len(ref), dtype=bool)
+        _mark(row, np.flatnonzero(_first_match(windows, eps, est.times) >= 0), stride, params.context)
+        rows[condition] = row
     return CoverageMatrix.from_rows(rows)
 
 
@@ -72,20 +85,12 @@ def l_correct_detection(
     flags over the reference beats and over the estimated beats; an
     estimated beat is flagged when it takes part in any matched window.
     """
-    n = len(ref)
-    ref_flags = np.zeros(n, dtype=bool)
+    ref_flags = np.zeros(len(ref), dtype=bool)
     est_flags = np.zeros(len(est), dtype=bool)
-    for instance in range(n):
-        for win in (
-            subharmonic_variant(ref, instance, params.context, 1, params),
-            offbeat_variant(ref, instance, params.context, 0.5, params),
-        ):
-            if win is None:
-                continue
-            win = replace(win, epsilon=params.cap)
-            j = window_match(win, est)
-            if j is None:
-                continue
-            ref_flags[sorted(win.cover_set)] = True
-            est_flags[j : j + len(win)] = True
+    for condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF):
+        windows, _, stride = window_table(ref.times, condition, params.context, params)
+        first = _first_match(windows, np.full(len(windows), params.cap), est.times)
+        hit = np.flatnonzero(first >= 0)
+        _mark(ref_flags, hit, stride, params.context)
+        _mark(est_flags, first[hit], 1, windows.shape[1])
     return ref_flags, est_flags

@@ -32,6 +32,7 @@ __all__ = [
     "AcrScores",
     "acr_scores",
     "mlsr",
+    "stable_intervals",
     "stable_tempi_percentage",
     "mean_track_tempo",
     "TrackReport",
@@ -224,8 +225,8 @@ def mean_track_tempo(beats: BeatSequence) -> float:
     return 60.0 / float(np.mean(beats.ibis))
 
 
-def stable_tempi_percentage(beats: BeatSequence) -> float:
-    """Fraction of intervals whose tempo stays within 4% of the track mean.
+def stable_intervals(beats: BeatSequence) -> np.ndarray:
+    """Boolean flag per inter-beat interval: is its tempo stable?
 
     Each interval's instantaneous tempo (60 / interval) is normalized
     by the track tempo; intervals with a normalized tempo in
@@ -234,9 +235,19 @@ def stable_tempi_percentage(beats: BeatSequence) -> float:
     Raises:
         TooFewBeatsError: fewer than two beats.
     """
-    tempo = mean_track_tempo(beats)
-    normalized = (60.0 / beats.ibis) / tempo
-    stable = (normalized >= 0.96) & (normalized <= 1.04)
+    normalized = (60.0 / beats.ibis) / mean_track_tempo(beats)
+    return (normalized >= 0.96) & (normalized <= 1.04)
+
+
+def stable_tempi_percentage(beats: BeatSequence) -> float:
+    """Fraction of intervals whose tempo stays within 4% of the track mean.
+
+    See :func:`stable_intervals` for the rule.
+
+    Raises:
+        TooFewBeatsError: fewer than two beats.
+    """
+    stable = stable_intervals(beats)
     return float(np.count_nonzero(stable)) / len(stable)
 
 

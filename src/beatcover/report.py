@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import BeatcoverError, BeatSequence, Condition, ToleranceParams
 from .fileio import parse_beats_file
-from .metrics import TrackReport, evaluate_track, mean_track_tempo
+from .metrics import TrackReport, evaluate_track, mean_track_tempo, stable_intervals
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -28,6 +28,8 @@ __all__ = [
     "DatasetReport",
     "METRIC_GROUPS",
     "SCALAR_FIELDS",
+    "check_metric_groups",
+    "list_files",
     "dataset_stats_from_refs",
     "compute_means",
     "evaluate_dataset",
@@ -109,21 +111,14 @@ def dataset_stats_from_refs(refs: list[BeatSequence]) -> DatasetStats:
     """
     if not refs:
         raise NoPairsFoundError("no reference tracks")
-    spans = []
-    tempi = []
-    stable = 0
-    intervals = 0
-    for beats in refs:
-        tempo = mean_track_tempo(beats)  # raises on fewer than two beats
-        tempi.append(tempo)
-        spans.append(beats.times[-1] - beats.times[0])
-        normalized = (60.0 / beats.ibis) / tempo
-        stable += int(np.count_nonzero((normalized >= 0.96) & (normalized <= 1.04)))
-        intervals += len(beats.ibis)
+    tempi = [mean_track_tempo(beats) for beats in refs]  # raises on fewer than two beats
+    spans = [beats.times[-1] - beats.times[0] for beats in refs]
+    # pooled over every interval of every track, not averaged per track
+    stable = np.concatenate([stable_intervals(beats) for beats in refs])
     return DatasetStats(
         n_tracks=len(refs),
         total_duration=_r6(sum(spans)),
-        percent_stable_tempi=_r6(100.0 * stable / intervals),
+        percent_stable_tempi=_r6(100.0 * int(np.count_nonzero(stable)) / stable.size),
         mean_track_tempo=_r6(float(np.mean(tempi))),
     )
 
@@ -141,7 +136,8 @@ def compute_means(tracks) -> dict[str, float]:
     return means
 
 
-def _listdir(directory) -> list[Path]:
+def list_files(directory) -> list[Path]:
+    """Regular, non-hidden files of ``directory`` in sorted order."""
     d = Path(directory)
     if not d.is_dir():
         raise NotADirectoryError(f"not a directory: {d}")
@@ -150,7 +146,7 @@ def _listdir(directory) -> list[Path]:
 
 def _by_stem(directory) -> dict[str, Path]:
     out: dict[str, Path] = {}
-    for p in _listdir(directory):
+    for p in list_files(directory):
         if p.stem in out:
             raise StemCollisionError(f"duplicate stem {p.stem!r}: {out[p.stem].name} and {p.name}")
         out[p.stem] = p
@@ -204,14 +200,21 @@ def evaluate_dataset(
     )
 
 
+def check_metric_groups(names) -> list[str]:
+    """``names`` as a list, after checking each is a key of ``METRIC_GROUPS``.
+
+    Raises:
+        ValueError: an unknown group name.
+    """
+    names = list(names)
+    unknown = [m for m in names if m not in METRIC_GROUPS]
+    if unknown:
+        raise ValueError(f"unknown metric group(s) {unknown}; valid: {sorted(METRIC_GROUPS)}")
+    return names
+
+
 def _selected_fields(metrics) -> tuple[str, ...]:
-    if metrics is None:
-        names = list(METRIC_GROUPS)
-    else:
-        names = list(metrics)
-        unknown = [m for m in names if m not in METRIC_GROUPS]
-        if unknown:
-            raise ValueError(f"unknown metric group(s) {unknown}; valid: {sorted(METRIC_GROUPS)}")
+    names = list(METRIC_GROUPS) if metrics is None else check_metric_groups(metrics)
     fields: list[str] = []
     for name in METRIC_GROUPS:
         if name in names:

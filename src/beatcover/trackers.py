@@ -100,10 +100,5 @@ def dp_track(
     return BeatSequence(frames / act.fps)
 
 
-def global_tempo_from_reference(beats: BeatSequence) -> float:
-    """Global tempo in BPM from the mean reference inter-beat interval.
-
-    Raises:
-        TooFewBeatsError: fewer than two beats.
-    """
-    return mean_track_tempo(beats)
+# The global tempo a reference gives ``dp_track`` is its mean track tempo.
+global_tempo_from_reference = mean_track_tempo

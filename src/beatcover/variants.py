@@ -4,9 +4,15 @@ A tracker that taps twice as fast, or on the offbeat, is still locked
 to the annotation in a useful way.  Each metric-level condition turns a
 run of consecutive reference beats into a short "variant window" of
 expected tap times; the matcher then looks for that window inside the
-estimate.  Windows near the end of the sequence that would need beats
-beyond the last annotation do not exist and the builders return None
-for them.
+estimate.
+
+:func:`window_table` is the one place where window geometry and the
+adaptive tolerance are defined: for one condition it builds every
+window of a sequence at once, one row per anchor beat, together with
+each row's tolerance.  Windows near the end of the sequence that would
+need beats beyond the last annotation do not exist and get no row.  The
+single-window builders below are thin wrappers over it that return a
+:class:`VariantWindow`, or None where the table has no row.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .core import (
 
 __all__ = [
     "VariantWindow",
+    "window_table",
     "adaptive_epsilon",
     "subharmonic_variant",
     "harmonic_variant",
     "offbeat_variant",
     "variant_window",
-    "all_variants",
 ]
 
 # float(1/3) and float(2/3) are the exact doubles produced by the
@@ -81,6 +87,55 @@ class VariantWindow:
         return int(self.times.size)
 
 
+def _geometry(condition: Condition, length: int) -> tuple[int, int]:
+    """(stride between covered beats, number of beats one window reads)."""
+    if condition in CONDITION_STEPS:
+        stride = CONDITION_STEPS[condition]
+        return stride, stride * (length - 1) + 1
+    # each offbeat tap needs the interval after its anchor
+    return 1, length + 1 if condition in CONDITION_FRACTIONS else length
+
+
+def window_table(
+    times, condition: Condition, length: int, params: ToleranceParams = ToleranceParams()
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every window of one condition over ``times``, one row per anchor.
+
+    Returns ``(windows, eps, stride)``.  Row ``i`` of ``windows`` holds
+    the expected tap times of the window anchored at beat ``i`` and
+    covers beats ``i + stride * arange(length)``; ``eps[i]`` is its
+    tolerance, min(cap, gamma * mean interval of the row).
+
+    - Subharmonics (and onbeat) take every ``stride``-th beat.
+    - Harmonics interpolate ``factor - 1`` extra taps into each of the
+      ``length - 1`` intervals, so a row has
+      ``length + (factor - 1) * (length - 1)`` taps; only the anchors
+      are covered.
+    - Offbeats displace each tap ``fraction`` of the way into the
+      interval after its anchor, so beat ``i + length`` must exist.
+
+    Raises:
+        WindowTooShortError: ``length`` is below 2.
+    """
+    if length < 2:
+        raise WindowTooShortError(f"window length must be >= 2, got {length}")
+    r = np.asarray(times, dtype=np.float64).reshape(-1)
+    stride, reach = _geometry(condition, length)
+    n_win = max(r.size - reach + 1, 0)
+    idx = np.arange(n_win)[:, None] + stride * np.arange(length)
+    if condition in CONDITION_FACTORS:
+        factor = CONDITION_FACTORS[condition]
+        lo, hi = r[idx[:, :-1]], r[idx[:, 1:]]
+        taps = lo[..., None] + (hi - lo)[..., None] * np.arange(factor) / factor
+        windows = np.concatenate([taps.reshape(n_win, (length - 1) * factor), r[idx[:, -1:]]], axis=1)
+    elif condition in CONDITION_FRACTIONS:
+        windows = r[idx] + CONDITION_FRACTIONS[condition] * (r[idx + 1] - r[idx])
+    else:
+        windows = r[idx]
+    eps = np.minimum(params.cap, params.gamma * np.mean(np.diff(windows, axis=1), axis=1))
+    return windows, eps, stride
+
+
 def adaptive_epsilon(times, params: ToleranceParams = ToleranceParams()) -> float:
     """Matching tolerance for one window: min(cap, gamma * mean interval).
 
@@ -90,17 +145,30 @@ def adaptive_epsilon(times, params: ToleranceParams = ToleranceParams()) -> floa
     Raises:
         WindowTooShortError: fewer than two times, so no interval exists.
     """
-    arr = np.asarray(times, dtype=np.float64).reshape(-1)
-    if arr.size < 2:
-        raise WindowTooShortError("epsilon needs at least two times")
-    return min(params.cap, params.gamma * float(np.mean(np.diff(arr))))
+    return float(window_table(times, Condition.ONBEAT, np.size(times), params)[1][0])
 
 
-def _check_args(beats: BeatSequence, instance: int, length: int) -> None:
-    if length < 2:
-        raise WindowTooShortError(f"window length must be >= 2, got {length}")
+def _check_instance(beats: BeatSequence, instance: int) -> None:
+    # window_table checks the length
     if not 0 <= instance < len(beats):
         raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
+
+
+def _window_at(
+    beats: BeatSequence, instance: int, length: int, condition: Condition, tol: ToleranceParams
+) -> VariantWindow | None:
+    # Only the beats this one window reads are handed to the table.
+    stride, reach = _geometry(condition, length)
+    windows, eps, _ = window_table(beats.times[instance : instance + reach], condition, length, tol)
+    if not len(windows):
+        return None
+    return VariantWindow(
+        condition=condition,
+        instance=instance,
+        times=windows[0],
+        epsilon=float(eps[0]),
+        cover_set=frozenset(range(instance, instance + stride * (length - 1) + 1, stride)),
+    )
 
 
 def subharmonic_variant(
@@ -116,21 +184,10 @@ def subharmonic_variant(
     half, third, or quarter of the annotated tempo.  Returns None when
     the last required beat index falls outside the sequence.
     """
-    _check_args(beats, instance, length)
+    _check_instance(beats, instance)
     if step not in _STEP_TO_CONDITION:
         raise ValueError(f"step must be one of {sorted(_STEP_TO_CONDITION)}, got {step}")
-    last = instance + step * (length - 1)
-    if last >= len(beats):
-        return None
-    idx = range(instance, last + 1, step)
-    times = beats.times[instance : last + 1 : step]
-    return VariantWindow(
-        condition=_STEP_TO_CONDITION[step],
-        instance=instance,
-        times=times,
-        epsilon=adaptive_epsilon(times, tol),
-        cover_set=frozenset(idx),
-    )
+    return _window_at(beats, instance, length, _STEP_TO_CONDITION[step], tol)
 
 
 def harmonic_variant(
@@ -148,25 +205,10 @@ def harmonic_variant(
     taps exist to verify the faster pulse, not to credit extra beats.
     Returns None when the anchors run past the end of the sequence.
     """
-    _check_args(beats, instance, length)
+    _check_instance(beats, instance)
     if factor not in _FACTOR_TO_CONDITION:
         raise ValueError(f"factor must be one of {sorted(_FACTOR_TO_CONDITION)}, got {factor}")
-    if instance + length - 1 >= len(beats):
-        return None
-    anchors = beats.times[instance : instance + length]
-    parts = []
-    for m in range(length - 1):
-        lo, hi = anchors[m], anchors[m + 1]
-        parts.append(lo + (hi - lo) * np.arange(factor) / factor)
-    parts.append(anchors[-1:])
-    times = np.concatenate(parts)
-    return VariantWindow(
-        condition=_FACTOR_TO_CONDITION[factor],
-        instance=instance,
-        times=times,
-        epsilon=adaptive_epsilon(times, tol),
-        cover_set=frozenset(range(instance, instance + length)),
-    )
+    return _window_at(beats, instance, length, _FACTOR_TO_CONDITION[factor], tol)
 
 
 def offbeat_variant(
@@ -182,21 +224,11 @@ def offbeat_variant(
     needs the interval after its anchor beat, so the window additionally
     requires beat ``instance + length`` to exist; returns None otherwise.
     """
-    _check_args(beats, instance, length)
+    _check_instance(beats, instance)
     if fraction not in _FRACTION_TO_CONDITION:
         valid = sorted(_FRACTION_TO_CONDITION)
         raise ValueError(f"fraction must be one of {valid}, got {fraction}")
-    if instance + length >= len(beats):
-        return None
-    anchors = beats.times[instance : instance + length + 1]
-    times = anchors[:-1] + fraction * np.diff(anchors)
-    return VariantWindow(
-        condition=_FRACTION_TO_CONDITION[fraction],
-        instance=instance,
-        times=times,
-        epsilon=adaptive_epsilon(times, tol),
-        cover_set=frozenset(range(instance, instance + length)),
-    )
+    return _window_at(beats, instance, length, _FRACTION_TO_CONDITION[fraction], tol)
 
 
 def variant_window(
@@ -209,25 +241,5 @@ def variant_window(
 
     The window length is ``params.context``.
     """
-    if condition in CONDITION_STEPS:
-        return subharmonic_variant(beats, instance, params.context, CONDITION_STEPS[condition], params)
-    if condition in CONDITION_FACTORS:
-        return harmonic_variant(beats, instance, params.context, CONDITION_FACTORS[condition], params)
-    return offbeat_variant(beats, instance, params.context, CONDITION_FRACTIONS[condition], params)
-
-
-def all_variants(
-    beats: BeatSequence, params: ToleranceParams = ToleranceParams()
-) -> list[VariantWindow]:
-    """Every existing window of every condition, in deterministic order.
-
-    Anchor indices ascend; for one anchor the conditions iterate in
-    declaration order.
-    """
-    out = []
-    for instance in range(len(beats)):
-        for condition in Condition:
-            win = variant_window(beats, instance, condition, params)
-            if win is not None:
-                out.append(win)
-    return out
+    _check_instance(beats, instance)
+    return _window_at(beats, instance, params.context, condition, params)

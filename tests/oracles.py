@@ -84,6 +84,31 @@ def oracle_coverage(ref, est, length=2, cap=0.070, gamma=0.175):
     return rows
 
 
+def oracle_l_correct(ref, est, length=2, cap=0.070):
+    """(reference flags, estimate flags) of the fixed-tolerance detection rule.
+
+    Only onbeat and half-offbeat windows count, every window uses the
+    fixed tolerance ``cap``, and a matched window flags its cover set and
+    the estimated beats of its first match.
+    """
+    ref_flags = [False] * len(ref)
+    est_flags = [False] * len(est)
+    for name in ("onbeat", "offbeat_half"):
+        kind, param = CONDITIONS[name]
+        for i in range(len(ref)):
+            win = oracle_window(ref, i, length, kind, param, cap)
+            if win is None:
+                continue
+            times, cover, _ = win
+            j = oracle_match(times, cap, est)
+            if j is None:
+                continue
+            for k in cover:
+                ref_flags[k] = True
+            for k in range(j, j + len(times)):
+                est_flags[k] = True
+    return ref_flags, est_flags
+
 def oracle_f1_matched(ref, est, window=0.070):
     """Maximum one-to-one matching size via augmenting paths."""
     match_of_est = [-1] * len(est)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -105,13 +106,19 @@ class TestCoverageMatrix:
         assert not cm.any_row.any()
 
     def test_matches_oracle_on_random_input(self, rng):
-        for _ in range(20):
-            ref = BeatSequence(random_times(rng, int(rng.integers(4, 16))))
-            est = BeatSequence(random_times(rng, int(rng.integers(0, 25))))
-            cm = coverage_matrix(ref, est)
-            expected = oracles.oracle_coverage(ref.times.tolist(), est.times.tolist())
-            for name, row in expected.items():
-                assert np.array_equal(cm.covered[Condition.parse(name)], row)
+        # context 4 and 5 give harmonic-quadruple windows of 13 and 17
+        # taps, long enough for numpy's unrolled summation in the mean
+        for context, cap, gamma in itertools.product((2, 3, 4, 5), (0.070, 0.5), (0.175, 0.6)):
+            params = ToleranceParams(cap=cap, gamma=gamma, context=context)
+            for _ in range(20):
+                ref = BeatSequence(random_times(rng, int(rng.integers(4, 16))))
+                est = BeatSequence(random_times(rng, int(rng.integers(0, 25))))
+                cm = coverage_matrix(ref, est, params)
+                expected = oracles.oracle_coverage(
+                    ref.times.tolist(), est.times.tolist(), context, cap, gamma
+                )
+                for name, row in expected.items():
+                    assert np.array_equal(cm.covered[Condition.parse(name)], row)
 
 
 class TestLCorrectDetection:
@@ -146,3 +153,23 @@ class TestLCorrectDetection:
         assert not ref_flags[5]
         assert ref_flags[[0, 1, 2, 3, 8, 9]].all()
         assert est_flags.all()
+
+    def test_matches_oracle_on_random_input(self, rng):
+        flagged = 0
+        for context, cap in itertools.product((2, 3, 4), (0.07, 0.5)):
+            params = ToleranceParams(cap=cap, context=context)
+            for case in range(20):
+                ref = BeatSequence(random_times(rng, int(rng.integers(4, 16))))
+                if case % 2:
+                    est = BeatSequence(random_times(rng, int(rng.integers(0, 25))))
+                else:
+                    # jittered onbeat or half-offbeat taps, so windows do match
+                    shift = 0.5 * float(np.mean(ref.ibis)) if case % 4 else 0.0
+                    jitter = rng.normal(0.0, 0.03, len(ref))
+                    est = BeatSequence(np.unique(np.clip(ref.times + shift + jitter, 0.0, None)))
+                ref_flags, est_flags = l_correct_detection(ref, est, params)
+                expected = oracles.oracle_l_correct(ref.times.tolist(), est.times.tolist(), context, cap)
+                assert ref_flags.tolist() == expected[0]
+                assert est_flags.tolist() == expected[1]
+                flagged += int(ref_flags.any())
+        assert flagged > 0

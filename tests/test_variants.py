@@ -10,11 +10,11 @@ from beatcover import (
     ToleranceParams,
     WindowTooShortError,
     adaptive_epsilon,
-    all_variants,
     harmonic_variant,
     offbeat_variant,
     subharmonic_variant,
     variant_window,
+    window_table,
 )
 from conftest import constant_beats
 
@@ -147,31 +147,28 @@ class TestDispatchAndEnumeration:
             variant_window(constant_beats(120, 4), 4, Condition.ONBEAT)
 
     def test_two_beats_yield_only_onbeat_and_harmonics(self):
-        wins = all_variants(BeatSequence([0.0, 0.5]))
-        kinds = [w.condition for w in wins]
-        assert kinds == [
+        times = BeatSequence([0.0, 0.5]).times
+        rows = {c: len(window_table(times, c, 2)[0]) for c in Condition}
+        assert [c for c in Condition if rows[c]] == [
             Condition.ONBEAT,
             Condition.HARMONIC_DOUBLE,
             Condition.HARMONIC_TRIPLE,
             Condition.HARMONIC_QUADRUPLE,
         ]
-        assert all(w.instance == 0 for w in wins)
+        # a single window each, anchored at beat 0
+        assert max(rows.values()) == 1
 
     def test_quarter_instances_on_nine_beats(self):
-        wins = all_variants(constant_beats(120, 9))
-        quarter = [w.instance for w in wins if w.condition is Condition.SUBHARMONIC_QUARTER]
-        assert quarter == [0, 1, 2, 3, 4]
+        beats = constant_beats(120, 9)
+        windows, _, stride = window_table(beats.times, Condition.SUBHARMONIC_QUARTER, 2)
+        # rows are anchors 0..4; anchor i covers beats i and i + 4
+        assert stride == 4
+        assert np.array_equal(windows, beats.times[np.arange(5)[:, None] + [0, 4]])
 
     def test_quarter_absent_with_longer_context(self):
-        params = ToleranceParams(context=3)
-        wins = all_variants(constant_beats(120, 8), params)
-        assert not any(w.condition is Condition.SUBHARMONIC_QUARTER for w in wins)
-
-    def test_order_is_instance_major(self):
-        wins = all_variants(constant_beats(120, 6))
-        keys = [(w.instance, w.condition) for w in wins]
-        order = {c: k for k, c in enumerate(Condition)}
-        assert keys == sorted(keys, key=lambda item: (item[0], order[item[1]]))
+        windows, eps, _ = window_table(constant_beats(120, 8).times, Condition.SUBHARMONIC_QUARTER, 3)
+        assert windows.shape == (0, 3)
+        assert eps.shape == (0,)
 
     @given(st.integers(min_value=4, max_value=12), st.integers(min_value=2, max_value=3))
     def test_matches_oracle_windows(self, count, length):
