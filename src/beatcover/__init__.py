@@ -69,6 +69,7 @@ from .trackers import DegenerateTempoError, dp_track, global_tempo_from_referenc
 from .variants import (
     VariantWindow,
     adaptive_epsilon,
+    condition_taps,
     harmonic_variant,
     offbeat_variant,
     subharmonic_variant,
@@ -113,6 +114,7 @@ __all__ = [
     "amlt",
     "cmlt",
     "compute_means",
+    "condition_taps",
     "continuity_correct",
     "coverage_matrix",
     "dataset_stats_from_refs",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import BeatcoverError, ToleranceParams
+from .core import BeatcoverError, EmptySequenceError, ToleranceParams
 from .fileio import (
     parse_activation_file,
     parse_beats_file,
@@ -42,6 +42,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# Tolerance flags of eval and viz, and the ToleranceParams fields they set.
+_TOLERANCE_FLAGS = {"cap": "cap", "gamma": "gamma", "L": "context"}
 
 
 def _metric_groups(text: str) -> list[str]:
@@ -103,8 +107,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_eval(args) -> int:
-    params = ToleranceParams(cap=args.cap, gamma=args.gamma, context=args.L)
-    report = evaluate_dataset(args.ref, args.est, params, workers=args.workers)
+    report = evaluate_dataset(args.ref, args.est, args.params, workers=args.workers)
     write_report(report, args.out, metrics=args.metrics)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -130,9 +133,10 @@ def _cmd_track(args) -> int:
 def _cmd_viz(args) -> int:
     ref = parse_beats_file(args.ref)
     est = parse_beats_file(args.est)
+    if not len(ref):
+        raise EmptySequenceError(f"{args.ref}: no reference beats")
     act = parse_activation_file(args.activation) if args.activation else None
-    params = ToleranceParams(context=args.L)
-    cm = coverage_matrix(ref, est, params)
+    cm = coverage_matrix(ref, est, args.params)
     render_coverage_svg(cm, ref, act=act, est=est, path=args.out)
     print(f"wrote coverage figure -> {args.out}")
     return 0
@@ -163,6 +167,14 @@ def _cmd_stats(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    tolerance = {
+        field: getattr(args, flag) for flag, field in _TOLERANCE_FLAGS.items() if hasattr(args, flag)
+    }
+    if tolerance:
+        try:
+            args.params = ToleranceParams(**tolerance)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except (BeatcoverError, OSError, ValueError) as exc:

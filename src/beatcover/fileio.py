@@ -61,7 +61,10 @@ def parse_beats_file(path) -> BeatSequence:
     Annotation files often carry a beat-in-bar label in a second
     column; only the first field counts.  The parsed times go through
     :func:`beatcover.core.validate_beats`, so exact duplicates are
-    collapsed with a warning and ordering violations raise.
+    collapsed with a warning and ordering violations raise.  A file
+    with no beat times (a tracker that found nothing) gives an empty
+    sequence; callers that need beats, such as reference scoring,
+    reject it themselves.
     """
     times = []
     for lineno, line in _content_lines(path):
@@ -74,7 +77,7 @@ def parse_beats_file(path) -> BeatSequence:
             raise ParseError(path, lineno, f"beat time must be finite, got {field!r}")
         times.append(value)
     if not times:
-        raise ParseError(path, None, "no beat times found")
+        return BeatSequence(np.empty(0))
     return validate_beats(times)
 
 

@@ -22,6 +22,7 @@ from .core import (
     ToleranceParams,
 )
 from .matching import coverage_matrix, l_correct_detection
+from .variants import CONDITION_STEPS, condition_taps
 
 __all__ = [
     "f1_score",
@@ -103,51 +104,51 @@ def continuity_correct(
     return correct
 
 
+def _continuity_score(ref: BeatSequence, est: BeatSequence, gamma: float) -> float:
+    correct = continuity_correct(ref, est, gamma)
+    denom = max(len(ref), len(est))
+    return float(np.count_nonzero(correct)) / denom if denom else 0.0
+
+
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = 0.175) -> float:
     """Fraction of beats continuity-correct at the annotated level.
 
     The denominator max(|ref|, |est|) penalizes both over- and
     under-generation.
     """
-    correct = continuity_correct(ref, est, gamma)
-    denom = max(len(ref), len(est))
-    return float(np.count_nonzero(correct)) / denom if denom else 0.0
+    return _continuity_score(ref, est, gamma)
 
 
-def _amlt_variants(ref: BeatSequence) -> list[BeatSequence]:
-    """Whole-track reference variants allowed by the AMLt convention.
-
-    Onbeat, half-offbeat, half tempo (two phases), one-third tempo
-    (three phases), double tempo, triple tempo.  Variants with fewer
-    than two beats are dropped, as are degenerate ones whose derived
-    times collapse onto each other (sub-ulp reference gaps).
-    """
-    r = ref.times
-    d = np.diff(r)
-    variants = [r, r[:-1] + 0.5 * d, r[0::2], r[1::2], r[0::3], r[1::3], r[2::3]]
-    for factor in (2, 3):
-        grid = [r[:-1] + d * k / factor for k in range(factor)]
-        variants.append(np.append(np.stack(grid, axis=1).reshape(-1), r[-1]))
-    return [
-        BeatSequence(v)
-        for v in variants
-        if len(v) >= 2 and bool(np.all(np.diff(v) > 0.0))
-    ]
+# The whole-track levels AMLt allows (Davies, Degara & Plumbley 2009).
+_AMLT_CONDITIONS = (
+    Condition.ONBEAT,
+    Condition.OFFBEAT_HALF,
+    Condition.SUBHARMONIC_HALF,
+    Condition.SUBHARMONIC_THIRD,
+    Condition.HARMONIC_DOUBLE,
+    Condition.HARMONIC_TRIPLE,
+)
 
 
 def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = 0.175) -> float:
     """Best cmlt-style score over the allowed whole-track variants.
+
+    The variants are the taps of onbeat, half offbeat, half and third
+    tempo (each at every phase), double and triple tempo.  Variants
+    with fewer than two beats are dropped, as are degenerate ones whose
+    taps collapse onto each other (sub-ulp reference gaps); a reference
+    with fewer than two beats therefore scores 0.
 
     One variant is chosen for the entire piece; a tracker that switches
     level mid-track cannot score well here, which is exactly the blind
     spot the coverage analysis addresses.
     """
     best = 0.0
-    for variant in _amlt_variants(ref):
-        correct = continuity_correct(variant, est, gamma)
-        denom = max(len(variant), len(est))
-        score = float(np.count_nonzero(correct)) / denom if denom else 0.0
-        best = max(best, score)
+    for condition in _AMLT_CONDITIONS:
+        for phase in range(CONDITION_STEPS.get(condition, 1)):
+            taps = condition_taps(ref.times[phase:], condition)
+            if len(taps) >= 2 and bool(np.all(np.diff(taps) > 0.0)):
+                best = max(best, _continuity_score(BeatSequence(taps), est, gamma))
     return best
 
 
@@ -206,12 +207,9 @@ def mlsr(cm: CoverageMatrix) -> float:
     covered_idx = np.flatnonzero(cm.any_row)
     if covered_idx.size == 0:
         return 0.0
-    switches = 0
-    for prev, cur in zip(covered_idx[:-1], covered_idx[1:]):
-        shared = any(cm.covered[c][prev] and cm.covered[c][cur] for c in Condition)
-        if not shared:
-            switches += 1
-    return switches / covered_idx.size
+    rows = np.stack([cm.covered[c][covered_idx] for c in Condition])
+    switched = ~np.any(rows[:, :-1] & rows[:, 1:], axis=0)
+    return int(np.count_nonzero(switched)) / covered_idx.size
 
 
 def mean_track_tempo(beats: BeatSequence) -> float:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +43,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # Scalar TrackReport fields in report order.
-SCALAR_FIELDS = (
-    "f1",
-    "precision",
-    "recall",
-    "cmlt",
-    "amlt",
-    "l_correct_f",
-    "l_correct_p",
-    "l_correct_r",
-    "acr_any",
-    "acr_offbeat",
-    "mlsr",
+SCALAR_FIELDS = tuple(
+    f.name for f in dataclass_fields(TrackReport) if f.name not in ("track_id", "acr", "params")
 )
 
 # CLI --metrics groups and the report fields they keep.
@@ -245,17 +236,8 @@ def serialize_report(report: DatasetReport, metrics=None) -> str:
         mean_keys += [f"acr_{c.value}" for c in Condition]
     obj = {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "cap": report.params.cap,
-            "gamma": report.params.gamma,
-            "context": report.params.context,
-        },
-        "dataset_stats": {
-            "n_tracks": report.dataset_stats.n_tracks,
-            "total_duration": report.dataset_stats.total_duration,
-            "percent_stable_tempi": report.dataset_stats.percent_stable_tempi,
-            "mean_track_tempo": report.dataset_stats.mean_track_tempo,
-        },
+        "params": asdict(report.params),
+        "dataset_stats": asdict(report.dataset_stats),
         "means": {k: report.means[k] for k in mean_keys},
         "tracks": [_track_to_json(t, fields) for t in report.tracks],
         "warnings": list(report.warnings),
@@ -269,41 +251,20 @@ def parse_report(text: str) -> DatasetReport:
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    params = ToleranceParams(
-        cap=obj["params"]["cap"],
-        gamma=obj["params"]["gamma"],
-        context=obj["params"]["context"],
-    )
-    tracks = []
-    for t in obj["tracks"]:
-        tracks.append(
-            TrackReport(
-                track_id=t["track_id"],
-                f1=t["f1"],
-                precision=t["precision"],
-                recall=t["recall"],
-                cmlt=t["cmlt"],
-                amlt=t["amlt"],
-                l_correct_f=t["l_correct_f"],
-                l_correct_p=t["l_correct_p"],
-                l_correct_r=t["l_correct_r"],
-                acr={Condition.parse(k): v for k, v in t["acr"].items()},
-                acr_any=t["acr_any"],
-                acr_offbeat=t["acr_offbeat"],
-                mlsr=t["mlsr"],
-                params=params,
-            )
+    params = ToleranceParams(**obj["params"])
+    tracks = tuple(
+        TrackReport(
+            track_id=t["track_id"],
+            acr={Condition.parse(k): v for k, v in t["acr"].items()},
+            params=params,
+            **{name: t[name] for name in SCALAR_FIELDS},
         )
-    ds = obj["dataset_stats"]
+        for t in obj["tracks"]
+    )
     return DatasetReport(
-        tracks=tuple(tracks),
+        tracks=tracks,
         means=dict(obj["means"]),
-        dataset_stats=DatasetStats(
-            n_tracks=ds["n_tracks"],
-            total_duration=ds["total_duration"],
-            percent_stable_tempi=ds["percent_stable_tempi"],
-            mean_track_tempo=ds["mean_track_tempo"],
-        ),
+        dataset_stats=DatasetStats(**obj["dataset_stats"]),
         warnings=tuple(obj["warnings"]),
         params=params,
     )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivationFunction, BeatSequence, Condition
-from .variants import CONDITION_FACTORS, CONDITION_FRACTIONS, CONDITION_STEPS
+from .core import OFFBEAT_CONDITIONS, ActivationFunction, BeatSequence, Condition
+from .variants import condition_taps
 
 __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activation"]
 
@@ -131,23 +131,16 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
 
 
 def _emit_segment(r: np.ndarray, start: int, end: int, condition: Condition) -> np.ndarray:
-    """Taps for one segment of reference beats r[start:end]."""
-    n = len(r)
-    if condition in CONDITION_STEPS:
-        return r[start:end:CONDITION_STEPS[condition]]
-    if condition in CONDITION_FRACTIONS:
-        frac = CONDITION_FRACTIONS[condition]
-        hi = min(end, n - 1)  # each tap needs the interval after its beat
-        return r[start:hi] + frac * (r[start + 1 : hi + 1] - r[start:hi])
-    factor = CONDITION_FACTORS[condition]
-    anchors = r[start:end]
-    if len(anchors) < 2:
-        return anchors
-    # Interpolate only intervals fully inside the segment; the interval
-    # crossing into the next segment belongs to neither behavior.
-    inner = anchors[:-1, None] + np.diff(anchors)[:, None] * np.arange(1, factor)[None, :] / factor
-    merged = np.concatenate([anchors[:-1, None], inner], axis=1).reshape(-1)
-    return np.concatenate([merged, anchors[-1:]])
+    """Taps for one segment of reference beats r[start:end].
+
+    An offbeat tap needs the interval after its beat, so offbeats also
+    read beat ``end``.  Harmonics interpolate only intervals fully
+    inside the segment: the interval crossing into the next segment
+    belongs to neither behavior.
+    """
+    if condition in OFFBEAT_CONDITIONS:
+        end += 1
+    return condition_taps(r[start:end], condition)
 
 
 def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSequence:

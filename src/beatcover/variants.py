@@ -6,13 +6,16 @@ run of consecutive reference beats into a short "variant window" of
 expected tap times; the matcher then looks for that window inside the
 estimate.
 
-:func:`window_table` is the one place where window geometry and the
-adaptive tolerance are defined: for one condition it builds every
-window of a sequence at once, one row per anchor beat, together with
-each row's tolerance.  Windows near the end of the sequence that would
-need beats beyond the last annotation do not exist and get no row.  The
-single-window builders below are thin wrappers over it that return a
-:class:`VariantWindow`, or None where the table has no row.
+:func:`condition_taps` is the one place where a condition's tap times
+are defined: where a tracker locked to that condition taps over a
+whole sequence.  The scenario synthesizer and AMLt's allowed variants
+use it directly.  :func:`window_table` cuts those taps into every
+window of a sequence at once, one row per anchor beat, and gives each
+row its tolerance, the one adaptive tolerance formula.  Windows near
+the end of the sequence that would need beats beyond the last
+annotation do not exist and get no row.  The single-window builders
+below are thin wrappers over it that return a :class:`VariantWindow`,
+or None where the table has no row.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import (
 
 __all__ = [
     "VariantWindow",
+    "condition_taps",
     "window_table",
     "adaptive_epsilon",
     "subharmonic_variant",
@@ -96,6 +100,26 @@ def _geometry(condition: Condition, length: int) -> tuple[int, int]:
     return 1, length + 1 if condition in CONDITION_FRACTIONS else length
 
 
+def condition_taps(times, condition: Condition) -> np.ndarray:
+    """Where a tracker locked to ``condition`` taps over the whole of ``times``.
+
+    - Subharmonics (and onbeat) tap every ``step``-th beat, starting
+      with the first.
+    - Offbeats tap ``fraction`` of the way into each interval, so the
+      last beat, which has no interval after it, gets no tap.
+    - Harmonics tap each beat and ``factor - 1`` points evenly spaced
+      inside the interval after it, then the last beat.
+    """
+    r = np.asarray(times, dtype=np.float64).reshape(-1)
+    if condition in CONDITION_STEPS:
+        return r[:: CONDITION_STEPS[condition]]
+    if condition in CONDITION_FRACTIONS:
+        return r[:-1] + CONDITION_FRACTIONS[condition] * np.diff(r)
+    factor = CONDITION_FACTORS[condition]
+    grid = r[:-1, None] + np.diff(r)[:, None] * np.arange(factor) / factor
+    return np.concatenate([grid.reshape(-1), r[-1:]])
+
+
 def window_table(
     times, condition: Condition, length: int, params: ToleranceParams = ToleranceParams()
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -106,32 +130,23 @@ def window_table(
     covers beats ``i + stride * arange(length)``; ``eps[i]`` is its
     tolerance, min(cap, gamma * mean interval of the row).
 
-    - Subharmonics (and onbeat) take every ``stride``-th beat.
-    - Harmonics interpolate ``factor - 1`` extra taps into each of the
-      ``length - 1`` intervals, so a row has
-      ``length + (factor - 1) * (length - 1)`` taps; only the anchors
-      are covered.
-    - Offbeats displace each tap ``fraction`` of the way into the
-      interval after its anchor, so beat ``i + length`` must exist.
+    A row is a run of :func:`condition_taps`: ``length`` taps for
+    onbeat and offbeats, every ``step``-th onbeat tap for subharmonics,
+    and ``length + (factor - 1) * (length - 1)`` taps for harmonics,
+    whose interpolated taps verify the faster pulse but cover nothing.
+    An offbeat row needs beat ``i + length`` for its last interval.
 
     Raises:
         WindowTooShortError: ``length`` is below 2.
     """
     if length < 2:
         raise WindowTooShortError(f"window length must be >= 2, got {length}")
-    r = np.asarray(times, dtype=np.float64).reshape(-1)
-    stride, reach = _geometry(condition, length)
-    n_win = max(r.size - reach + 1, 0)
-    idx = np.arange(n_win)[:, None] + stride * np.arange(length)
-    if condition in CONDITION_FACTORS:
-        factor = CONDITION_FACTORS[condition]
-        lo, hi = r[idx[:, :-1]], r[idx[:, 1:]]
-        taps = lo[..., None] + (hi - lo)[..., None] * np.arange(factor) / factor
-        windows = np.concatenate([taps.reshape(n_win, (length - 1) * factor), r[idx[:, -1:]]], axis=1)
-    elif condition in CONDITION_FRACTIONS:
-        windows = r[idx] + CONDITION_FRACTIONS[condition] * (r[idx + 1] - r[idx])
-    else:
-        windows = r[idx]
+    stride = CONDITION_STEPS.get(condition, 1)
+    factor = CONDITION_FACTORS.get(condition, 1)
+    taps = condition_taps(times, Condition.ONBEAT if stride > 1 else condition)
+    span = factor * (length - 1) + 1
+    n_win = max((taps.size - 1 - stride * (span - 1)) // factor + 1, 0)
+    windows = taps[factor * np.arange(n_win)[:, None] + stride * np.arange(span)]
     eps = np.minimum(params.cap, params.gamma * np.mean(np.diff(windows, axis=1), axis=1))
     return windows, eps, stride
 

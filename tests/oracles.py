@@ -154,6 +154,52 @@ def oracle_continuity(ref, est, gamma=0.175):
     return out
 
 
+def oracle_amlt(ref, est, gamma=0.175):
+    """Best continuity score over the whole-track variants AMLt allows.
+
+    The variants are the reference itself, its half-offbeat taps, every
+    second beat (both phases), every third beat (all three phases), and
+    double and triple tempo (each interval split evenly, then the last
+    beat).  A variant with fewer than two beats, or whose times are not
+    strictly increasing, is skipped.
+    """
+    n = len(ref)
+    variants = [list(ref), [ref[i] + 0.5 * (ref[i + 1] - ref[i]) for i in range(n - 1)]]
+    for step in (2, 3):
+        for phase in range(step):
+            variants.append(list(ref[phase::step]))
+    for factor in (2, 3):
+        taps = []
+        for i in range(n - 1):
+            for k in range(factor):
+                taps.append(ref[i] + (ref[i + 1] - ref[i]) * k / factor)
+        variants.append(taps + list(ref[-1:]))
+    best = 0.0
+    for variant in variants:
+        if len(variant) < 2 or any(b <= a for a, b in zip(variant, variant[1:])):
+            continue
+        correct = oracle_continuity(variant, est, gamma)
+        best = max(best, sum(correct) / max(len(variant), len(est)))
+    return best
+
+
+def oracle_mlsr(rows):
+    """Level-switch ratio from per-condition Boolean rows, plain loops.
+
+    Walk the beats covered under any condition; a covered beat that
+    shares no condition with the previous covered beat is a switch.
+    """
+    n = len(next(iter(rows.values())))
+    covered = [k for k in range(n) if any(row[k] for row in rows.values())]
+    if not covered:
+        return 0.0
+    switches = 0
+    for prev, cur in zip(covered, covered[1:]):
+        if not any(row[prev] and row[cur] for row in rows.values()):
+            switches += 1
+    return switches / len(covered)
+
+
 def oracle_peaks(values, threshold):
     """Interior local maxima (first frame of a plateau) above threshold."""
     out = []

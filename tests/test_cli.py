@@ -110,6 +110,24 @@ class TestEvalCommand:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_comment_only_estimate_scores_zero(self, tmp_path):
+        ref_dir, est_dir = self.make_dirs(tmp_path)
+        (est_dir / "a.beats").write_text("# tracker found nothing\n")
+        out = tmp_path / "report.json"
+        code = run_cli(["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["tracks"][0]["f1"] == 0
+
+    def test_comment_only_reference_exits_2(self, tmp_path, capsys):
+        ref_dir, est_dir = self.make_dirs(tmp_path)
+        (ref_dir / "a.beats").write_text("# not annotated\n")
+        code = run_cli([
+            "eval", "--ref", str(ref_dir), "--est", str(est_dir),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code = run_cli([
             "eval", "--ref", str(tmp_path / "absent"), "--est", str(tmp_path),
@@ -188,6 +206,14 @@ class TestVizCommand:
         assert 'id="beats-panel"' in text
         assert 'id="row-any"' in text
 
+    def test_comment_only_reference_exits_2(self, tmp_path, capsys):
+        _, est, _ = run_synth(tmp_path)
+        ref = tmp_path / "empty.beats"
+        ref.write_text("# not annotated\n")
+        code = run_cli(["viz", "--ref", str(ref), "--est", str(est), "--out", str(tmp_path / "c.svg")])
+        assert code == 2
+        assert "no reference beats" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_prints_summary(self, tmp_path, capsys):
@@ -212,6 +238,19 @@ class TestExitCodes:
 
     def test_missing_required_option(self, capsys):
         assert run_cli(["eval", "--ref", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--L", "1"],
+            ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--gamma", "1.5"],
+            ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--cap", "0"],
+            ["viz", "--ref", "r", "--est", "e", "--out", "o.svg", "--L", "1"],
+        ],
+    )
+    def test_bad_tolerance_flag_is_usage_error(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert "usage" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0

@@ -8,6 +8,8 @@ from beatcover import (
     BeatSequence,
     Condition,
     CoverageMatrix,
+    Scenario,
+    Segment,
     TooFewBeatsError,
     ToleranceParams,
     acr_scores,
@@ -17,6 +19,8 @@ from beatcover import (
     coverage_matrix,
     evaluate_track,
     f1_score,
+    gen_estimate,
+    gen_reference,
     l_correct_fmeasure,
     mean_track_tempo,
     mlsr,
@@ -138,6 +142,30 @@ class TestCmltAmlt:
         est = BeatSequence(extra)
         assert cmlt(ref, est) <= 10 / 19
 
+    @pytest.mark.parametrize("ref", [[], [1.0]])
+    @pytest.mark.parametrize("est", [[], [0.5, 1.0, 1.5]])
+    def test_amlt_without_an_interval_scores_zero(self, ref, est):
+        assert amlt(BeatSequence(ref), BeatSequence(est)) == 0.0
+
+    def test_amlt_matches_oracle(self, rng):
+        """Tempo ramps and level switches, scripted and at random."""
+        for case in range(40):
+            bpm0, bpm1 = rng.uniform(60.0, 200.0, size=2)
+            ref = gen_reference([(0.0, bpm0), (8.0, bpm1)], float(rng.uniform(1.0, 16.0)))
+            if case % 2:
+                est = BeatSequence(random_times(rng, int(rng.integers(0, 40)), span=16.0))
+            else:
+                conditions = list(Condition)
+                starts = sorted({0, *rng.integers(0, len(ref), size=2).tolist()})
+                segments = tuple(
+                    Segment(int(s), conditions[int(rng.integers(len(conditions)))], 0.004)
+                    for s in starts
+                )
+                est = gen_estimate(ref, Scenario(120, 1.0, segments), seed=case)
+            gamma = float(rng.choice([0.1, 0.175, 0.4]))
+            expected = oracles.oracle_amlt(ref.times.tolist(), est.times.tolist(), gamma)
+            assert amlt(ref, est, gamma) == expected
+
     @given(ref_est_strategy())
     def test_amlt_dominates_cmlt(self, pair):
         ref_raw, est_raw = pair
@@ -238,6 +266,13 @@ class TestMlsr:
     def test_empty_coverage(self):
         cm = matrix_from({"onbeat": [False, False, False]})
         assert mlsr(cm) == 0.0
+
+    def test_matches_oracle_on_random_coverage(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(0, 30))
+            density = rng.uniform(0.0, 0.6)
+            rows = {c.value: (rng.random(n) < density).tolist() for c in Condition}
+            assert mlsr(matrix_from(rows)) == oracles.oracle_mlsr(rows)
 
 
 class TestTempoStats:

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 import oracles
 from beatcover import (
+    OFFBEAT_CONDITIONS,
     BeatSequence,
     Condition,
     ToleranceParams,
     WindowTooShortError,
     adaptive_epsilon,
+    condition_taps,
     harmonic_variant,
     offbeat_variant,
     subharmonic_variant,
@@ -17,6 +19,34 @@ from beatcover import (
     window_table,
 )
 from conftest import constant_beats
+
+
+class TestConditionTaps:
+    # uneven intervals, so each tap shows which interval it was cut from
+    REF = [0.0, 1.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "condition, expected",
+        [
+            (Condition.ONBEAT, [0.0, 1.0, 3.0, 4.0]),
+            (Condition.SUBHARMONIC_HALF, [0.0, 3.0]),
+            (Condition.SUBHARMONIC_THIRD, [0.0, 4.0]),
+            (Condition.SUBHARMONIC_QUARTER, [0.0]),
+            (Condition.OFFBEAT_HALF, [0.5, 2.0, 3.5]),
+            (Condition.OFFBEAT_ONE_THIRD, [1 / 3, 1 + 2 / 3, 3 + 1 / 3]),
+            (Condition.OFFBEAT_TWO_THIRD, [2 / 3, 1 + 4 / 3, 3 + 2 / 3]),
+            (Condition.HARMONIC_DOUBLE, [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0]),
+            (Condition.HARMONIC_TRIPLE, [0.0, 1 / 3, 2 / 3, 1.0, 1 + 2 / 3, 1 + 4 / 3, 3.0, 3 + 1 / 3, 3 + 2 / 3, 4.0]),
+        ],
+    )
+    def test_closed_form(self, condition, expected):
+        assert np.allclose(condition_taps(self.REF, condition), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_empty_and_single_beat(self, condition):
+        assert condition_taps([], condition).size == 0
+        single = condition_taps([2.0], condition)
+        assert single.tolist() == ([] if condition in OFFBEAT_CONDITIONS else [2.0])
 
 
 class TestAdaptiveEpsilon:
