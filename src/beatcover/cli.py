@@ -44,8 +44,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Tolerance flags of eval and viz, and the ToleranceParams fields they set.
-_TOLERANCE_FLAGS = {"cap": "cap", "gamma": "gamma", "L": "context"}
+_DEFAULTS = ToleranceParams()
+
+
+def _tolerance(field: str, convert):
+    """Argparse type for the flag that sets ``field`` of ToleranceParams."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            ToleranceParams(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _metric_groups(text: str) -> list[str]:
@@ -62,9 +76,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate estimate files against references")
     p.add_argument("--ref", required=True, help="directory of reference beat files")
     p.add_argument("--est", required=True, help="directory of estimated beat files")
-    p.add_argument("--L", type=int, default=2, help="window length in beats (default 2)")
-    p.add_argument("--cap", type=float, default=0.070, help="tolerance cap in seconds (default 0.070)")
-    p.add_argument("--gamma", type=float, default=0.175, help="tolerance/IBI ratio (default 0.175)")
+    p.add_argument("--L", type=_tolerance("context", int), default=_DEFAULTS.context,
+                   help=f"window length in beats (default {_DEFAULTS.context})")
+    p.add_argument("--cap", type=_tolerance("cap", float), default=_DEFAULTS.cap,
+                   help=f"tolerance cap in seconds (default {_DEFAULTS.cap:.3f})")
+    p.add_argument("--gamma", type=_tolerance("gamma", float), default=_DEFAULTS.gamma,
+                   help=f"tolerance/IBI ratio (default {_DEFAULTS.gamma:.3f})")
     p.add_argument("--metrics", type=_metric_groups, default=None,
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
     p.add_argument("--workers", type=int, default=1, help="concurrent tracks (default 1)")
@@ -86,7 +103,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ref", required=True, help="reference beats file")
     p.add_argument("--est", required=True, help="estimated beats file")
     p.add_argument("--activation", default=None, help="optional activation file for the top panel")
-    p.add_argument("--L", type=int, default=2, help="window length in beats (default 2)")
+    p.add_argument("--L", type=_tolerance("context", int), default=_DEFAULTS.context,
+                   help=f"window length in beats (default {_DEFAULTS.context})")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_viz)
 
@@ -107,7 +125,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate_dataset(args.ref, args.est, args.params, workers=args.workers)
+    params = ToleranceParams(cap=args.cap, gamma=args.gamma, context=args.L)
+    report = evaluate_dataset(args.ref, args.est, params, workers=args.workers)
     write_report(report, args.out, metrics=args.metrics)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -136,7 +155,7 @@ def _cmd_viz(args) -> int:
     if not len(ref):
         raise EmptySequenceError(f"{args.ref}: no reference beats")
     act = parse_activation_file(args.activation) if args.activation else None
-    cm = coverage_matrix(ref, est, args.params)
+    cm = coverage_matrix(ref, est, ToleranceParams(context=args.L))
     render_coverage_svg(cm, ref, act=act, est=est, path=args.out)
     print(f"wrote coverage figure -> {args.out}")
     return 0
@@ -165,16 +184,7 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    tolerance = {
-        field: getattr(args, flag) for flag, field in _TOLERANCE_FLAGS.items() if hasattr(args, flag)
-    }
-    if tolerance:
-        try:
-            args.params = ToleranceParams(**tolerance)
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BeatcoverError, OSError, ValueError) as exc:

@@ -42,7 +42,7 @@ __all__ = [
 
 
 def f1_score(
-    ref: BeatSequence, est: BeatSequence, window: float = 0.070
+    ref: BeatSequence, est: BeatSequence, window: float = ToleranceParams.cap
 ) -> tuple[float, float, float]:
     """Pairwise precision, recall, F1 with a fixed tolerance window.
 
@@ -69,7 +69,7 @@ def f1_score(
 
 
 def continuity_correct(
-    ref: BeatSequence, est: BeatSequence, gamma: float = 0.175
+    ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma
 ) -> np.ndarray:
     """Which estimated beats satisfy the continuity criterion.
 
@@ -110,7 +110,7 @@ def _continuity_score(ref: BeatSequence, est: BeatSequence, gamma: float) -> flo
     return float(np.count_nonzero(correct)) / denom if denom else 0.0
 
 
-def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = 0.175) -> float:
+def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
     """Fraction of beats continuity-correct at the annotated level.
 
     The denominator max(|ref|, |est|) penalizes both over- and
@@ -130,7 +130,7 @@ _AMLT_CONDITIONS = (
 )
 
 
-def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = 0.175) -> float:
+def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
     """Best cmlt-style score over the allowed whole-track variants.
 
     The variants are the taps of onbeat, half offbeat, half and third

@@ -61,9 +61,12 @@ def dp_track(
     With target period ``tau = fps * 60 / global_tempo`` frames, each
     frame's score is its activation plus the best predecessor score
     from the window [n - 2*tau, n - tau/2], discounted by
-    ``tightness * (log(n - p) - log(tau))**2``.  The beat sequence is
-    the backtrace from the best-scoring frame, so output intervals stay
-    within a factor of two of the target period.
+    ``tightness * (log(n - p) - log(tau))**2``.  A frame whose best
+    discounted predecessor score is not positive links to none and
+    starts a path, so a first beat later than half a period is found
+    where it is instead of being pulled toward 0 s.  The beat sequence
+    is the backtrace from the best-scoring frame, so output intervals
+    stay within a factor of two of the target period.
 
     Raises:
         EmptySequenceError: the activation has no frames.
@@ -91,8 +94,9 @@ def dp_track(
         gaps = n - np.arange(lo, hi + 1)
         scores = cumscore[lo : hi + 1] - tightness * (np.log(gaps) - log_tau) ** 2
         best = int(np.argmax(scores))
-        cumscore[n] = v[n] + scores[best]
-        backlink[n] = lo + best
+        if scores[best] > 0.0:
+            cumscore[n] = v[n] + scores[best]
+            backlink[n] = lo + best
     path = [int(np.argmax(cumscore))]
     while backlink[path[-1]] >= 0:
         path.append(int(backlink[path[-1]]))

@@ -43,28 +43,22 @@ __all__ = [
     "variant_window",
 ]
 
-# float(1/3) and float(2/3) are the exact doubles produced by the
-# literal divisions below, so dictionary lookup by value is safe.
-_STEP_TO_CONDITION = {
-    1: Condition.ONBEAT,
-    2: Condition.SUBHARMONIC_HALF,
-    3: Condition.SUBHARMONIC_THIRD,
-    4: Condition.SUBHARMONIC_QUARTER,
+CONDITION_STEPS = {
+    Condition.ONBEAT: 1,
+    Condition.SUBHARMONIC_HALF: 2,
+    Condition.SUBHARMONIC_THIRD: 3,
+    Condition.SUBHARMONIC_QUARTER: 4,
 }
-_FACTOR_TO_CONDITION = {
-    2: Condition.HARMONIC_DOUBLE,
-    3: Condition.HARMONIC_TRIPLE,
-    4: Condition.HARMONIC_QUADRUPLE,
+CONDITION_FACTORS = {
+    Condition.HARMONIC_DOUBLE: 2,
+    Condition.HARMONIC_TRIPLE: 3,
+    Condition.HARMONIC_QUADRUPLE: 4,
 }
-_FRACTION_TO_CONDITION = {
-    0.5: Condition.OFFBEAT_HALF,
-    1.0 / 3.0: Condition.OFFBEAT_ONE_THIRD,
-    2.0 / 3.0: Condition.OFFBEAT_TWO_THIRD,
+CONDITION_FRACTIONS = {
+    Condition.OFFBEAT_HALF: 0.5,
+    Condition.OFFBEAT_ONE_THIRD: 1.0 / 3.0,
+    Condition.OFFBEAT_TWO_THIRD: 2.0 / 3.0,
 }
-
-CONDITION_STEPS = {c: s for s, c in _STEP_TO_CONDITION.items()}
-CONDITION_FACTORS = {c: f for f, c in _FACTOR_TO_CONDITION.items()}
-CONDITION_FRACTIONS = {c: f for f, c in _FRACTION_TO_CONDITION.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +157,14 @@ def adaptive_epsilon(times, params: ToleranceParams = ToleranceParams()) -> floa
     return float(window_table(times, Condition.ONBEAT, np.size(times), params)[1][0])
 
 
+def _condition_for(name: str, value, table: dict) -> Condition:
+    # Matched with ==, as dict membership did: 2.0 selects half tempo.
+    for condition, parameter in table.items():
+        if parameter == value:
+            return condition
+    raise ValueError(f"{name} must be one of {sorted(table.values())}, got {value}")
+
+
 def _check_instance(beats: BeatSequence, instance: int) -> None:
     # window_table checks the length
     if not 0 <= instance < len(beats):
@@ -200,9 +202,8 @@ def subharmonic_variant(
     the last required beat index falls outside the sequence.
     """
     _check_instance(beats, instance)
-    if step not in _STEP_TO_CONDITION:
-        raise ValueError(f"step must be one of {sorted(_STEP_TO_CONDITION)}, got {step}")
-    return _window_at(beats, instance, length, _STEP_TO_CONDITION[step], tol)
+    condition = _condition_for("step", step, CONDITION_STEPS)
+    return _window_at(beats, instance, length, condition, tol)
 
 
 def harmonic_variant(
@@ -221,9 +222,8 @@ def harmonic_variant(
     Returns None when the anchors run past the end of the sequence.
     """
     _check_instance(beats, instance)
-    if factor not in _FACTOR_TO_CONDITION:
-        raise ValueError(f"factor must be one of {sorted(_FACTOR_TO_CONDITION)}, got {factor}")
-    return _window_at(beats, instance, length, _FACTOR_TO_CONDITION[factor], tol)
+    condition = _condition_for("factor", factor, CONDITION_FACTORS)
+    return _window_at(beats, instance, length, condition, tol)
 
 
 def offbeat_variant(
@@ -240,10 +240,8 @@ def offbeat_variant(
     requires beat ``instance + length`` to exist; returns None otherwise.
     """
     _check_instance(beats, instance)
-    if fraction not in _FRACTION_TO_CONDITION:
-        valid = sorted(_FRACTION_TO_CONDITION)
-        raise ValueError(f"fraction must be one of {valid}, got {fraction}")
-    return _window_at(beats, instance, length, _FRACTION_TO_CONDITION[fraction], tol)
+    condition = _condition_for("fraction", fraction, CONDITION_FRACTIONS)
+    return _window_at(beats, instance, length, condition, tol)
 
 
 def variant_window(

@@ -232,7 +232,7 @@ def oracle_dp_path(values, fps, tempo, tightness=100.0):
             val = score[p] - tightness * (math.log(n - p) - math.log(tau)) ** 2
             if best_val is None or val > best_val:
                 best_val, best_p = val, p
-        if best_p >= 0:
+        if best_p >= 0 and best_val > 0.0:
             score[n] = values[n] + best_val
             backlink[n] = best_p
     end = max(range(n_frames), key=lambda k: (score[k], -k))

@@ -1,0 +1,56 @@
+"""The top-level namespace is exactly the union of the modules' public names."""
+
+import importlib
+from itertools import chain
+
+import beatcover
+
+MODULE_NAMES = ("core", "fileio", "matching", "metrics", "report", "synth", "trackers", "variants", "viz")
+MODULES = [importlib.import_module(f"beatcover.{name}") for name in MODULE_NAMES]
+
+# The names beatcover exported while __init__.py still listed them by
+# hand; none may disappear.
+EARLIER_NAMES = """
+    AcrScores ActivationFunction BeatSequence BeatcoverError Condition
+    CoverageMatrix DatasetReport DatasetStats DegenerateTempoError
+    EmptySequenceError METRIC_GROUPS MissingFpsError NegativeTimeError
+    NoPairsFoundError NonMonotonicError OFFBEAT_CONDITIONS ParseError SCHEMA_VERSION
+    Scenario Segment StemCollisionError ToleranceParams TooFewBeatsError TrackReport
+    ValueOutOfRangeError VariantWindow WindowTooShortError __version__ acr_scores
+    adaptive_epsilon amlt cmlt compute_means condition_taps continuity_correct
+    coverage_matrix dataset_stats_from_refs dp_track evaluate_dataset evaluate_track
+    f1_score gen_activation gen_estimate gen_reference global_tempo_from_reference
+    harmonic_variant l_correct_detection l_correct_fmeasure mean_track_tempo mlsr
+    offbeat_variant parse_activation_file parse_beats_file parse_report
+    parse_scenario_file read_report render_coverage_svg serialize_report sppk
+    stable_tempi_percentage subharmonic_variant validate_beats variant_window
+    window_match window_table write_activation_file write_beats_file write_report
+""".split()
+
+
+def test_no_name_is_public_in_two_modules():
+    # A star import would silently let the later module shadow the earlier.
+    names = list(chain.from_iterable(module.__all__ for module in MODULES))
+    assert len(names) == len(set(names))
+
+
+def test_every_public_name_is_the_same_object_at_top_level():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(beatcover, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_all_is_version_then_module_lists():
+    assert beatcover.__all__ == ["__version__", *chain.from_iterable(m.__all__ for m in MODULES)]
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from beatcover import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(beatcover.__all__)
+
+
+def test_earlier_names_are_kept():
+    assert len(EARLIER_NAMES) == 68
+    assert set(EARLIER_NAMES) <= set(beatcover.__all__)

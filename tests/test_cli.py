@@ -249,8 +249,16 @@ class TestExitCodes:
         ],
     )
     def test_bad_tolerance_flag_is_usage_error(self, argv, capsys):
+        reasons = {
+            "--L": "context must be >= 2, got 1",
+            "--gamma": "gamma must be in (0, 1), got 1.5",
+            "--cap": "cap must be > 0, got 0.0",
+        }
+        command, flag = argv[0], argv[-2]
         assert run_cli(argv) == 1
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: beatcover {command} ")
+        assert f"beatcover {command}: error: argument {flag}: {reasons[flag]}\n" in err
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0

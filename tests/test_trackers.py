@@ -8,6 +8,7 @@ from beatcover import (
     DegenerateTempoError,
     EmptySequenceError,
     dp_track,
+    gen_activation,
     global_tempo_from_reference,
     sppk,
 )
@@ -107,6 +108,15 @@ class TestDpTrack:
         beats = dp_track(act, global_tempo=120.0)
         on_grid = np.isclose(beats.times * 100 % 50, 0.0)
         assert on_grid.mean() > 0.9
+
+    @pytest.mark.parametrize("offset", [0.26, 0.33, 0.43, 0.49])
+    def test_late_first_beat_is_found_where_it_is(self, offset):
+        # A first beat more than half a period after 0 s starts its own
+        # path instead of being linked back toward the start.
+        ref = BeatSequence(offset + 0.5 * np.arange(20))
+        beats = dp_track(gen_activation(ref, fps=100.0), global_tempo=120.0)
+        assert len(beats) == len(ref)
+        assert np.all(np.abs(beats.times - ref.times) <= 0.01 + 1e-9)
 
     def test_matches_dp_oracle(self, rng):
         for _ in range(25):
