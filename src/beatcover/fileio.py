@@ -55,6 +55,22 @@ def _content_lines(path):
             yield lineno, line
 
 
+def _number(path, lineno: int, text: str, what: str, convert=float):
+    """``text`` as a finite number, or a ParseError at ``path:lineno``.
+
+    Every numeric field of every format is read here, so that none of
+    them lets ``nan`` or ``inf`` through to code that cannot use it.
+    """
+    try:
+        value = convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ParseError(path, lineno, f"{what} is not {kind}: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, lineno, f"{what} must be finite, got {text!r}")
+    return value
+
+
 def parse_beats_file(path) -> BeatSequence:
     """Read one beat time per line; extra columns are ignored.
 
@@ -66,16 +82,9 @@ def parse_beats_file(path) -> BeatSequence:
     sequence; callers that need beats, such as reference scoring,
     reject it themselves.
     """
-    times = []
-    for lineno, line in _content_lines(path):
-        field = line.split()[0]
-        try:
-            value = float(field)
-        except ValueError:
-            raise ParseError(path, lineno, f"not a number: {field!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(path, lineno, f"beat time must be finite, got {field!r}")
-        times.append(value)
+    times = [
+        _number(path, lineno, line.split()[0], "beat time") for lineno, line in _content_lines(path)
+    ]
     if not times:
         return BeatSequence(np.empty(0))
     return validate_beats(times)
@@ -92,7 +101,7 @@ def parse_activation_file(path) -> ActivationFunction:
     Raises:
         MissingFpsError: the first content line is not an fps header.
         ValueOutOfRangeError: a value lies outside [0, 1].
-        ParseError: a line is not a number at all.
+        ParseError: the fps or a value is not a finite number.
     """
     fps = None
     values = []
@@ -101,17 +110,11 @@ def parse_activation_file(path) -> ActivationFunction:
             if not line.replace(" ", "").startswith("fps="):
                 raise MissingFpsError(path, lineno, "first line must be 'fps=<rate>'")
             field = line.split("=", 1)[1].strip()
-            try:
-                fps = float(field)
-            except ValueError:
-                raise ParseError(path, lineno, f"fps is not a number: {field!r}") from None
-            if not fps > 0 or not math.isfinite(fps):
+            fps = _number(path, lineno, field, "fps")
+            if not fps > 0:
                 raise ParseError(path, lineno, f"fps must be a positive real, got {field}")
             continue
-        try:
-            value = float(line.split()[0])
-        except ValueError:
-            raise ParseError(path, lineno, f"not a number: {line!r}") from None
+        value = _number(path, lineno, line.split()[0], "activation value")
         if not 0.0 <= value <= 1.0:
             raise ValueOutOfRangeError(path, lineno, f"value {value} outside [0, 1]")
         values.append(value)
@@ -129,18 +132,16 @@ def write_activation_file(act: ActivationFunction, path) -> None:
 def _parse_tempo(path, lineno: int, text: str):
     """A bare BPM, or comma-separated ``time:bpm`` knots."""
     if ":" not in text:
-        try:
-            return float(text)
-        except ValueError:
-            raise ParseError(path, lineno, f"tempo is not a number: {text!r}") from None
+        return _number(path, lineno, text, "tempo")
     points = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            t, bpm = chunk.split(":")
-            points.append((float(t), float(bpm)))
-        except ValueError:
-            raise ParseError(path, lineno, f"bad tempo knot {chunk!r}, expected time:bpm") from None
+        knot = chunk.strip()
+        if knot.count(":") != 1:
+            raise ParseError(path, lineno, f"bad tempo knot {knot!r}, expected time:bpm")
+        t, bpm = knot.split(":")
+        points.append(
+            (_number(path, lineno, t, "tempo knot time"), _number(path, lineno, bpm, "tempo knot BPM"))
+        )
     return points
 
 
@@ -148,21 +149,12 @@ def _parse_segment(path, lineno: int, text: str) -> Segment:
     fields = text.split()
     if len(fields) not in (2, 3):
         raise ParseError(path, lineno, "segment needs '<start> <condition> [jitter_std]'")
+    start = _number(path, lineno, fields[0], "segment start", int)
+    jitter = _number(path, lineno, fields[2], "jitter_std") if len(fields) == 3 else 0.0
     try:
-        start = int(fields[0])
-    except ValueError:
-        raise ParseError(path, lineno, f"segment start is not an integer: {fields[0]!r}") from None
-    try:
-        condition = Condition.parse(fields[1])
+        return Segment(start=start, condition=Condition.parse(fields[1]), jitter_std=jitter)
     except ValueError as exc:
         raise ParseError(path, lineno, str(exc)) from None
-    jitter = 0.0
-    if len(fields) == 3:
-        try:
-            jitter = float(fields[2])
-        except ValueError:
-            raise ParseError(path, lineno, f"jitter_std is not a number: {fields[2]!r}") from None
-    return Segment(start=start, condition=condition, jitter_std=jitter)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -187,10 +179,7 @@ def parse_scenario_file(path) -> Scenario:
         key = key.strip()
         value = value.strip()
         if key == "duration":
-            try:
-                duration = float(value)
-            except ValueError:
-                raise ParseError(path, lineno, f"duration is not a number: {value!r}") from None
+            duration = _number(path, lineno, value, "duration")
         elif key == "tempo":
             tempo = _parse_tempo(path, lineno, value)
         elif key == "segment":

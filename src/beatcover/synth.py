@@ -31,8 +31,8 @@ class Segment:
     def __post_init__(self):
         if self.start < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
-        if self.jitter_std < 0:
-            raise ValueError(f"jitter_std must be >= 0, got {self.jitter_std}")
+        if not 0 <= self.jitter_std < np.inf:
+            raise ValueError(f"jitter_std must be finite and >= 0, got {self.jitter_std}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "tempo_curve", _normalize_curve(self.tempo_curve))
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        _check_duration(self.duration)
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("scenario needs at least one segment")
@@ -73,6 +72,8 @@ def _normalize_curve(tempo_curve) -> tuple[tuple[float, float], ...]:
         points = tuple((float(t), float(b)) for t, b in tempo_curve)
     if not points:
         raise ValueError("tempo curve needs at least one point")
+    if not np.isfinite(points).all():
+        raise ValueError(f"tempo curve times and BPM values must be finite, got {points}")
     times = [t for t, _ in points]
     if any(t < 0 for t in times):
         raise ValueError("tempo curve times must be >= 0")
@@ -81,6 +82,11 @@ def _normalize_curve(tempo_curve) -> tuple[tuple[float, float], ...]:
     if any(bpm <= 0 for _, bpm in points):
         raise ValueError("tempo curve BPM values must be > 0")
     return points
+
+
+def _check_duration(duration) -> None:
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
 
 
 def _curve_on_span(points, duration):
@@ -106,8 +112,7 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
     count is quadratic in time and each beat time solves a quadratic;
     for constant tempo the intervals are exactly 60/bpm.
     """
-    if not duration > 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    _check_duration(duration)
     knot_t, knot_b = _curve_on_span(_normalize_curve(tempo_curve), duration)
     beats: list[float] = []
     phase = 0.0

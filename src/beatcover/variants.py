@@ -85,15 +85,6 @@ class VariantWindow:
         return int(self.times.size)
 
 
-def _geometry(condition: Condition, length: int) -> tuple[int, int]:
-    """(stride between covered beats, number of beats one window reads)."""
-    if condition in CONDITION_STEPS:
-        stride = CONDITION_STEPS[condition]
-        return stride, stride * (length - 1) + 1
-    # each offbeat tap needs the interval after its anchor
-    return 1, length + 1 if condition in CONDITION_FRACTIONS else length
-
-
 def condition_taps(times, condition: Condition) -> np.ndarray:
     """Where a tracker locked to ``condition`` taps over the whole of ``times``.
 
@@ -165,25 +156,19 @@ def _condition_for(name: str, value, table: dict) -> Condition:
     raise ValueError(f"{name} must be one of {sorted(table.values())}, got {value}")
 
 
-def _check_instance(beats: BeatSequence, instance: int) -> None:
-    # window_table checks the length
-    if not 0 <= instance < len(beats):
-        raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
-
-
 def _window_at(
     beats: BeatSequence, instance: int, length: int, condition: Condition, tol: ToleranceParams
 ) -> VariantWindow | None:
-    # Only the beats this one window reads are handed to the table.
-    stride, reach = _geometry(condition, length)
-    windows, eps, _ = window_table(beats.times[instance : instance + reach], condition, length, tol)
-    if not len(windows):
+    if not 0 <= instance < len(beats):
+        raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
+    windows, eps, stride = window_table(beats.times, condition, length, tol)
+    if instance >= len(windows):
         return None
     return VariantWindow(
         condition=condition,
         instance=instance,
-        times=windows[0],
-        epsilon=float(eps[0]),
+        times=windows[instance],
+        epsilon=float(eps[instance]),
         cover_set=frozenset(range(instance, instance + stride * (length - 1) + 1, stride)),
     )
 
@@ -201,7 +186,6 @@ def subharmonic_variant(
     half, third, or quarter of the annotated tempo.  Returns None when
     the last required beat index falls outside the sequence.
     """
-    _check_instance(beats, instance)
     condition = _condition_for("step", step, CONDITION_STEPS)
     return _window_at(beats, instance, length, condition, tol)
 
@@ -221,7 +205,6 @@ def harmonic_variant(
     taps exist to verify the faster pulse, not to credit extra beats.
     Returns None when the anchors run past the end of the sequence.
     """
-    _check_instance(beats, instance)
     condition = _condition_for("factor", factor, CONDITION_FACTORS)
     return _window_at(beats, instance, length, condition, tol)
 
@@ -239,7 +222,6 @@ def offbeat_variant(
     needs the interval after its anchor beat, so the window additionally
     requires beat ``instance + length`` to exist; returns None otherwise.
     """
-    _check_instance(beats, instance)
     condition = _condition_for("fraction", fraction, CONDITION_FRACTIONS)
     return _window_at(beats, instance, length, condition, tol)
 
@@ -254,5 +236,4 @@ def variant_window(
 
     The window length is ``params.context``.
     """
-    _check_instance(beats, instance)
     return _window_at(beats, instance, params.context, condition, params)

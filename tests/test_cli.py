@@ -69,6 +69,24 @@ class TestSynthCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body,lineno",
+        [
+            ("duration = inf\ntempo = 120\nsegment = 0 onbeat\n", 1),
+            ("duration = 12\ntempo = inf\nsegment = 0 onbeat\n", 2),
+            ("duration = 12\ntempo = 0:120, 5:inf\nsegment = 0 onbeat\n", 2),
+        ],
+        ids=["duration", "tempo", "knot_bpm"],
+    )
+    def test_non_finite_number_exits_2_at_its_line(self, tmp_path, capsys, body, lineno):
+        path = write_scenario(tmp_path, body)
+        code = run_cli([
+            "synth", "--scenario", str(path),
+            "--out-ref", str(tmp_path / "r"), "--out-est", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        assert f"{path}:{lineno}: " in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def make_dirs(self, tmp_path):

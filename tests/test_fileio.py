@@ -161,3 +161,38 @@ class TestScenarioFiles:
         path.write_text("duration = 4\ntempo = 120\nsegment = 3 onbeat\n")
         with pytest.raises(ParseError):
             parse_scenario_file(path)
+
+
+# field -> (parser, file text with {x} where the number goes, line of the number)
+NUMERIC_FIELDS = {
+    "beat time": (parse_beats_file, "0.5\n{x}\n", 2),
+    "fps": (parse_activation_file, "fps={x}\n0.5\n", 1),
+    "activation value": (parse_activation_file, "fps=100\n0.5\n{x}\n", 3),
+    "duration": (parse_scenario_file, "duration = {x}\ntempo = 120\nsegment = 0 onbeat\n", 1),
+    "tempo": (parse_scenario_file, "duration = 4\ntempo = {x}\nsegment = 0 onbeat\n", 2),
+    "tempo knot time": (
+        parse_scenario_file,
+        "duration = 4\ntempo = 0:120, {x}:130\nsegment = 0 onbeat\n",
+        2,
+    ),
+    "tempo knot BPM": (
+        parse_scenario_file,
+        "duration = 4\ntempo = 0:120, 2:{x}\nsegment = 0 onbeat\n",
+        2,
+    ),
+    "segment start": (parse_scenario_file, "duration = 4\ntempo = 120\nsegment = {x} onbeat\n", 3),
+    "jitter_std": (parse_scenario_file, "duration = 4\ntempo = 120\nsegment = 0 onbeat {x}\n", 3),
+}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(NUMERIC_FIELDS))
+def test_non_finite_number_is_a_parse_error_at_its_line(tmp_path, field, text):
+    parse, body, lineno = NUMERIC_FIELDS[field]
+    path = tmp_path / "input.txt"
+    path.write_text(body.format(x=text))
+    with pytest.raises(ParseError) as err:
+        parse(path)
+    assert type(err.value) is ParseError
+    assert err.value.lineno == lineno
+    assert str(err.value).startswith(f"{path}:{lineno}: {field} ")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ class TestGenReference:
             gen_reference([(0.0, 100.0), (0.0, 120.0)], 4.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# field -> (tempo curve, duration) with the non-finite number in that field
+CURVE_AND_DURATION = {
+    "duration": lambda x: (120, x),
+    "tempo": lambda x: (x, 4.0),
+    "knot_time": lambda x: ([(0.0, 120.0), (x, 130.0)], 4.0),
+    "knot_bpm": lambda x: ([(0.0, 120.0), (2.0, x)], 4.0),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", list(CURVE_AND_DURATION))
+def test_non_finite_curve_or_duration_rejected(field, bad):
+    curve, duration = CURVE_AND_DURATION[field](bad)
+    with pytest.raises(ValueError, match="finite"):
+        gen_reference(curve, duration)
+    with pytest.raises(ValueError, match="finite"):
+        Scenario(curve, duration, (Segment(0, Condition.ONBEAT),))
+
+
 class TestScenarioValidation:
     def test_minimal(self):
         sc = Scenario(tempo_curve=120, duration=4.0, segments=(Segment(0, Condition.ONBEAT),))
@@ -91,6 +114,11 @@ class TestScenarioValidation:
     def test_segment_rejects_negative_jitter(self):
         with pytest.raises(ValueError):
             Segment(0, Condition.ONBEAT, jitter_std=-0.01)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_segment_rejects_non_finite_jitter(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Segment(0, Condition.ONBEAT, jitter_std=bad)
 
 
 class TestGenEstimate:
