@@ -48,7 +48,7 @@ for stem, (bpm, duration, condition, jitter) in PERSONALITIES.items():
     write_beats_file(est, EST_DIR / f"{stem}.beats")
 print(f"wrote {len(PERSONALITIES)} track pairs under {OUT}")
 
-report = evaluate_dataset(REF_DIR, EST_DIR, workers=2)
+report = evaluate_dataset(REF_DIR, EST_DIR)
 print()
 print(f"{'track':<8} {'f1':>6} {'amlt':>6} {'acr_any':>8} {'mlsr':>6}")
 for track in report.tracks:

@@ -9,6 +9,7 @@ statistics).  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import BeatcoverError, EmptySequenceError, ToleranceParams
@@ -62,6 +63,17 @@ def _tolerance(field: str, convert):
     return parse
 
 
+def _finite(text: str) -> float:
+    """Argparse type for a float flag that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _metric_groups(text: str) -> list[str]:
     try:
         return check_metric_groups(part.strip() for part in text.split(",") if part.strip())
@@ -84,18 +96,18 @@ def build_parser() -> _Parser:
                    help=f"tolerance/IBI ratio (default {_DEFAULTS.gamma:.3f})")
     p.add_argument("--metrics", type=_metric_groups, default=None,
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
-    p.add_argument("--workers", type=int, default=1, help="concurrent tracks (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="has no effect: tracks are evaluated one at a time")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("track", help="run a post-processing tracker")
     p.add_argument("--activation", required=True, help="activation file (fps=... header)")
     p.add_argument("--ppt", required=True, choices=("dp", "sppk"), help="tracker to run")
-    p.add_argument("--tempo", type=float, default=None, help="global tempo in BPM (dp)")
+    p.add_argument("--tempo", type=_finite, default=None, help="global tempo in BPM (dp)")
     p.add_argument("--ref", default=None, help="reference beats to take the global tempo from (dp)")
-    p.add_argument("--threshold", type=float, default=0.3, help="sppk threshold (default 0.3)")
-    p.add_argument("--min-gap", type=float, default=0.15, help="sppk suppression gap in seconds (default 0.15)")
-    p.add_argument("--tightness", type=float, default=100.0, help="dp tempo adherence (default 100)")
+    p.add_argument("--threshold", type=_finite, default=0.3, help="sppk threshold (default 0.3)")
+    p.add_argument("--min-gap", type=_finite, default=0.15, help="sppk suppression gap in seconds (default 0.15)")
+    p.add_argument("--tightness", type=_finite, default=100.0, help="dp tempo adherence (default 100)")
     p.add_argument("--out", required=True, help="output beats path")
     p.set_defaults(func=_cmd_track)
 
@@ -114,7 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-ref", required=True, help="output reference beats path")
     p.add_argument("--out-est", required=True, help="output estimated beats path")
     p.add_argument("--out-act", default=None, help="optional output activation path")
-    p.add_argument("--fps", type=float, default=100.0, help="activation frame rate (default 100)")
+    p.add_argument("--fps", type=_finite, default=100.0, help="activation frame rate (default 100)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("stats", help="dataset statistics from reference files")
@@ -126,7 +138,7 @@ def build_parser() -> _Parser:
 
 def _cmd_eval(args) -> int:
     params = ToleranceParams(cap=args.cap, gamma=args.gamma, context=args.L)
-    report = evaluate_dataset(args.ref, args.est, params, workers=args.workers)
+    report = evaluate_dataset(args.ref, args.est, params)
     write_report(report, args.out, metrics=args.metrics)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Every quantity is expressed in seconds unless noted otherwise.  Beat
 sequences, activation curves, tolerance settings, and coverage matrices
-are immutable after construction so they can be shared freely between
-concurrent workers.
+are immutable after construction, so a value checked once stays valid
+wherever it is passed.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ OFFBEAT_CONDITIONS = (
 class ToleranceParams:
     """Matching tolerance settings.
 
-    cap: absolute tolerance ceiling in seconds.
+    cap: absolute tolerance ceiling in seconds, finite and positive.
     gamma: tolerance as a fraction of the local mean inter-beat interval.
     context: window length in beats; a beat counts as detected only as
         part of a fully matched run of this many consecutive beats.
@@ -180,8 +180,8 @@ class ToleranceParams:
     context: int = 2
 
     def __post_init__(self):
-        if not self.cap > 0.0:
-            raise ValueError(f"cap must be > 0, got {self.cap}")
+        if not 0.0 < self.cap < np.inf:
+            raise ValueError(f"cap must be finite and > 0, got {self.cap}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.context < 2:

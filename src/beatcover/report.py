@@ -10,7 +10,6 @@ the stored tracks.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -144,16 +143,12 @@ def _by_stem(directory) -> dict[str, Path]:
     return out
 
 
-def evaluate_dataset(
-    ref_dir,
-    est_dir,
-    params: ToleranceParams = ToleranceParams(),
-    workers: int = 1,
-) -> DatasetReport:
+def evaluate_dataset(ref_dir, est_dir, params: ToleranceParams = ToleranceParams()) -> DatasetReport:
     """Evaluate every stem-matched (reference, estimate) file pair.
 
-    Unmatched files become warnings; the result is independent of
-    directory listing order and of ``workers``.
+    Tracks are evaluated one at a time in sorted stem order.  Unmatched
+    files become warnings; the result is independent of directory
+    listing order.
 
     Raises:
         NoPairsFoundError: no stem matched at all.
@@ -168,22 +163,14 @@ def evaluate_dataset(
         [f"no estimate for reference {s!r}" for s in sorted(set(refs) - set(ests))]
         + [f"no reference for estimate {s!r}" for s in sorted(set(ests) - set(refs))]
     )
-
-    def one(stem: str) -> tuple[TrackReport, BeatSequence]:
+    tracks = []
+    ref_seqs = []
+    for stem in stems:
         ref = parse_beats_file(refs[stem])
-        est = parse_beats_file(ests[stem])
-        return evaluate_track(stem, ref, est, params), ref
-
-    if workers <= 1:
-        results = [one(s) for s in stems]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, stems))
-    # stems were sorted, and map preserves order, so tracks are sorted.
-    tracks = tuple(r for r, _ in results)
-    ref_seqs = [ref for _, ref in results]
+        tracks.append(evaluate_track(stem, ref, parse_beats_file(ests[stem]), params))
+        ref_seqs.append(ref)
     return DatasetReport(
-        tracks=tracks,
+        tracks=tuple(tracks),
         means=compute_means(tracks),
         dataset_stats=dataset_stats_from_refs(ref_seqs),
         warnings=warnings,

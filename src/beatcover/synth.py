@@ -19,6 +19,10 @@ from .variants import condition_taps
 
 __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activation"]
 
+# Upper limit on duration * highest BPM / 60, the most beats a curve can
+# place; it stops a huge duration or tempo before the beat list grows.
+_MAX_BEATS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -41,7 +45,9 @@ class Scenario:
 
     tempo_curve: a single BPM value for constant tempo, or a sequence
         of (time, bpm) knots interpolated linearly in between.
-    duration: seconds of material to generate beats for.
+    duration: seconds of material to generate beats for; duration times
+        the curve's highest BPM over [0, duration], divided by 60, may
+        not exceed one million beats.
     segments: ordered, first one starting at beat 0; each runs until
         the next segment's start index (the last until the final beat).
     """
@@ -52,7 +58,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "tempo_curve", _normalize_curve(self.tempo_curve))
-        _check_duration(self.duration)
+        _curve_on_span(self.tempo_curve, self.duration)  # checks duration and beat count
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("scenario needs at least one segment")
@@ -84,13 +90,14 @@ def _normalize_curve(tempo_curve) -> tuple[tuple[float, float], ...]:
     return points
 
 
-def _check_duration(duration) -> None:
+def _curve_on_span(points, duration):
+    """Clip/extend tempo knots so they cover exactly [0, duration].
+
+    Raises ValueError for a duration that is not finite and positive,
+    and for a span that could hold more than ``_MAX_BEATS`` beats.
+    """
     if not 0 < duration < np.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
-
-
-def _curve_on_span(points, duration):
-    """Clip/extend tempo knots so they cover exactly [0, duration]."""
     times = np.asarray([t for t, _ in points])
     bpms = np.asarray([b for _, b in points])
     knot_t = [0.0]
@@ -101,6 +108,10 @@ def _curve_on_span(points, duration):
             knot_b.append(float(b))
     knot_t.append(float(duration))
     knot_b.append(float(np.interp(duration, times, bpms)))
+    if duration * max(knot_b) / 60.0 > _MAX_BEATS:
+        raise ValueError(
+            f"duration {duration} s at up to {max(knot_b)} BPM could give more than {_MAX_BEATS} beats"
+        )
     return knot_t, knot_b
 
 
@@ -111,8 +122,10 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
     the rate (beats per second) is linear, so the accumulated beat
     count is quadratic in time and each beat time solves a quadratic;
     for constant tempo the intervals are exactly 60/bpm.
+
+    Raises ValueError for a duration that is not finite and positive,
+    or one that at the curve's highest BPM gives over a million beats.
     """
-    _check_duration(duration)
     knot_t, knot_b = _curve_on_span(_normalize_curve(tempo_curve), duration)
     beats: list[float] = []
     phase = 0.0
@@ -193,8 +206,8 @@ def gen_activation(
     second if there are no beats), is clipped to [0, 1], and gets
     seeded Gaussian noise when noise_std > 0.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
     if peak_width <= 0:
         raise ValueError(f"peak_width must be > 0, got {peak_width}")
     last = beats.times[-1] if len(beats) else 0.0

@@ -37,7 +37,7 @@ def sppk(
     a candidate closer than ``min_gap`` seconds to an already accepted
     peak is suppressed.  May return an empty sequence.
     """
-    if min_gap < 0:
+    if not min_gap >= 0:
         raise ValueError(f"min_gap must be >= 0, got {min_gap}")
     v = act.values
     if len(v) < 3:
@@ -72,7 +72,7 @@ def dp_track(
         EmptySequenceError: the activation has no frames.
         DegenerateTempoError: tau comes out below 2 frames.
     """
-    if global_tempo <= 0:
+    if not global_tempo > 0:
         raise ValueError(f"global_tempo must be > 0, got {global_tempo}")
     if len(act) == 0:
         raise EmptySequenceError("activation has no frames")

@@ -87,6 +87,25 @@ class TestSynthCommand:
         assert code == 2
         assert f"{path}:{lineno}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "duration = 1e12\ntempo = 120\nsegment = 0 onbeat\n",
+            "duration = 12\ntempo = 0:120, 5:1e12\nsegment = 0 onbeat\n",
+        ],
+        ids=["duration", "tempo"],
+    )
+    def test_huge_beat_count_exits_2_before_generating(self, tmp_path, capsys, body):
+        path = write_scenario(tmp_path, body)
+        code = run_cli([
+            "synth", "--scenario", str(path),
+            "--out-ref", str(tmp_path / "r"), "--out-est", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "more than 1000000 beats" in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestEvalCommand:
     def make_dirs(self, tmp_path):
@@ -264,19 +283,40 @@ class TestExitCodes:
             ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--gamma", "1.5"],
             ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--cap", "0"],
             ["viz", "--ref", "r", "--est", "e", "--out", "o.svg", "--L", "1"],
+            ["eval", "--ref", "r", "--est", "e", "--out", "o.json", "--cap", "inf"],
         ],
     )
     def test_bad_tolerance_flag_is_usage_error(self, argv, capsys):
         reasons = {
-            "--L": "context must be >= 2, got 1",
-            "--gamma": "gamma must be in (0, 1), got 1.5",
-            "--cap": "cap must be > 0, got 0.0",
+            "1": "context must be >= 2, got 1",
+            "1.5": "gamma must be in (0, 1), got 1.5",
+            "0": "cap must be finite and > 0, got 0.0",
+            "inf": "cap must be finite and > 0, got inf",
         }
-        command, flag = argv[0], argv[-2]
+        command, flag, value = argv[0], argv[-2], argv[-1]
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: beatcover {command} ")
-        assert f"beatcover {command}: error: argument {flag}: {reasons[flag]}\n" in err
+        assert f"beatcover {command}: error: argument {flag}: {reasons[value]}\n" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--activation", "a.act", "--ppt", "dp", "--out", "o", "--tempo"],
+            ["track", "--activation", "a.act", "--ppt", "sppk", "--out", "o", "--threshold"],
+            ["track", "--activation", "a.act", "--ppt", "sppk", "--out", "o", "--min-gap"],
+            ["track", "--activation", "a.act", "--ppt", "dp", "--out", "o", "--tightness"],
+            ["synth", "--scenario", "s", "--out-ref", "r", "--out-est", "e", "--fps"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_non_finite_number_flag_is_usage_error(self, argv, value, capsys):
+        command, flag = argv[0], argv[-1]
+        assert run_cli(argv + [value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: beatcover {command} ")
+        assert f"beatcover {command}: error: argument {flag}: must be finite, got '{value}'\n" in err
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0

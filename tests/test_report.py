@@ -86,12 +86,6 @@ class TestEvaluateDataset:
         with pytest.raises(NotADirectoryError):
             evaluate_dataset(ref_dir, tmp_path / "nowhere")
 
-    def test_workers_do_not_change_the_report(self, tmp_path):
-        ref_dir, est_dir = make_dataset(tmp_path)
-        serial = evaluate_dataset(ref_dir, est_dir, workers=1)
-        threaded = evaluate_dataset(ref_dir, est_dir, workers=4)
-        assert serialize_report(serial) == serialize_report(threaded)
-
     def test_hidden_files_ignored(self, tmp_path):
         ref_dir, est_dir = make_dataset(tmp_path, n_tracks=2)
         (ref_dir / ".DS_Store").write_text("junk")

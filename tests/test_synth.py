@@ -68,6 +68,19 @@ class TestGenReference:
         with pytest.raises(ValueError):
             gen_reference([(0.0, 100.0), (0.0, 120.0)], 4.0)
 
+    def test_beat_count_is_bounded_before_generating(self):
+        # 2e12 beats: the check must fire before any beat is placed
+        with pytest.raises(ValueError, match="more than 1000000 beats"):
+            gen_reference(120.0, 1e12)
+        with pytest.raises(ValueError, match="more than 1000000 beats"):
+            gen_reference([(0.0, 120.0), (5.0, 1e12)], 12.0)
+
+    def test_beat_count_limit_is_inclusive(self):
+        # duration * highest BPM / 60 may reach the limit but not pass it
+        Scenario(60.0, 1_000_000.0, (Segment(0, Condition.ONBEAT),))
+        with pytest.raises(ValueError, match="more than 1000000 beats"):
+            Scenario(60.0, 1_000_001.0, (Segment(0, Condition.ONBEAT),))
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -222,6 +235,11 @@ class TestGenActivation:
         c = gen_activation(ref, noise_std=0.05, seed=3)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf])
+    def test_non_finite_fps_rejected(self, fps):
+        with pytest.raises(ValueError, match="fps must be finite"):
+            gen_activation(gen_reference(120, 4.0), fps=fps)
 
     def test_round_trips_through_peak_picker(self):
         ref = gen_reference(120, 8.0)

@@ -73,6 +73,11 @@ class TestSppk:
         with pytest.raises(ValueError):
             sppk(act, min_gap=-0.1)
 
+    def test_nan_min_gap_rejected(self):
+        act = ActivationFunction(fps=100.0, values=np.zeros(10))
+        with pytest.raises(ValueError, match="min_gap"):
+            sppk(act, min_gap=float("nan"))
+
     def test_matches_suppression_oracle(self, rng):
         for _ in range(30):
             n = int(rng.integers(20, 240))
@@ -140,6 +145,11 @@ class TestDpTrack:
         act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
         with pytest.raises(ValueError):
             dp_track(act, global_tempo=0.0)
+
+    def test_nan_tempo_rejected(self):
+        act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
+        with pytest.raises(ValueError, match="global_tempo"):
+            dp_track(act, global_tempo=float("nan"))
 
 
 def test_global_tempo_from_reference():
