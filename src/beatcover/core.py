@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -199,8 +200,8 @@ class ActivationFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.fps > 0.0:
-            raise ValueError(f"fps must be > 0, got {self.fps}")
+        if not 0.0 < self.fps < np.inf:
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
         arr = _frozen_array(self.values)
         if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr))):
             raise ValueError("activation values must lie in [0, 1]")
@@ -227,46 +228,49 @@ class ActivationFunction:
 class CoverageMatrix:
     """Per-beat Boolean coverage for each of the ten conditions.
 
-    ``covered[c][k]`` is True when reference beat ``k`` belongs to some
-    fully matched window of condition ``c``.  ``any_row`` is the union
-    over all conditions, ``offbeat_row`` the union over the three
-    offbeat conditions.
+    ``rows`` is a read-only ``(len(Condition), n_beats)`` array in
+    ``Condition`` order: ``rows[i, k]`` is True when reference beat
+    ``k`` belongs to some fully matched window of the ``i``-th
+    condition.  The constructor copies and shape-checks it and derives,
+    once and read-only, ``n_beats``, ``covered`` (condition -> row
+    view), ``any_row`` (the union over all conditions) and
+    ``offbeat_row`` (the union over the three offbeat conditions).
+
+    Raises:
+        ValueError: ``rows`` is not a ``(len(Condition), n)`` array.
     """
 
-    n_beats: int
-    covered: Mapping[Condition, np.ndarray]
-    any_row: np.ndarray
-    offbeat_row: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=bool)
+        if rows.ndim != 2 or len(rows) != len(Condition):
+            raise ValueError(f"coverage needs a ({len(Condition)}, n) array, got shape {rows.shape}")
+        offbeat = rows[[c in OFFBEAT_CONDITIONS for c in Condition]]
+        unions = np.array([rows.any(axis=0), offbeat.any(axis=0)])
+        rows.flags.writeable = unions.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n_beats", rows.shape[1])
+        object.__setattr__(self, "covered", MappingProxyType(dict(zip(Condition, rows))))
+        object.__setattr__(self, "any_row", unions[0])
+        object.__setattr__(self, "offbeat_row", unions[1])
 
     @classmethod
     def from_rows(cls, covered: Mapping[Condition, Sequence]) -> "CoverageMatrix":
-        """Build a matrix from per-condition rows, deriving the union rows.
+        """Build a matrix from per-condition rows.
 
         Missing conditions are filled with all-False rows.
+
+        Raises:
+            ValueError: the rows differ in length.
         """
         lengths = {len(np.asarray(row)) for row in covered.values()}
         if len(lengths) > 1:
             raise ValueError(f"coverage rows differ in length: {sorted(lengths)}")
         n = lengths.pop() if lengths else 0
-        rows = {}
-        for cond in Condition:
-            row = np.asarray(covered.get(cond, np.zeros(n, dtype=bool)), dtype=bool)
-            row = row.copy()
-            row.flags.writeable = False
-            rows[cond] = row
-        any_row = np.zeros(n, dtype=bool)
-        offbeat_row = np.zeros(n, dtype=bool)
-        for cond, row in rows.items():
-            any_row |= row
-            if cond in OFFBEAT_CONDITIONS:
-                offbeat_row |= row
-        any_row.flags.writeable = False
-        offbeat_row.flags.writeable = False
-        return cls(n_beats=n, covered=rows, any_row=any_row, offbeat_row=offbeat_row)
+        return cls([covered.get(c, np.zeros(n, dtype=bool)) for c in Condition])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoverageMatrix):
             return NotImplemented
-        return self.n_beats == other.n_beats and all(
-            np.array_equal(self.covered[c], other.covered[c]) for c in Condition
-        )
+        return np.array_equal(self.rows, other.rows)

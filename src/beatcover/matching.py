@@ -30,9 +30,15 @@ def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.nd
     if n_start <= 0 or n_win == 0:
         return first
     # Any match must align the first expected tap, so only candidates
-    # within epsilon of the row's first tap need the full check.
-    lo = np.searchsorted(est, windows[:, 0] - eps, side="left")
-    hi = np.minimum(np.searchsorted(est, windows[:, 0] + eps, side="right"), n_start)
+    # within epsilon of the row's first tap need the full check.  The
+    # band edges ``w0 - eps`` and ``w0 + eps`` round, and so, when ``w0``
+    # is under ``2 * eps``, may ``|w0 - e|`` in the check, in the other
+    # direction; a few ulps of slack keep every beat that passes the
+    # check inside the band.
+    w0 = windows[:, 0]
+    band = eps + 4.0 * (np.spacing(eps) + np.spacing(np.abs(w0)))
+    lo = np.searchsorted(est, w0 - band, side="left")
+    hi = np.minimum(np.searchsorted(est, w0 + band, side="right"), n_start)
     for offset in range(int(np.max(hi - lo, initial=0))):
         j = lo + offset
         rows = np.flatnonzero((first < 0) & (j < hi))
@@ -65,13 +71,11 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    rows: dict[Condition, np.ndarray] = {}
-    for condition in Condition:
+    rows = np.zeros((len(Condition), len(ref)), dtype=bool)
+    for condition, row in zip(Condition, rows):
         windows, eps, stride = window_table(ref.times, condition, params.context, params)
-        row = np.zeros(len(ref), dtype=bool)
         _mark(row, np.flatnonzero(_first_match(windows, eps, est.times) >= 0), stride, params.context)
-        rows[condition] = row
-    return CoverageMatrix.from_rows(rows)
+    return CoverageMatrix(rows)
 
 
 def l_correct_detection(

@@ -189,9 +189,8 @@ def acr_scores(cm: CoverageMatrix) -> AcrScores:
     n = cm.n_beats
     if n == 0:
         return AcrScores({c: 0.0 for c in Condition}, 0.0, 0.0)
-    per = {c: float(np.count_nonzero(cm.covered[c])) / n for c in Condition}
     return AcrScores(
-        per_condition=per,
+        per_condition=dict(zip(Condition, (np.count_nonzero(cm.rows, axis=1) / n).tolist())),
         acr_any=float(np.count_nonzero(cm.any_row)) / n,
         acr_offbeat=float(np.count_nonzero(cm.offbeat_row)) / n,
     )
@@ -207,7 +206,7 @@ def mlsr(cm: CoverageMatrix) -> float:
     covered_idx = np.flatnonzero(cm.any_row)
     if covered_idx.size == 0:
         return 0.0
-    rows = np.stack([cm.covered[c][covered_idx] for c in Condition])
+    rows = cm.rows[:, covered_idx]
     switched = ~np.any(rows[:, :-1] & rows[:, 1:], axis=0)
     return int(np.count_nonzero(switched)) / covered_idx.size
 

@@ -208,8 +208,10 @@ def gen_activation(
     """
     if not 0 < fps < np.inf:
         raise ValueError(f"fps must be finite and > 0, got {fps}")
-    if peak_width <= 0:
-        raise ValueError(f"peak_width must be > 0, got {peak_width}")
+    if not 0 < peak_width < np.inf:
+        raise ValueError(f"peak_width must be finite and > 0, got {peak_width}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     last = beats.times[-1] if len(beats) else 0.0
     n_frames = int(round((last + 1.0) * fps)) + 1
     t = np.arange(n_frames) / fps

@@ -39,6 +39,8 @@ def sppk(
     """
     if not min_gap >= 0:
         raise ValueError(f"min_gap must be >= 0, got {min_gap}")
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     v = act.values
     if len(v) < 3:
         return BeatSequence(np.zeros(0))
@@ -74,6 +76,8 @@ def dp_track(
     """
     if not global_tempo > 0:
         raise ValueError(f"global_tempo must be > 0, got {global_tempo}")
+    if not np.isfinite(tightness):
+        raise ValueError(f"tightness must be finite, got {tightness}")
     if len(act) == 0:
         raise EmptySequenceError("activation has no frames")
     tau = act.fps * 60.0 / global_tempo

@@ -11,6 +11,7 @@ from beatcover import (
     EmptySequenceError,
     NegativeTimeError,
     NonMonotonicError,
+    OFFBEAT_CONDITIONS,
     ToleranceParams,
     validate_beats,
 )
@@ -131,6 +132,11 @@ class TestActivationFunction:
         with pytest.raises(ValueError):
             ActivationFunction(fps=0.0, values=[0.0, 0.5])
 
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan")])
+    def test_rejects_non_finite_fps(self, fps):
+        with pytest.raises(ValueError, match="fps must be finite and > 0"):
+            ActivationFunction(fps=fps, values=[0.5, 0.5])
+
 
 class TestCoverageMatrix:
     def test_from_rows_derives_unions(self):
@@ -152,3 +158,51 @@ class TestCoverageMatrix:
         }
         with pytest.raises(ValueError):
             CoverageMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (len(Condition) - 1, 3), (len(Condition), 3, 1), ()]
+    )
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="coverage needs a"):
+            CoverageMatrix(np.zeros(shape, dtype=bool))
+
+    def test_rows_are_copied_and_read_only(self):
+        rows = np.zeros((len(Condition), 4), dtype=bool)
+        cm = CoverageMatrix(rows)
+        rows[0, 0] = True
+        assert not cm.rows.any()
+        for arr in (cm.rows, cm.any_row, cm.offbeat_row, *cm.covered.values()):
+            with pytest.raises(ValueError):
+                arr[0] = True
+        with pytest.raises(TypeError):
+            cm.covered[Condition.ONBEAT] = np.ones(4, dtype=bool)
+        with pytest.raises(AttributeError):
+            cm.any_row = np.ones(4, dtype=bool)
+
+    def test_equality_is_by_value(self):
+        rows = np.zeros((len(Condition), 3), dtype=bool)
+        assert CoverageMatrix(rows) == CoverageMatrix(rows.copy())
+        assert CoverageMatrix(rows) != CoverageMatrix(rows[:, :2])
+        rows[4, 1] = True
+        assert CoverageMatrix(rows) != CoverageMatrix(np.zeros_like(rows))
+
+    @given(
+        st.integers(min_value=0, max_value=40).flatmap(
+            lambda n: st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                min_size=len(Condition),
+                max_size=len(Condition),
+            )
+        )
+    )
+    def test_views_and_unions_follow_rows(self, raw):
+        rows = np.array(raw, dtype=bool)
+        cm = CoverageMatrix(rows)
+        assert cm.n_beats == rows.shape[1]
+        assert np.array_equal(cm.rows, rows)
+        for i, c in enumerate(Condition):
+            assert np.array_equal(cm.covered[c], rows[i])
+        offbeat = [i for i, c in enumerate(Condition) if c in OFFBEAT_CONDITIONS]
+        assert np.array_equal(cm.any_row, rows.any(axis=0))
+        assert np.array_equal(cm.offbeat_row, rows[offbeat].any(axis=0))
+        assert CoverageMatrix.from_rows(cm.covered) == cm

@@ -121,6 +121,57 @@ class TestCoverageMatrix:
                     assert np.array_equal(cm.covered[Condition.parse(name)], row)
 
 
+# A first reference beat under 2 * eps: ``w0 - e`` then rounds, and an
+# estimate just below the rounded band edge ``w0 - eps`` still passes
+# ``|w0 - e| <= eps``.
+NEAR_ZERO_REF = [0.07534006385069895, 0.6260426855856602, 1.1767453073206215, 1.7274479290555829]
+NEAR_ZERO_EST = [0.005340063850698947, 0.6270426855856602, 1.1767453073206215, 1.7274479290555829]
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` representable doubles."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
+class TestNearZero:
+    def test_band_edge_repro(self):
+        ref, est = BeatSequence(NEAR_ZERO_REF), BeatSequence(NEAR_ZERO_EST)
+        expected = oracles.oracle_coverage(NEAR_ZERO_REF, NEAR_ZERO_EST)
+        assert expected["onbeat"] == [True] * 4
+        cm = coverage_matrix(ref, est)
+        for name, row in expected.items():
+            assert cm.covered[Condition.parse(name)].tolist() == row
+        win = variant_window(ref, 0, Condition.ONBEAT)
+        assert window_match(win, est) == oracles.oracle_match(win.times.tolist(), win.epsilon, NEAR_ZERO_EST) == 0
+        est2 = NEAR_ZERO_EST[:1] + NEAR_ZERO_REF[1:]
+        ref_flags, est_flags = l_correct_detection(ref, BeatSequence(est2))
+        assert (ref_flags.tolist(), est_flags.tolist()) == oracles.oracle_l_correct(NEAR_ZERO_REF, est2)
+
+    def test_tolerance_edges_match_oracles(self, rng):
+        # a first beat under 0.14 s and estimates within 2 ulps of the
+        # edge of the 0.07 s tolerance (intervals of 0.45 s and more
+        # keep the onbeat and L-correct tolerance at the cap)
+        for _ in range(300):
+            n = int(rng.integers(3, 6))
+            raw = np.concatenate([[rng.uniform(0.0, 0.14)], rng.uniform(0.45, 0.7, n - 1)])
+            ref = np.cumsum(raw).tolist()
+            est = []
+            for r in ref:
+                e = nudge(r + rng.choice([-0.07, 0.07]), int(rng.integers(-2, 3)))
+                if e >= 0.0 and (not est or e > est[-1]):
+                    est.append(e)
+            ref_seq, est_seq = BeatSequence(ref), BeatSequence(est)
+            cm = coverage_matrix(ref_seq, est_seq)
+            for name, row in oracles.oracle_coverage(ref, est).items():
+                assert cm.covered[Condition.parse(name)].tolist() == row, (ref, est, name)
+            win = variant_window(ref_seq, 0, Condition.ONBEAT)
+            assert window_match(win, est_seq) == oracles.oracle_match(win.times.tolist(), win.epsilon, est)
+            ref_flags, est_flags = l_correct_detection(ref_seq, est_seq)
+            assert (ref_flags.tolist(), est_flags.tolist()) == oracles.oracle_l_correct(ref, est)
+
+
 class TestLCorrectDetection:
     def test_identity_flags_everything(self):
         ref = constant_beats(120, 10)

@@ -241,6 +241,18 @@ class TestGenActivation:
         with pytest.raises(ValueError, match="fps must be finite"):
             gen_activation(gen_reference(120, 4.0), fps=fps)
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf, -0.1])
+    def test_bad_noise_std_rejected(self, noise_std):
+        # unchecked, nan and negative values would return the clean curve
+        with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
+            gen_activation(gen_reference(120, 4.0), noise_std=noise_std)
+
+    @pytest.mark.parametrize("peak_width", [math.nan, math.inf])
+    def test_bad_peak_width_rejected(self, peak_width):
+        # unchecked, a nan width would fail later, as an activation range error
+        with pytest.raises(ValueError, match="peak_width must be finite and > 0"):
+            gen_activation(gen_reference(120, 4.0), peak_width=peak_width)
+
     def test_round_trips_through_peak_picker(self):
         ref = gen_reference(120, 8.0)
         act = gen_activation(ref, fps=100.0)

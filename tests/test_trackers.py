@@ -78,6 +78,13 @@ class TestSppk:
         with pytest.raises(ValueError, match="min_gap"):
             sppk(act, min_gap=float("nan"))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # a nan threshold would pass no candidate and quietly return 0 beats
+        act = ActivationFunction(fps=100.0, values=np.zeros(10))
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            sppk(act, threshold=threshold)
+
     def test_matches_suppression_oracle(self, rng):
         for _ in range(30):
             n = int(rng.integers(20, 240))
@@ -150,6 +157,14 @@ class TestDpTrack:
         act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
         with pytest.raises(ValueError, match="global_tempo"):
             dp_track(act, global_tempo=float("nan"))
+
+    @pytest.mark.parametrize("tightness", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tightness_rejected(self, tightness):
+        # a nan tightness would make every predecessor score nan, so the
+        # backtrace would quietly return a single beat
+        act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
+        with pytest.raises(ValueError, match="tightness must be finite"):
+            dp_track(act, global_tempo=120.0, tightness=tightness)
 
 
 def test_global_tempo_from_reference():
