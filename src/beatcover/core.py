@@ -8,6 +8,7 @@ wherever it is passed.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -172,8 +173,9 @@ class ToleranceParams:
 
     cap: absolute tolerance ceiling in seconds, finite and positive.
     gamma: tolerance as a fraction of the local mean inter-beat interval.
-    context: window length in beats; a beat counts as detected only as
-        part of a fully matched run of this many consecutive beats.
+    context: window length in beats, an integer >= 2; a beat counts as
+        detected only as part of a fully matched run of this many
+        consecutive beats.
     """
 
     cap: float = 0.070
@@ -185,8 +187,13 @@ class ToleranceParams:
             raise ValueError(f"cap must be finite and > 0, got {self.cap}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.context < 2:
+        try:
+            context = operator.index(self.context)
+        except TypeError:
+            raise ValueError(f"context must be an integer, got {self.context}") from None
+        if context < 2:
             raise ValueError(f"context must be >= 2, got {self.context}")
+        object.__setattr__(self, "context", context)
 
 
 @dataclass(frozen=True, eq=False)

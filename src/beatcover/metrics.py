@@ -49,7 +49,12 @@ def f1_score(
     Beats are matched one-to-one, greedily in time order; for sorted
     sequences and a single symmetric window the greedy pairing is a
     maximum matching.  An empty estimate scores (0, 0, 0) by convention.
+
+    Raises:
+        ValueError: ``window`` not finite and > 0.
     """
+    if not 0.0 < window < np.inf:
+        raise ValueError(f"window must be finite and > 0, got {window}")
     r, e = ref.times, est.times
     matched = 0
     i = j = 0
@@ -68,6 +73,12 @@ def f1_score(
     return precision, recall, f1
 
 
+def _check_gamma(gamma: float) -> None:
+    # the ToleranceParams rule; the band in continuity_correct needs gamma < 1
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+
+
 def continuity_correct(
     ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma
 ) -> np.ndarray:
@@ -80,27 +91,48 @@ def continuity_correct(
     reference interval).  The first estimated beat has no predecessor
     and is judged on phase alone.
 
+    Only the few reference beats near each estimate are checked, so
+    memory grows linearly with the number of beats.
+
     Raises:
+        ValueError: ``gamma`` outside (0, 1).
         TooFewBeatsError: fewer than two reference beats.
     """
+    _check_gamma(gamma)
     r, e = ref.times, est.times
     if len(r) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    if len(e) == 0:
-        return np.zeros(0, dtype=bool)
+    correct = np.zeros(len(e), dtype=bool)
     local = np.empty(len(r))
     local[1:] = np.diff(r)
     local[0] = local[1]  # first beat borrows the following interval
-    # phase[j, i]: estimate j is in phase with reference i
-    phase = np.abs(e[:, None] - r[None, :]) <= gamma * local[None, :]
-    correct = np.zeros(len(e), dtype=bool)
-    correct[0] = bool(phase[0].any())
-    if len(e) > 1:
-        ibi_r = np.diff(r)
-        ibi_e = np.diff(e)
-        ibi_ok = np.abs(ibi_e[:, None] - ibi_r[None, :]) <= gamma * ibi_r[None, :]
-        pair_ok = phase[1:, 1:] & phase[:-1, :-1] & ibi_ok
-        correct[1:] = pair_ok.any(axis=1)
+    tol = gamma * local
+    # Only reference beats whose phase edges r_i -/+ tol_i bracket e_j
+    # can pass, so each estimate gets a band [lo_j, hi_j) of candidates.
+    # The lower edges rise with i because gamma < 1; the upper edges
+    # fall where an interval shrinks by more than (1 + gamma) / gamma,
+    # so they are replaced by their running maximum (and the lower ones,
+    # against rounding, by their running minimum from the right).  The
+    # edges round, and near 0 s so may |r_i - e_j| in the rule, in the
+    # other direction; a few ulps of slack keep every pair that passes
+    # the rule inside the band, as in ``matching._first_match``.
+    slack = 4.0 * (np.spacing(tol) + np.spacing(r))
+    lo = np.searchsorted(np.maximum.accumulate(r + tol + slack), e, side="left")
+    hi = np.searchsorted(np.minimum.accumulate((r - tol - slack)[::-1])[::-1], e, side="right")
+    for offset in range(int(np.max(hi - lo, initial=0))):
+        j = np.flatnonzero(~correct & (lo + offset < hi))
+        i = lo[j] + offset
+        ok = np.abs(e[j] - r[i]) <= tol[i]
+        # past the first estimate, reference beat i - 1 must exist and be
+        # in phase with estimate j - 1, and the two intervals must agree
+        later = j > 0
+        jl, il = j[later], i[later]
+        ok[later] &= (
+            (il > 0)
+            & (np.abs(e[jl - 1] - r[il - 1]) <= tol[il - 1])
+            & (np.abs((e[jl] - e[jl - 1]) - local[il]) <= tol[il])
+        )
+        correct[j[ok]] = True
     return correct
 
 
@@ -142,7 +174,11 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     One variant is chosen for the entire piece; a tracker that switches
     level mid-track cannot score well here, which is exactly the blind
     spot the coverage analysis addresses.
+
+    Raises:
+        ValueError: ``gamma`` outside (0, 1).
     """
+    _check_gamma(gamma)
     best = 0.0
     for condition in _AMLT_CONDITIONS:
         for phase in range(CONDITION_STEPS.get(condition, 1)):

@@ -114,6 +114,15 @@ class TestToleranceParams:
         with pytest.raises(ValueError):
             ToleranceParams(**kwargs)
 
+    @pytest.mark.parametrize("context", [2.5, 3.0, float("nan"), "3"])
+    def test_rejects_non_integer_context(self, context):
+        with pytest.raises(ValueError, match="context must be an integer"):
+            ToleranceParams(context=context)
+
+    def test_numpy_integer_context_becomes_int(self):
+        params = ToleranceParams(context=np.int64(3))
+        assert params.context == 3 and type(params.context) is int
+
 
 class TestActivationFunction:
     def test_duration_and_frame_times(self):

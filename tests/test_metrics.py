@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,6 +72,12 @@ class TestF1Score:
         assert precision == pytest.approx(0.5)
         assert recall == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("window", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_bad_window(self, window):
+        ref = constant_beats(120, 8)
+        with pytest.raises(ValueError, match="window"):
+            f1_score(ref, ref, window=window)
+
     @given(ref_est_strategy())
     def test_greedy_count_is_maximum_matching(self, pair):
         ref_raw, est_raw = pair
@@ -78,6 +86,38 @@ class TestF1Score:
         best = oracles.oracle_f1_matched(ref_raw, est_raw)
         assert precision * len(est) == pytest.approx(best)
         assert recall * len(ref) == pytest.approx(best)
+
+
+CONTINUITY_GAMMAS = (0.05, 0.175, 0.6, 0.9)
+
+
+def continuity_case(rng, case):
+    """(ref, est, gamma) for the seeded continuity equality test.
+
+    Every third reference drops from 1.0 s to 0.02 s intervals, steeper
+    than (1 + gamma) / gamma, so the upper phase edges r_i + gamma *
+    local_i fall there; every second one starts under 0.14 s.  Most
+    estimates sit on a phase edge, then move by -2 to +2 ulps.
+    """
+    gamma = CONTINUITY_GAMMAS[case % len(CONTINUITY_GAMMAS)]
+    n = int(rng.integers(2, 30))
+    if case % 3 == 0:
+        ibis = np.where(np.arange(n - 1) < rng.integers(1, n), 1.0, 0.02)
+    else:
+        ibis = rng.uniform(0.02, 1.2, size=n - 1)
+    start = rng.uniform(0.0, 0.14) if case % 2 else rng.uniform(0.0, 3.0)
+    ref = start + np.concatenate([[0.0], np.cumsum(ibis)])
+    local = np.concatenate([ibis[:1], ibis])
+    edge = rng.choice([-1.0, 0.0, 1.0], size=n)
+    jitter = rng.choice([0.0, 0.01, 0.05])
+    est = ref + edge * gamma * local + jitter * rng.standard_normal(n)
+    ulps = rng.integers(-2, 3, size=n)
+    for step in range(2):
+        est = np.where(ulps > step, np.nextafter(est, np.inf), est)
+        est = np.where(ulps < -step, np.nextafter(est, -np.inf), est)
+    extra = rng.uniform(0.0, ref[-1] + 1.0, size=int(rng.integers(0, 5)))
+    est = np.unique(np.concatenate([est[rng.random(n) < 0.85], extra]))
+    return BeatSequence(ref), BeatSequence(est[est >= 0.0]), gamma
 
 
 class TestContinuity:
@@ -107,6 +147,37 @@ class TestContinuity:
         ref_raw, est_raw = pair
         got = continuity_correct(BeatSequence(ref_raw), BeatSequence(est_raw))
         assert got.tolist() == oracles.oracle_continuity(ref_raw, est_raw)
+
+    def test_estimate_near_zero_at_a_phase_edge(self):
+        # |r_0 - e_0| rounds below gamma * local_0 while the edge
+        # r_0 - gamma * local_0 rounds above e_0: the candidate band needs
+        # its few ulps of slack to keep the estimate
+        ref = [0.08670662258862817, 1.3721487323497337]
+        est = [0.022434517100572895]
+        assert oracles.oracle_continuity(ref, est, 0.05) == [True]
+        assert continuity_correct(BeatSequence(ref), BeatSequence(est), 0.05).tolist() == [True]
+        assert cmlt(BeatSequence(ref), BeatSequence(est), 0.05) == 0.5
+
+    def test_matches_oracle_on_seeded_edge_cases(self, rng):
+        """Tempo drops, first beats near 0 s, estimates within 2 ulps of a phase edge."""
+        for case in range(2000):
+            ref, est, gamma = continuity_case(rng, case)
+            expected = oracles.oracle_continuity(ref.times.tolist(), est.times.tolist(), gamma)
+            assert continuity_correct(ref, est, gamma).tolist() == expected, case
+            if case % 10 == 0:
+                expected = oracles.oracle_amlt(ref.times.tolist(), est.times.tolist(), gamma)
+                assert amlt(ref, est, gamma) == expected, case
+
+    @pytest.mark.parametrize("gamma", [float("nan"), 0.0, -0.1, 1.0, 1.5, float("inf")])
+    @pytest.mark.parametrize("score", [continuity_correct, cmlt, amlt])
+    def test_rejects_gamma_outside_unit_interval(self, score, gamma):
+        ref = constant_beats(120, 10)
+        with pytest.raises(ValueError, match="gamma"):
+            score(ref, ref, gamma)
+
+    def test_amlt_checks_gamma_before_short_reference(self):
+        with pytest.raises(ValueError, match="gamma"):
+            amlt(BeatSequence([1.0]), constant_beats(120, 4), 1.0)
 
 
 class TestCmltAmlt:
@@ -314,6 +385,22 @@ class TestEvaluateTrack:
         ]
         for value in scalars + list(report.acr.values()):
             assert value == round(value, 6)
+
+    def test_memory_grows_linearly(self):
+        # 10 minutes at 120 BPM, the estimate on the beat with 10 ms
+        # jitter, then at double tempo; a dense |est| x |ref| continuity
+        # matrix would need over 100 MB here
+        ref = 0.25 + 0.5 * np.arange(1200)
+        on_beat = ref[:600] + np.random.default_rng(0).normal(0.0, 0.01, 600)
+        est = np.concatenate([on_beat, np.arange(ref[600], ref[-1], 0.25)])
+        ref, est = BeatSequence(ref), BeatSequence(est)
+        tracemalloc.start()
+        try:
+            evaluate_track("long", ref, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_coverage_and_report_agree(self):
         ref = constant_beats(120, 12)
