@@ -2,12 +2,16 @@
 
 Everything here is deliberately slow, quadratic, and written in plain
 Python from the definitions, without reusing the package's vectorized
-code paths.  Tests compare the package against these.
+code paths.  Tests compare the package against these.  The one numpy
+oracle is ``oracle_activation``: ``math.exp`` and numpy's ``exp`` can
+differ in the last bit, so bit equality needs numpy's.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # condition name -> (kind, parameter); mirrors the documented semantics,
 # not the package's dispatch tables.
@@ -240,3 +244,18 @@ def oracle_dp_path(values, fps, tempo, tightness=100.0):
     while backlink[path[-1]] >= 0:
         path.append(backlink[path[-1]])
     return path[::-1]
+
+
+def oracle_activation(beat_times, fps, peak_width=0.05, noise_std=0.0, seed=0):
+    """Activation values, one Gaussian over every frame per beat, in beat order."""
+    last = beat_times[-1] if len(beat_times) else 0.0
+    n_frames = int(round((last + 1.0) * fps)) + 1
+    t = np.arange(n_frames) / fps
+    values = np.zeros(n_frames)
+    for b in beat_times:
+        values += np.exp(-0.5 * ((t - b) / peak_width) ** 2)
+    values = np.clip(values, 0.0, 1.0)
+    if noise_std > 0:
+        noise = np.random.default_rng(seed).normal(0.0, noise_std, n_frames)
+        values = np.clip(values + noise, 0.0, 1.0)
+    return values

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from beatcover import (
+    BeatSequence,
     Condition,
     Scenario,
     Segment,
@@ -252,6 +254,27 @@ class TestGenActivation:
         # unchecked, a nan width would fail later, as an activation range error
         with pytest.raises(ValueError, match="peak_width must be finite and > 0"):
             gen_activation(gen_reference(120, 4.0), peak_width=peak_width)
+
+    @pytest.mark.parametrize("peak_width", [0.001, 0.05, 0.3, 5.0])
+    def test_matches_dense_oracle_bytes(self, rng, peak_width):
+        # gaps from well inside the +-40 peak_width band to about twice it,
+        # capped at 3 s so the widest bumps keep the curve short
+        for fps in (100.0, 44100 / 512):
+            # a lone beat late enough that its far tail is subnormal, not 0
+            lone = np.array([45.0 * peak_width])
+            expected = oracles.oracle_activation(lone, fps, peak_width)
+            assert gen_activation(BeatSequence(lone), fps=fps, peak_width=peak_width).values.tobytes() == expected.tobytes()
+            for noise_std in (0.0, 0.1):
+                for _ in range(4):
+                    count = int(rng.integers(0, 30))
+                    gaps = rng.uniform(0.001, min(80.0 * peak_width, 3.0), count)
+                    times = float(rng.uniform(0.0, 2.0)) + np.cumsum(gaps)
+                    seed = int(rng.integers(1000))
+                    act = gen_activation(
+                        BeatSequence(times), fps=fps, peak_width=peak_width, noise_std=noise_std, seed=seed
+                    )
+                    expected = oracles.oracle_activation(times, fps, peak_width, noise_std, seed)
+                    assert act.values.tobytes() == expected.tobytes()
 
     def test_round_trips_through_peak_picker(self):
         ref = gen_reference(120, 8.0)

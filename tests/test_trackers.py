@@ -14,6 +14,9 @@ from beatcover import (
 )
 from conftest import constant_beats
 
+# seeded oracle cases per (fps, tightness) pair in test_matches_dp_oracle
+CASES = 75
+
 
 def impulse_train(n_frames, period, fps=100.0):
     values = np.zeros(n_frames)
@@ -95,6 +98,14 @@ class TestSppk:
             got = sppk(act, threshold=threshold, min_gap=min_gap)
             expected = oracles.oracle_suppression(values.tolist(), 100.0, threshold, min_gap)
             assert got.times.tolist() == [f / 100.0 for f in expected]
+        # a long curve whose peaks share few values, with no gap and with
+        # gaps that are exact frame multiples (kept at equality)
+        values = np.round(rng.random(5000), 1)
+        act = ActivationFunction(fps=100.0, values=values)
+        for min_gap in (0.0, 1 / 100.0, 3 / 100.0, 25 / 100.0):
+            got = sppk(act, threshold=0.3, min_gap=min_gap)
+            expected = oracles.oracle_suppression(values.tolist(), 100.0, 0.3, min_gap)
+            assert got.times.tolist() == [f / 100.0 for f in expected]
 
 
 class TestDpTrack:
@@ -131,13 +142,23 @@ class TestDpTrack:
         assert np.all(np.abs(beats.times - ref.times) <= 0.01 + 1e-9)
 
     def test_matches_dp_oracle(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(40, 150))
+        cases = [(20.0, 120.0, 100.0)] * 25
+        # non-integer periods; tightness 0 and plateaus make ties, which
+        # go to the earliest predecessor
+        for fps in (43.0, 100.0):
+            for tightness in (100.0, 0.0):
+                cases += [(fps, float(rng.uniform(50.0, 200.0)), tightness) for _ in range(CASES)]
+        for k, (fps, tempo, tightness) in enumerate(cases):
+            n = int(rng.integers(40, 150 if fps == 20.0 else 400))
             values = rng.random(n)
-            act = ActivationFunction(fps=20.0, values=values)
-            beats = dp_track(act, global_tempo=120.0)
-            expected = oracles.oracle_dp_path(values.tolist(), 20.0, 120.0)
-            assert beats.times.tolist() == [f / 20.0 for f in expected]
+            if k % 3 == 1:
+                values = np.round(values, 1)
+            elif k % 3 == 2:
+                values = np.repeat(values[: n // 5 + 1], 5)[:n]
+            act = ActivationFunction(fps=fps, values=values)
+            beats = dp_track(act, global_tempo=tempo, tightness=tightness)
+            expected = oracles.oracle_dp_path(values.tolist(), fps, tempo, tightness)
+            assert beats.times.tolist() == [f / fps for f in expected]
 
     def test_degenerate_period_raises(self):
         act = ActivationFunction(fps=10.0, values=np.full(100, 0.5))
