@@ -8,7 +8,10 @@ be competitive.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ActivationFunction, BeatcoverError, BeatSequence, EmptySequenceError
 from .metrics import mean_track_tempo
@@ -19,6 +22,11 @@ __all__ = [
     "dp_track",
     "global_tempo_from_reference",
 ]
+
+
+# Most cells of one dp_track block's (frames x window) score array; the
+# block shrinks below tau/2 frames to stay within it.
+_BLOCK_CELLS = 1 << 16
 
 
 class DegenerateTempoError(BeatcoverError):
@@ -46,12 +54,16 @@ def sppk(
         return BeatSequence(np.zeros(0))
     interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
     candidates = interior[v[interior] >= threshold]
-    order = sorted(candidates.tolist(), key=lambda f: (-v[f], f))
+    order = candidates[np.lexsort((candidates, -v[candidates]))]
+    # accepted stays sorted; since d / fps grows with d, the nearest
+    # accepted peak on each side decides the gap test
     accepted: list[int] = []
-    for frame in order:
-        if all(abs(frame - a) / act.fps >= min_gap for a in accepted):
-            accepted.append(frame)
-    accepted.sort()
+    for frame in order.tolist():
+        i = bisect.bisect(accepted, frame)
+        if (i == 0 or (frame - accepted[i - 1]) / act.fps >= min_gap) and (
+            i == len(accepted) or (accepted[i] - frame) / act.fps >= min_gap
+        ):
+            accepted.insert(i, frame)
     return BeatSequence(np.asarray(accepted, dtype=np.float64) / act.fps)
 
 
@@ -70,8 +82,13 @@ def dp_track(
     is the backtrace from the best-scoring frame, so output intervals
     stay within a factor of two of the target period.
 
+    Frame ``n`` reads scores only up to frame ``n - tau/2``, so blocks of
+    up to ``tau/2`` frames are scored at once; the cost is linear in the
+    number of frames times the window width.
+
     Raises:
         EmptySequenceError: the activation has no frames.
+        ValueError: tau is not finite.
         DegenerateTempoError: tau comes out below 2 frames.
     """
     if not global_tempo > 0:
@@ -81,31 +98,77 @@ def dp_track(
     if len(act) == 0:
         raise EmptySequenceError("activation has no frames")
     tau = act.fps * 60.0 / global_tempo
+    if not np.isfinite(tau):
+        raise ValueError(f"target period {tau} frames is not finite; raise global_tempo")
     if tau < 2.0:
         raise DegenerateTempoError(
             f"target period {tau:.3f} frames is below 2; raise fps or lower tempo"
         )
-    v = act.values
-    n_frames = len(v)
-    cumscore = v.astype(np.float64).copy()
-    backlink = np.full(n_frames, -1, dtype=np.int64)
-    log_tau = np.log(tau)
-    for n in range(n_frames):
-        lo = max(int(np.ceil(n - 2.0 * tau)), 0)
-        hi = min(int(np.floor(n - tau / 2.0)), n - 1)
-        if lo > hi:
-            continue
-        gaps = n - np.arange(lo, hi + 1)
-        scores = cumscore[lo : hi + 1] - tightness * (np.log(gaps) - log_tau) ** 2
-        best = int(np.argmax(scores))
-        if scores[best] > 0.0:
-            cumscore[n] = v[n] + scores[best]
-            backlink[n] = lo + best
+    cumscore, backlink = _link_frames(act.values, tau, tightness)
     path = [int(np.argmax(cumscore))]
     while backlink[path[-1]] >= 0:
         path.append(int(backlink[path[-1]]))
     frames = np.asarray(path[::-1], dtype=np.float64)
     return BeatSequence(frames / act.fps)
+
+
+def _link_frames(v: np.ndarray, tau: float, tightness: float):
+    """Cumulative scores and backlinks of the ``dp_track`` recurrence.
+
+    Frame n links to the best p in [ceil(n - 2*tau), floor(n - tau/2)],
+    clipped to [0, n - 1]; each bound comes from the same float
+    expression for every frame.  No frame reads a score past n - tau/2,
+    so a block of up to tau/2 frames depends only on earlier blocks and
+    is scored as one (frames x window) array.  The first maximum wins.
+    """
+    n_frames = len(v)
+    cumscore = v.astype(np.float64)
+    backlink = np.full(n_frames, -1, dtype=np.int64)
+    frames = np.arange(n_frames)
+    lo = np.maximum(np.ceil(frames - 2.0 * tau), 0.0)
+    hi = np.minimum(np.floor(frames - tau / 2.0), frames - 1)
+    linkable = np.flatnonzero(lo <= hi)
+    if not linkable.size:
+        return cumscore, backlink
+    # every window's gaps n - p lie in [g_lo, g_hi], and g_hi < n_frames
+    g_lo = int((linkable - hi[linkable]).min())
+    g_hi = int((linkable - lo[linkable]).max())
+    width = g_hi - g_lo + 1
+    penalty = tightness * (np.log(np.arange(g_hi, g_lo - 1, -1)) - np.log(tau)) ** 2
+    # row n of windows is cumscore[n - g_hi : n - g_lo + 1]; the zeros
+    # standing in for frames before 0 are always masked
+    padded = np.zeros(g_hi + n_frames)
+    padded[g_hi:] = cumscore
+    cumscore = padded[g_hi:]
+    windows = sliding_window_view(padded, width)
+    # columns of lo and hi in each row; only blocks with a row narrower
+    # than the full width need a mask
+    first = lo - frames + g_hi
+    last = hi - frames + g_hi
+    block = max(1, min(int(tau // 2.0), _BLOCK_CELLS // width))
+    starts = np.arange(linkable[0], n_frames, block)
+    narrow = np.logical_or.reduceat((first > 0) | (last < width - 1), starts)
+    columns = np.arange(width)
+    scores = np.empty((block, width))
+    outside = np.empty((block, width), dtype=bool)
+    best = np.empty(block, dtype=np.intp)
+    cells = np.arange(block) * width  # flat index of each row's column 0
+    for start, masked in zip(starts.tolist(), narrow.tolist()):
+        stop = min(start + block, n_frames)
+        k = stop - start
+        np.subtract(windows[start:stop], penalty, out=scores[:k])
+        if masked:
+            np.less(columns, first[start:stop, None], out=outside[:k])
+            np.copyto(scores[:k], -np.inf, where=outside[:k])
+            np.greater(columns, last[start:stop, None], out=outside[:k])
+            np.copyto(scores[:k], -np.inf, where=outside[:k])
+        np.argmax(scores[:k], axis=1, out=best[:k])
+        top = scores.ravel().take(cells[:k] + best[:k])
+        linked = np.flatnonzero(top > 0.0)
+        n = start + linked
+        cumscore[n] = v[n] + top[linked]
+        backlink[n] = n - g_hi + best[linked]
+    return cumscore, backlink
 
 
 # The global tempo a reference gives ``dp_track`` is its mean track tempo.

@@ -229,6 +229,19 @@ class TestTrackCommand:
         assert "--tempo or --ref" in capsys.readouterr().err
 
 
+    def test_dp_with_overflowing_period_exits_2(self, tmp_path, capsys):
+        act_path = tmp_path / "a.act"
+        write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
+        out = tmp_path / "found.beats"
+        code = run_cli([
+            "track", "--activation", str(act_path), "--ppt", "dp",
+            "--tempo", "1e-320", "--out", str(out),
+        ])
+        assert code == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVizCommand:
     def test_renders_svg(self, tmp_path):
         ref, est, act = run_synth(tmp_path, out_act=True)

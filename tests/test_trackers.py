@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from beatcover import (
 )
 from conftest import constant_beats
 
-# seeded oracle cases per (fps, tightness) pair in test_matches_dp_oracle
-CASES = 75
+# seeded random-tempo cases per (fps, tightness) pair in test_matches_dp_oracle
+CASES = 50
 
 
 def impulse_train(n_frames, period, fps=100.0):
@@ -142,11 +144,14 @@ class TestDpTrack:
         assert np.all(np.abs(beats.times - ref.times) <= 0.01 + 1e-9)
 
     def test_matches_dp_oracle(self, rng):
-        cases = [(20.0, 120.0, 100.0)] * 25
-        # non-integer periods; tightness 0 and plateaus make ties, which
-        # go to the earliest predecessor
-        for fps in (43.0, 100.0):
-            for tightness in (100.0, 0.0):
+        # tau = 10 frames, so a block of tau/2 frames ends right where the
+        # next frame's window does
+        cases = [(20.0, 120.0, 100.0)] * 25 + [(20.0, 120.0, 0.0)] * 25
+        # non-integer periods of 3 to 120 frames; tightness 0 and plateaus
+        # make ties, which go to the earliest predecessor, and a negative
+        # tightness favours the window's far ends
+        for fps in (10.0, 43.0, 100.0):
+            for tightness in (100.0, 0.0, -1.0):
                 cases += [(fps, float(rng.uniform(50.0, 200.0)), tightness) for _ in range(CASES)]
         for k, (fps, tempo, tightness) in enumerate(cases):
             n = int(rng.integers(40, 150 if fps == 20.0 else 400))
@@ -160,10 +165,48 @@ class TestDpTrack:
             expected = oracles.oracle_dp_path(values.tolist(), fps, tempo, tightness)
             assert beats.times.tolist() == [f / fps for f in expected]
 
+    @pytest.mark.parametrize("ulps, spacing", [(-1, 100), (3, 25)])
+    @pytest.mark.parametrize("tightness", [100.0, 0.0, -1.0])
+    def test_rounded_window_bounds_match_oracle(self, ulps, spacing, tightness):
+        # tau a few ulps below (above) 50 frames: n - 2*tau (n - tau/2) is
+        # rounded onto an integer only from frame 228 (154) on, which
+        # moves that window bound by one frame; spikes 2*tau (tau/2) apart
+        # sit on the bound before and after the move
+        tempo = 6000.0 / (50.0 + ulps * np.spacing(50.0))
+        values = np.zeros(400)
+        values[::spacing] = 1.0
+        act = ActivationFunction(fps=100.0, values=values)
+        expected = oracles.oracle_dp_path(values.tolist(), 100.0, tempo, tightness)
+        assert dp_track(act, tempo, tightness).times.tolist() == [f / 100.0 for f in expected]
+
     def test_degenerate_period_raises(self):
         act = ActivationFunction(fps=10.0, values=np.full(100, 0.5))
         with pytest.raises(DegenerateTempoError):
             dp_track(act, global_tempo=400.0)
+
+    def test_overflowing_period_rejected(self):
+        # fps * 60 / 1e-320 overflows to an infinite period
+        act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
+        with pytest.raises(ValueError, match="is not finite"):
+            dp_track(act, global_tempo=1e-320)
+
+    def test_period_near_float_max_starts_one_path(self):
+        # tau is finite but 2 * tau is not; no frame has a predecessor
+        act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
+        assert dp_track(act, global_tempo=5e-305).times.tolist() == [0.0]
+
+    def test_tiny_tempo_stays_linear_in_memory(self):
+        # tau is 6e6 frames: a gap window not clamped to the 1000-frame
+        # track would hold about 1.2e7 entries (about 100 MB)
+        act = ActivationFunction(fps=100.0, values=np.full(1000, 0.5))
+        tracemalloc.start()
+        try:
+            beats = dp_track(act, global_tempo=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert beats.times.tolist() == [0.0]
+        assert peak < 1_000_000
 
     def test_empty_activation_raises(self):
         with pytest.raises(EmptySequenceError):
