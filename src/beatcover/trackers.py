@@ -122,31 +122,38 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     is scored as one (frames x window) array.  The first maximum wins.
     """
     n_frames = len(v)
-    cumscore = v.astype(np.float64)
     backlink = np.full(n_frames, -1, dtype=np.int64)
-    frames = np.arange(n_frames)
-    lo = np.maximum(np.ceil(frames - 2.0 * tau), 0.0)
-    hi = np.minimum(np.floor(frames - tau / 2.0), frames - 1)
-    linkable = np.flatnonzero(lo <= hi)
-    if not linkable.size:
-        return cumscore, backlink
+    # lo - n and hi - n for every frame n, computed in place
+    frames = np.arange(n_frames, dtype=np.float64)
+    lo = frames - 2.0 * tau
+    np.ceil(lo, out=lo)
+    np.maximum(lo, 0.0, out=lo)
+    lo -= frames
+    hi = frames - tau / 2.0
+    np.floor(hi, out=hi)
+    hi -= frames
+    np.minimum(hi, -1.0, out=hi)
+    del frames
+    linkable = lo <= hi
+    if not linkable.any():
+        return v.astype(np.float64), backlink
     # every window's gaps n - p lie in [g_lo, g_hi], and g_hi < n_frames
-    g_lo = int((linkable - hi[linkable]).min())
-    g_hi = int((linkable - lo[linkable]).max())
+    g_lo = int(-hi.max(initial=-np.inf, where=linkable))
+    g_hi = int(-lo.min(initial=np.inf, where=linkable))
     width = g_hi - g_lo + 1
     penalty = tightness * (np.log(np.arange(g_hi, g_lo - 1, -1)) - np.log(tau)) ** 2
     # row n of windows is cumscore[n - g_hi : n - g_lo + 1]; the zeros
     # standing in for frames before 0 are always masked
     padded = np.zeros(g_hi + n_frames)
-    padded[g_hi:] = cumscore
     cumscore = padded[g_hi:]
+    cumscore[:] = v
     windows = sliding_window_view(padded, width)
     # columns of lo and hi in each row; only blocks with a row narrower
     # than the full width need a mask
-    first = lo - frames + g_hi
-    last = hi - frames + g_hi
+    first = np.add(lo, g_hi, out=lo)
+    last = np.add(hi, g_hi, out=hi)
     block = max(1, min(int(tau // 2.0), _BLOCK_CELLS // width))
-    starts = np.arange(linkable[0], n_frames, block)
+    starts = np.arange(linkable.argmax(), n_frames, block)
     narrow = np.logical_or.reduceat((first > 0) | (last < width - 1), starts)
     columns = np.arange(width)
     scores = np.empty((block, width))
