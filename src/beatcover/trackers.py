@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 
-# Most cells of one dp_track block's (frames x window) score array; the
-# block shrinks below tau/2 frames to stay within it.
+# Most cells of one dp_track block's (frames x window) score array; a
+# block has fewer frames when the window is wide, so memory stays linear.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -112,19 +112,13 @@ def dp_track(
     return BeatSequence(frames / act.fps)
 
 
-def _link_frames(v: np.ndarray, tau: float, tightness: float):
-    """Cumulative scores and backlinks of the ``dp_track`` recurrence.
+def _window_offsets(frames: np.ndarray, tau: float):
+    """``(lo - n, hi - n)`` of each frame n's predecessor window.
 
-    Frame n links to the best p in [ceil(n - 2*tau), floor(n - tau/2)],
-    clipped to [0, n - 1]; each bound comes from the same float
-    expression for every frame.  No frame reads a score past n - tau/2,
-    so a block of up to tau/2 frames depends only on earlier blocks and
-    is scored as one (frames x window) array.  The first maximum wins.
+    ``lo = max(ceil(n - 2*tau), 0)`` and ``hi = min(floor(n - tau/2), n - 1)``,
+    evaluated in place over float frame numbers; ``lo > hi`` means the
+    frame has no predecessor.
     """
-    n_frames = len(v)
-    backlink = np.full(n_frames, -1, dtype=np.int64)
-    # lo - n and hi - n for every frame n, computed in place
-    frames = np.arange(n_frames, dtype=np.float64)
     lo = frames - 2.0 * tau
     np.ceil(lo, out=lo)
     np.maximum(lo, 0.0, out=lo)
@@ -133,48 +127,65 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     np.floor(hi, out=hi)
     hi -= frames
     np.minimum(hi, -1.0, out=hi)
-    del frames
+    return lo, hi
+
+
+def _link_frames(v: np.ndarray, tau: float, tightness: float):
+    """Cumulative scores and backlinks of the ``dp_track`` recurrence.
+
+    Every frame's window bounds come from the same float expressions
+    (``_window_offsets``).  Frames are scored a block at a time, as one
+    (frames x window) array: a block is no longer than the shortest gap
+    n - p of any window, so it reads only scores of earlier blocks.  The
+    first maximum wins.
+    """
+    n_frames = len(v)
+    lo, hi = _window_offsets(np.arange(n_frames, dtype=np.float64), tau)
     linkable = lo <= hi
     if not linkable.any():
-        return v.astype(np.float64), backlink
+        return v.astype(np.float64), np.full(n_frames, -1, dtype=np.int64)
     # every window's gaps n - p lie in [g_lo, g_hi], and g_hi < n_frames
     g_lo = int(-hi.max(initial=-np.inf, where=linkable))
     g_hi = int(-lo.min(initial=np.inf, where=linkable))
     width = g_hi - g_lo + 1
+    # row n reads no frame after n - g_lo, so g_lo rows depend only on
+    # earlier blocks
+    block = max(1, min(g_lo, _BLOCK_CELLS // width))
+    starts = np.arange(linkable.argmax(), n_frames, block)
+    # only blocks with a window narrower than [g_lo, g_hi] need a mask
+    narrow = np.logical_or.reduceat((lo > -g_hi) | (hi < -g_lo), starts)
+    del lo, hi, linkable
     penalty = tightness * (np.log(np.arange(g_hi, g_lo - 1, -1)) - np.log(tau)) ** 2
+    backlink = np.full(n_frames, -1, dtype=np.int64)
     # row n of windows is cumscore[n - g_hi : n - g_lo + 1]; the zeros
     # standing in for frames before 0 are always masked
     padded = np.zeros(g_hi + n_frames)
     cumscore = padded[g_hi:]
     cumscore[:] = v
     windows = sliding_window_view(padded, width)
-    # columns of lo and hi in each row; only blocks with a row narrower
-    # than the full width need a mask
-    first = np.add(lo, g_hi, out=lo)
-    last = np.add(hi, g_hi, out=hi)
-    block = max(1, min(int(tau // 2.0), _BLOCK_CELLS // width))
-    starts = np.arange(linkable.argmax(), n_frames, block)
-    narrow = np.logical_or.reduceat((first > 0) | (last < width - 1), starts)
-    columns = np.arange(width)
+    columns = np.arange(-g_hi, -g_lo + 1)  # p - n of each column
     scores = np.empty((block, width))
+    flat = scores.ravel()
     outside = np.empty((block, width), dtype=bool)
     best = np.empty(block, dtype=np.intp)
     cells = np.arange(block) * width  # flat index of each row's column 0
+    offsets = np.arange(block) - g_hi  # p of column 0 in row start + i, less start
     for start, masked in zip(starts.tolist(), narrow.tolist()):
         stop = min(start + block, n_frames)
         k = stop - start
-        np.subtract(windows[start:stop], penalty, out=scores[:k])
+        rows = scores[:k]
+        np.subtract(windows[start:stop], penalty, out=rows)
         if masked:
-            np.less(columns, first[start:stop, None], out=outside[:k])
-            np.copyto(scores[:k], -np.inf, where=outside[:k])
-            np.greater(columns, last[start:stop, None], out=outside[:k])
-            np.copyto(scores[:k], -np.inf, where=outside[:k])
-        np.argmax(scores[:k], axis=1, out=best[:k])
-        top = scores.ravel().take(cells[:k] + best[:k])
-        linked = np.flatnonzero(top > 0.0)
-        n = start + linked
-        cumscore[n] = v[n] + top[linked]
-        backlink[n] = n - g_hi + best[linked]
+            lo, hi = _window_offsets(np.arange(start, stop, dtype=np.float64), tau)
+            np.less(columns, lo[:, None], out=outside[:k])
+            np.copyto(rows, -np.inf, where=outside[:k])
+            np.greater(columns, hi[:, None], out=outside[:k])
+            np.copyto(rows, -np.inf, where=outside[:k])
+        rows.argmax(axis=1, out=best[:k])
+        top = flat.take(cells[:k] + best[:k])
+        linked = top > 0.0
+        np.add(v[start:stop], top, out=cumscore[start:stop], where=linked)
+        np.add(best[:k], offsets[:k] + start, out=backlink[start:stop], where=linked)
     return cumscore, backlink
 
 

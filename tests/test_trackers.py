@@ -144,8 +144,8 @@ class TestDpTrack:
         assert np.all(np.abs(beats.times - ref.times) <= 0.01 + 1e-9)
 
     def test_matches_dp_oracle(self, rng):
-        # tau = 10 frames, so a block of tau/2 frames ends right where the
-        # next frame's window does
+        # tau = 10 frames: every window ends exactly tau/2 frames back, so
+        # a block one frame longer would read a score of its own
         cases = [(20.0, 120.0, 100.0)] * 25 + [(20.0, 120.0, 0.0)] * 25
         # non-integer periods of 3 to 120 frames; tightness 0 and plateaus
         # make ties, which go to the earliest predecessor, and a negative
@@ -160,6 +160,8 @@ class TestDpTrack:
                 values = np.round(values, 1)
             elif k % 3 == 2:
                 values = np.repeat(values[: n // 5 + 1], 5)[:n]
+            if k % 2:
+                values[: n // 4] = 0.0  # silent lead-in: a best score of exactly 0.0 links nowhere
             act = ActivationFunction(fps=fps, values=values)
             beats = dp_track(act, global_tempo=tempo, tightness=tightness)
             expected = oracles.oracle_dp_path(values.tolist(), fps, tempo, tightness)
