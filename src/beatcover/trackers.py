@@ -82,9 +82,9 @@ def dp_track(
     is the backtrace from the best-scoring frame, so output intervals
     stay within a factor of two of the target period.
 
-    Frame ``n`` reads scores only up to frame ``n - tau/2``, so blocks of
-    up to ``tau/2`` frames are scored at once; the cost is linear in the
-    number of frames times the window width.
+    Frames are scored about ``tau/2`` at a time, so time grows with the
+    number of frames times the window width (``1.5 * tau``) and memory
+    with the number of frames.
 
     Raises:
         EmptySequenceError: the activation has no frames.
@@ -169,7 +169,7 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     outside = np.empty((block, width), dtype=bool)
     best = np.empty(block, dtype=np.intp)
     cells = np.arange(block) * width  # flat index of each row's column 0
-    offsets = np.arange(block) - g_hi  # p of column 0 in row start + i, less start
+    offsets = np.arange(block) - g_hi  # row i links to p = start + offsets[i] + best[i]
     for start, masked in zip(starts.tolist(), narrow.tolist()):
         stop = min(start + block, n_frames)
         k = stop - start

@@ -228,7 +228,6 @@ class TestTrackCommand:
         assert code == 1
         assert "--tempo or --ref" in capsys.readouterr().err
 
-
     def test_dp_with_overflowing_period_exits_2(self, tmp_path, capsys):
         act_path = tmp_path / "a.act"
         write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
