@@ -177,10 +177,13 @@ def _cmd_synth(args) -> int:
     scenario = parse_scenario_file(args.scenario)
     ref = gen_reference(scenario.tempo_curve, scenario.duration)
     est = gen_estimate(ref, scenario, seed=args.seed)
+    # every output is computed before any is written, so a bad --fps
+    # leaves no partial set of files behind
+    act = gen_activation(ref, fps=args.fps) if args.out_act else None
     write_beats_file(ref, args.out_ref)
     write_beats_file(est, args.out_est)
-    if args.out_act:
-        write_activation_file(gen_activation(ref, fps=args.fps), args.out_act)
+    if act is not None:
+        write_activation_file(act, args.out_act)
     print(f"wrote {len(ref)} reference and {len(est)} estimated beat(s)")
     return 0
 

@@ -64,6 +64,13 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _finite_positive(name: str, value) -> float:
+    """``value`` as a float, or a ValueError unless it is finite and > 0."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class BeatSequence:
     """Strictly increasing event times in seconds.
@@ -78,13 +85,12 @@ class BeatSequence:
 
     def __post_init__(self):
         arr = _frozen_array(self.times)
-        if arr.size:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("beat times must be finite")
-            if arr[0] < 0.0 or np.any(arr < 0.0):
-                raise NegativeTimeError("beat times must be >= 0")
-            if np.any(np.diff(arr) <= 0.0):
-                raise NonMonotonicError("beat times must be strictly increasing")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("beat times must be finite")
+        if np.any(arr < 0.0):
+            raise NegativeTimeError("beat times must be >= 0")
+        if np.any(np.diff(arr) <= 0.0):
+            raise NonMonotonicError("beat times must be strictly increasing")
         object.__setattr__(self, "times", arr)
 
     def __len__(self) -> int:
@@ -160,11 +166,26 @@ class Condition(Enum):
             raise ValueError(f"unknown condition {name!r}; expected one of: {valid}") from None
 
 
-OFFBEAT_CONDITIONS = (
-    Condition.OFFBEAT_HALF,
-    Condition.OFFBEAT_ONE_THIRD,
-    Condition.OFFBEAT_TWO_THIRD,
-)
+# How each condition's taps relate to the beats: every step-th beat,
+# factor taps per interval, or one tap a fraction into each interval
+# (see ``variants.condition_taps``).
+CONDITION_STEPS = {
+    Condition.ONBEAT: 1,
+    Condition.SUBHARMONIC_HALF: 2,
+    Condition.SUBHARMONIC_THIRD: 3,
+    Condition.SUBHARMONIC_QUARTER: 4,
+}
+CONDITION_FACTORS = {
+    Condition.HARMONIC_DOUBLE: 2,
+    Condition.HARMONIC_TRIPLE: 3,
+    Condition.HARMONIC_QUADRUPLE: 4,
+}
+CONDITION_FRACTIONS = {
+    Condition.OFFBEAT_HALF: 0.5,
+    Condition.OFFBEAT_ONE_THIRD: 1.0 / 3.0,
+    Condition.OFFBEAT_TWO_THIRD: 2.0 / 3.0,
+}
+OFFBEAT_CONDITIONS = tuple(CONDITION_FRACTIONS)
 
 
 @dataclass(frozen=True)
@@ -176,6 +197,9 @@ class ToleranceParams:
     context: window length in beats, an integer >= 2; a beat counts as
         detected only as part of a fully matched run of this many
         consecutive beats.
+
+    cap and gamma are stored as ``float`` and context as ``int``, so a
+    numpy scalar argument serializes like a plain number.
     """
 
     cap: float = 0.070
@@ -183,10 +207,10 @@ class ToleranceParams:
     context: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.cap < np.inf:
-            raise ValueError(f"cap must be finite and > 0, got {self.cap}")
+        object.__setattr__(self, "cap", _finite_positive("cap", self.cap))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         try:
             context = operator.index(self.context)
         except TypeError:
@@ -201,16 +225,16 @@ class ActivationFunction:
     """Uniformly sampled beat-likelihood curve.
 
     values are in [0, 1]; frame ``n`` corresponds to time ``n / fps``.
+    fps is stored as ``float``.
     """
 
     fps: float
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.fps < np.inf:
-            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        object.__setattr__(self, "fps", _finite_positive("fps", self.fps))
         arr = _frozen_array(self.values)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr))):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects nan
             raise ValueError("activation values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 

@@ -27,14 +27,13 @@ def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.nd
     n_win, span = windows.shape
     first = np.full(n_win, -1, dtype=np.intp)
     n_start = len(est) - span + 1
-    if n_start <= 0 or n_win == 0:
-        return first
     # Any match must align the first expected tap, so only candidates
     # within epsilon of the row's first tap need the full check.  The
     # band edges ``w0 - eps`` and ``w0 + eps`` round, and so, when ``w0``
     # is under ``2 * eps``, may ``|w0 - e|`` in the check, in the other
     # direction; a few ulps of slack keep every beat that passes the
-    # check inside the band.
+    # check inside the band.  A run may start no later than ``n_start - 1``,
+    # so an estimate shorter than a window (or no window) has no candidates.
     w0 = windows[:, 0]
     band = eps + 4.0 * (np.spacing(eps) + np.spacing(np.abs(w0)))
     lo = np.searchsorted(est, w0 - band, side="left")

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CONDITION_STEPS,
     BeatSequence,
     Condition,
     CoverageMatrix,
     TooFewBeatsError,
     ToleranceParams,
+    _finite_positive,
 )
 from .matching import coverage_matrix, l_correct_detection
-from .variants import CONDITION_STEPS, condition_taps
+from .variants import condition_taps
 
 __all__ = [
     "f1_score",
@@ -53,8 +55,7 @@ def f1_score(
     Raises:
         ValueError: ``window`` not finite and > 0.
     """
-    if not 0.0 < window < np.inf:
-        raise ValueError(f"window must be finite and > 0, got {window}")
+    _finite_positive("window", window)
     r, e = ref.times, est.times
     matched = 0
     i = j = 0
@@ -71,12 +72,6 @@ def f1_score(
     recall = matched / len(r) if len(r) else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
-
-
-def _check_gamma(gamma: float) -> None:
-    # the ToleranceParams rule; the band in continuity_correct needs gamma < 1
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
 
 
 def continuity_correct(
@@ -98,7 +93,7 @@ def continuity_correct(
         ValueError: ``gamma`` outside (0, 1).
         TooFewBeatsError: fewer than two reference beats.
     """
-    _check_gamma(gamma)
+    ToleranceParams(gamma=gamma)  # the band below needs 0 < gamma < 1
     r, e = ref.times, est.times
     if len(r) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
@@ -136,19 +131,18 @@ def continuity_correct(
     return correct
 
 
-def _continuity_score(ref: BeatSequence, est: BeatSequence, gamma: float) -> float:
-    correct = continuity_correct(ref, est, gamma)
-    denom = max(len(ref), len(est))
-    return float(np.count_nonzero(correct)) / denom if denom else 0.0
-
-
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
     """Fraction of beats continuity-correct at the annotated level.
 
     The denominator max(|ref|, |est|) penalizes both over- and
     under-generation.
+
+    Raises:
+        ValueError: ``gamma`` outside (0, 1).
+        TooFewBeatsError: fewer than two reference beats.
     """
-    return _continuity_score(ref, est, gamma)
+    correct = continuity_correct(ref, est, gamma)
+    return float(np.count_nonzero(correct)) / max(len(ref), len(est))
 
 
 # The whole-track levels AMLt allows (Davies, Degara & Plumbley 2009).
@@ -178,13 +172,13 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     Raises:
         ValueError: ``gamma`` outside (0, 1).
     """
-    _check_gamma(gamma)
+    ToleranceParams(gamma=gamma)  # checked even if no variant gets scored
     best = 0.0
     for condition in _AMLT_CONDITIONS:
         for phase in range(CONDITION_STEPS.get(condition, 1)):
             taps = condition_taps(ref.times[phase:], condition)
             if len(taps) >= 2 and bool(np.all(np.diff(taps) > 0.0)):
-                best = max(best, _continuity_score(BeatSequence(taps), est, gamma))
+                best = max(best, cmlt(BeatSequence(taps), est, gamma))
     return best
 
 
@@ -284,6 +278,10 @@ def stable_tempi_percentage(beats: BeatSequence) -> float:
     return float(np.count_nonzero(stable)) / len(stable)
 
 
+def _r6(x) -> float:
+    return round(float(x), 6)
+
+
 @dataclass(frozen=True)
 class TrackReport:
     """All per-track scores, rounded to six decimals.
@@ -321,20 +319,19 @@ def evaluate_track(
     lr, lp, lf = l_correct_fmeasure(ref, est, params)
     cm = coverage_matrix(ref, est, params)
     acr = acr_scores(cm)
-    r6 = lambda x: round(float(x), 6)
     return TrackReport(
         track_id=track_id,
-        f1=r6(f1),
-        precision=r6(precision),
-        recall=r6(recall),
-        cmlt=r6(cmlt(ref, est, params.gamma)),
-        amlt=r6(amlt(ref, est, params.gamma)),
-        l_correct_f=r6(lf),
-        l_correct_p=r6(lp),
-        l_correct_r=r6(lr),
-        acr={c: r6(v) for c, v in acr.per_condition.items()},
-        acr_any=r6(acr.acr_any),
-        acr_offbeat=r6(acr.acr_offbeat),
-        mlsr=r6(mlsr(cm)),
+        f1=_r6(f1),
+        precision=_r6(precision),
+        recall=_r6(recall),
+        cmlt=_r6(cmlt(ref, est, params.gamma)),
+        amlt=_r6(amlt(ref, est, params.gamma)),
+        l_correct_f=_r6(lf),
+        l_correct_p=_r6(lp),
+        l_correct_r=_r6(lr),
+        acr={c: _r6(v) for c, v in acr.per_condition.items()},
+        acr_any=_r6(acr.acr_any),
+        acr_offbeat=_r6(acr.acr_offbeat),
+        mlsr=_r6(mlsr(cm)),
         params=params,
     )

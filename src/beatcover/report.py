@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import BeatcoverError, BeatSequence, Condition, ToleranceParams
 from .fileio import parse_beats_file
-from .metrics import TrackReport, evaluate_track, mean_track_tempo, stable_intervals
+from .metrics import TrackReport, _r6, evaluate_track, mean_track_tempo, stable_intervals
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -87,10 +87,6 @@ class DatasetReport:
     dataset_stats: DatasetStats
     warnings: tuple[str, ...]
     params: ToleranceParams
-
-
-def _r6(x: float) -> float:
-    return round(float(x), 6)
 
 
 def dataset_stats_from_refs(refs: list[BeatSequence]) -> DatasetStats:
@@ -182,9 +178,11 @@ def check_metric_groups(names) -> list[str]:
     """``names`` as a list, after checking each is a key of ``METRIC_GROUPS``.
 
     Raises:
-        ValueError: an unknown group name.
+        ValueError: no name at all, or an unknown group name.
     """
     names = list(names)
+    if not names:
+        raise ValueError(f"no metric group selected; valid: {sorted(METRIC_GROUPS)}")
     unknown = [m for m in names if m not in METRIC_GROUPS]
     if unknown:
         raise ValueError(f"unknown metric group(s) {unknown}; valid: {sorted(METRIC_GROUPS)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OFFBEAT_CONDITIONS, ActivationFunction, BeatSequence, Condition
+from .core import OFFBEAT_CONDITIONS, ActivationFunction, BeatSequence, Condition, _finite_positive
 from .variants import condition_taps
 
 __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activation"]
@@ -96,8 +96,7 @@ def _curve_on_span(points, duration):
     Raises ValueError for a duration that is not finite and positive,
     and for a span that could hold more than ``_MAX_BEATS`` beats.
     """
-    if not 0 < duration < np.inf:
-        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    _finite_positive("duration", duration)
     times = np.asarray([t for t, _ in points])
     bpms = np.asarray([b for _, b in points])
     knot_t = [0.0]
@@ -148,19 +147,6 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
     return BeatSequence(np.asarray(beats))
 
 
-def _emit_segment(r: np.ndarray, start: int, end: int, condition: Condition) -> np.ndarray:
-    """Taps for one segment of reference beats r[start:end].
-
-    An offbeat tap needs the interval after its beat, so offbeats also
-    read beat ``end``.  Harmonics interpolate only intervals fully
-    inside the segment: the interval crossing into the next segment
-    belongs to neither behavior.
-    """
-    if condition in OFFBEAT_CONDITIONS:
-        end += 1
-    return condition_taps(r[start:end], condition)
-
-
 def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSequence:
     """Simulate the scripted tracker over the reference beats.
 
@@ -178,14 +164,21 @@ def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSe
     bounds = [seg.start for seg in scenario.segments] + [n]
     parts = []
     for seg, start, end in zip(scenario.segments, bounds[:-1], bounds[1:]):
-        times = _emit_segment(ref.times, start, end, seg.condition)
+        # A segment taps over reference beats [start, end).  An offbeat
+        # tap needs the interval after its beat, so offbeats also read
+        # beat ``end``.  Harmonics interpolate only intervals fully inside
+        # the segment: the interval crossing into the next segment belongs
+        # to neither behavior.
+        if seg.condition in OFFBEAT_CONDITIONS:
+            end += 1
+        times = condition_taps(ref.times[start:end], seg.condition)
         if seg.jitter_std > 0 and len(times):
             sigma = seg.jitter_std
             noise = np.clip(rng.normal(0.0, sigma, len(times)), -3.0 * sigma, 3.0 * sigma)
             times = np.maximum(times + noise, 0.0)
         parts.append(times)
-    out = np.concatenate(parts) if parts else np.zeros(0)
-    if len(out) > 1 and np.any(np.diff(out) < 0):
+    out = np.concatenate(parts)
+    if np.any(np.diff(out) < 0):
         warnings.warn("jitter broke monotonicity; estimate re-sorted", stacklevel=2)
         out = np.sort(out)
     if len(out) > 1:
@@ -206,10 +199,8 @@ def gen_activation(
     second if there are no beats), is clipped to [0, 1], and gets
     seeded Gaussian noise when noise_std > 0.
     """
-    if not 0 < fps < np.inf:
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
-    if not 0 < peak_width < np.inf:
-        raise ValueError(f"peak_width must be finite and > 0, got {peak_width}")
+    _finite_positive("fps", fps)
+    _finite_positive("peak_width", peak_width)
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     last = beats.times[-1] if len(beats) else 0.0

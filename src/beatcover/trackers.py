@@ -50,8 +50,6 @@ def sppk(
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     v = act.values
-    if len(v) < 3:
-        return BeatSequence(np.zeros(0))
     interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
     candidates = interior[v[interior] >= threshold]
     order = candidates[np.lexsort((candidates, -v[candidates]))]
@@ -166,7 +164,6 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     columns = np.arange(-g_hi, -g_lo + 1)  # p - n of each column
     scores = np.empty((block, width))
     flat = scores.ravel()
-    outside = np.empty((block, width), dtype=bool)
     best = np.empty(block, dtype=np.intp)
     cells = np.arange(block) * width  # flat index of each row's column 0
     offsets = np.arange(block) - g_hi  # row i links to p = start + offsets[i] + best[i]
@@ -177,10 +174,7 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
         np.subtract(windows[start:stop], penalty, out=rows)
         if masked:
             lo, hi = _window_offsets(np.arange(start, stop, dtype=np.float64), tau)
-            np.less(columns, lo[:, None], out=outside[:k])
-            np.copyto(rows, -np.inf, where=outside[:k])
-            np.greater(columns, hi[:, None], out=outside[:k])
-            np.copyto(rows, -np.inf, where=outside[:k])
+            rows[(columns < lo[:, None]) | (columns > hi[:, None])] = -np.inf
         rows.argmax(axis=1, out=best[:k])
         top = flat.take(cells[:k] + best[:k])
         linked = top > 0.0

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CONDITION_FACTORS,
+    CONDITION_FRACTIONS,
+    CONDITION_STEPS,
     BeatSequence,
     Condition,
     ToleranceParams,
@@ -42,24 +45,6 @@ __all__ = [
     "offbeat_variant",
     "variant_window",
 ]
-
-CONDITION_STEPS = {
-    Condition.ONBEAT: 1,
-    Condition.SUBHARMONIC_HALF: 2,
-    Condition.SUBHARMONIC_THIRD: 3,
-    Condition.SUBHARMONIC_QUARTER: 4,
-}
-CONDITION_FACTORS = {
-    Condition.HARMONIC_DOUBLE: 2,
-    Condition.HARMONIC_TRIPLE: 3,
-    Condition.HARMONIC_QUADRUPLE: 4,
-}
-CONDITION_FRACTIONS = {
-    Condition.OFFBEAT_HALF: 0.5,
-    Condition.OFFBEAT_ONE_THIRD: 1.0 / 3.0,
-    Condition.OFFBEAT_TWO_THIRD: 2.0 / 3.0,
-}
-
 
 @dataclass(frozen=True, eq=False)
 class VariantWindow:

@@ -115,8 +115,8 @@ def render_coverage_svg(
         )
         if act is not None and len(act):
             pts = " ".join(
-                f"{_fmt(x(n / act.fps))},{_fmt(p_bot - v * (_PANEL_HEIGHT - 8.0))}"
-                for n, v in enumerate(act.values.tolist())
+                f"{_fmt(x(time))},{_fmt(p_bot - v * (_PANEL_HEIGHT - 8.0))}"
+                for time, v in zip(act.frame_times().tolist(), act.values.tolist())
             )
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#888888" stroke-width="1"/>'

@@ -106,6 +106,17 @@ class TestSynthCommand:
         assert f"{path}: " in err and "more than 1000000 beats" in err
         assert not (tmp_path / "r").exists()
 
+    def test_bad_fps_writes_no_output(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        ref, est, act = (tmp_path / name for name in ("r.beats", "e.beats", "a.act"))
+        code = run_cli([
+            "synth", "--scenario", str(path), "--out-ref", str(ref),
+            "--out-est", str(est), "--out-act", str(act), "--fps", "0",
+        ])
+        assert code == 2
+        assert "fps must be finite and > 0" in capsys.readouterr().err
+        assert not ref.exists() and not est.exists() and not act.exists()
+
 
 class TestEvalCommand:
     def make_dirs(self, tmp_path):
@@ -138,6 +149,19 @@ class TestEvalCommand:
         assert code == 0
         track = json.loads(out.read_text())["tracks"][0]
         assert set(track) == {"track_id", "acr", "acr_any", "acr_offbeat", "mlsr"}
+
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_empty_metric_selection_is_usage_error(self, tmp_path, capsys, selection):
+        ref_dir, est_dir = self.make_dirs(tmp_path)
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "eval", "--ref", str(ref_dir), "--est", str(est_dir),
+            "--out", str(out), "--metrics", selection,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "no metric group selected" in err
+        assert not out.exists()
 
     def test_unknown_metric_group_is_usage_error(self, tmp_path, capsys):
         code = run_cli([

@@ -79,6 +79,20 @@ class TestBeatSequence:
         assert BeatSequence([0.0, 1.0]) == BeatSequence(np.array([0.0, 1.0]))
         assert BeatSequence([0.0, 1.0]) != BeatSequence([0.0, 1.5])
 
+    def test_empty_is_valid(self):
+        assert len(BeatSequence([])) == 0
+        assert BeatSequence(np.zeros(0)).ibis.size == 0
+
+    @pytest.mark.parametrize("times", [[-0.5], [-1e-300], [1.0, -2.0]])
+    def test_negative_time_rejected(self, times):
+        with pytest.raises(NegativeTimeError):
+            BeatSequence(times)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_single_non_finite_time_rejected(self, value):
+        with pytest.raises(ValueError, match="beat times must be finite"):
+            BeatSequence([value])
+
 
 class TestCondition:
     def test_parse_round_trips_every_member(self):
@@ -123,6 +137,16 @@ class TestToleranceParams:
         params = ToleranceParams(context=np.int64(3))
         assert params.context == 3 and type(params.context) is int
 
+    def test_numpy_float_cap_and_gamma_become_float(self):
+        params = ToleranceParams(cap=np.float32(0.05), gamma=np.float64(0.2))
+        assert type(params.cap) is float and type(params.gamma) is float
+        assert params.cap == float(np.float32(0.05)) and params.gamma == 0.2
+
+    @pytest.mark.parametrize("cap", [np.float32(0.0), np.float64("inf"), np.float32("nan")])
+    def test_bad_numpy_cap_keeps_message(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be finite and > 0, got {cap}"):
+            ToleranceParams(cap=cap)
+
 
 class TestActivationFunction:
     def test_duration_and_frame_times(self):
@@ -145,6 +169,19 @@ class TestActivationFunction:
     def test_rejects_non_finite_fps(self, fps):
         with pytest.raises(ValueError, match="fps must be finite and > 0"):
             ActivationFunction(fps=fps, values=[0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="activation values must lie in"):
+            ActivationFunction(fps=10.0, values=[0.5, value])
+
+    def test_empty_curve_is_valid(self):
+        assert len(ActivationFunction(fps=10.0, values=[])) == 0
+
+    @pytest.mark.parametrize("fps", [np.float64(100.0), np.float32(44100 / 512), np.int64(50)])
+    def test_numpy_fps_becomes_float(self, fps):
+        act = ActivationFunction(fps=fps, values=[0.5])
+        assert type(act.fps) is float and act.fps == fps
 
 
 class TestCoverageMatrix:

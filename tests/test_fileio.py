@@ -92,6 +92,16 @@ class TestActivationFiles:
         act = parse_activation_file(path)
         assert len(act) == 0
 
+    @pytest.mark.parametrize("fps", [np.float64(100.0), np.float32(44100 / 512)])
+    def test_numpy_fps_round_trip(self, tmp_path, fps):
+        act = ActivationFunction(fps=fps, values=[0.25, 0.75])
+        path = tmp_path / "a.act"
+        write_activation_file(act, path)
+        assert path.read_text().splitlines()[0] == f"fps={float(fps)!r}"
+        back = parse_activation_file(path)
+        assert back.fps == act.fps == fps
+        assert back == act
+
     def test_header_survives_round_trip_exactly(self, tmp_path):
         act = ActivationFunction(fps=44100.0 / 441.0, values=[0.25, 0.75])
         path = tmp_path / "a.act"

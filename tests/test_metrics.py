@@ -213,6 +213,38 @@ class TestCmltAmlt:
         est = BeatSequence(extra)
         assert cmlt(ref, est) <= 10 / 19
 
+    @pytest.mark.parametrize(
+        "est, expected_cmlt, expected_amlt",
+        [
+            ([1.0, 1.5], 1.0, 1.0),
+            ([], 0.0, 0.0),
+            ([1.0], 0.5, 0.5),
+            ([1.0, 1.25, 1.5], 1 / 3, 1.0),  # double tempo
+            # the offbeat variant has one tap and is dropped; the
+            # double-tempo variant scores the lone offbeat estimate
+            ([1.25], 0.0, 1 / 3),
+        ],
+    )
+    def test_two_beat_reference(self, est, expected_cmlt, expected_amlt):
+        ref = BeatSequence([1.0, 1.5])
+        est = BeatSequence(est)
+        assert cmlt(ref, est) == expected_cmlt
+        assert amlt(ref, est) == expected_amlt
+        assert amlt(ref, est) == oracles.oracle_amlt(ref.times.tolist(), est.times.tolist())
+
+    @pytest.mark.parametrize("ref", [[], [1.0]])
+    @pytest.mark.parametrize("est", [[], [1.0, 1.5]])
+    def test_cmlt_needs_two_reference_beats(self, ref, est):
+        # so max(|ref|, |est|) is never 0
+        with pytest.raises(TooFewBeatsError):
+            cmlt(BeatSequence(ref), BeatSequence(est))
+
+    @pytest.mark.parametrize("score", [continuity_correct, cmlt, amlt])
+    def test_gamma_error_text(self, score):
+        ref = BeatSequence([1.0, 1.5])
+        with pytest.raises(ValueError, match=r"^gamma must be in \(0, 1\), got 1.5$"):
+            score(ref, ref, 1.5)
+
     @pytest.mark.parametrize("ref", [[], [1.0]])
     @pytest.mark.parametrize("est", [[], [0.5, 1.0, 1.5]])
     def test_amlt_without_an_interval_scores_zero(self, ref, est):

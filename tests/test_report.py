@@ -11,6 +11,7 @@ from beatcover import (
     Segment,
     StemCollisionError,
     ToleranceParams,
+    check_metric_groups,
     compute_means,
     dataset_stats_from_refs,
     evaluate_dataset,
@@ -146,6 +147,25 @@ class TestSerialization:
         assert set(track) == {"track_id", "f1", "precision", "recall", "mlsr"}
         assert set(obj["means"]) == {"f1", "precision", "recall", "mlsr"}
         assert "acr" not in track
+
+    @pytest.mark.parametrize("metrics", [[], ()])
+    def test_empty_metric_selection_rejected(self, tmp_path, metrics):
+        ref_dir, est_dir = make_dataset(tmp_path, n_tracks=1)
+        report = evaluate_dataset(ref_dir, est_dir)
+        with pytest.raises(ValueError, match="no metric group selected"):
+            serialize_report(report, metrics=metrics)
+        with pytest.raises(ValueError, match="no metric group selected"):
+            check_metric_groups(iter(metrics))
+
+    def test_numpy_gamma_serializes(self, tmp_path):
+        ref_dir, est_dir = make_dataset(tmp_path, n_tracks=2)
+        params = ToleranceParams(cap=np.float64(0.06), gamma=np.float32(0.2))
+        report = evaluate_dataset(ref_dir, est_dir, params=params)
+        obj = json.loads(serialize_report(report))
+        assert obj["params"] == {"cap": 0.06, "gamma": float(np.float32(0.2)), "context": 2}
+        back = parse_report(serialize_report(report))
+        assert back == report
+        assert serialize_report(back) == serialize_report(report)
 
     def test_unknown_metric_group_rejected(self, tmp_path):
         ref_dir, est_dir = make_dataset(tmp_path, n_tracks=1)

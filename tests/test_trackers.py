@@ -38,6 +38,12 @@ class TestSppk:
         act = ActivationFunction(fps=100.0, values=np.zeros(500))
         assert len(sppk(act)) == 0
 
+    @pytest.mark.parametrize("values", [[], [0.9], [0.2, 0.9], [0.9, 0.2]])
+    def test_fewer_than_three_frames_yield_no_beats(self, values):
+        # a peak needs a neighbor on each side
+        beats = sppk(ActivationFunction(fps=100.0, values=values), threshold=0.0, min_gap=0.0)
+        assert len(beats) == 0 and beats.times.dtype == np.float64
+
     def test_single_peak(self):
         act = triangle(50, 5, 1.0, 200)
         beats = sppk(act)
