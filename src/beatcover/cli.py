@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
-from .core import BeatcoverError, EmptySequenceError, ToleranceParams
+from .core import BeatcoverError, EmptySequenceError, ToleranceParams, _finite_positive, _non_negative
 from .fileio import (
     parse_activation_file,
     parse_beats_file,
@@ -48,19 +49,27 @@ class _Parser(argparse.ArgumentParser):
 _DEFAULTS = ToleranceParams()
 
 
-def _tolerance(field: str, convert):
-    """Argparse type for the flag that sets ``field`` of ToleranceParams."""
+def _checked(convert, check):
+    """Argparse type: ``convert`` the text, then range-check it with ``check``.
+
+    A ValueError from ``check`` is a usage error under the flag's name.
+    """
 
     def parse(text: str):
         value = convert(text)
         try:
-            ToleranceParams(**{field: value})
+            check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+def _tolerance(field: str, convert):
+    """Argparse type for the flag that sets ``field`` of ToleranceParams."""
+    return _checked(convert, lambda value: ToleranceParams(**{field: value}))
 
 
 def _finite(text: str) -> float:
@@ -103,10 +112,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="run a post-processing tracker")
     p.add_argument("--activation", required=True, help="activation file (fps=... header)")
     p.add_argument("--ppt", required=True, choices=("dp", "sppk"), help="tracker to run")
-    p.add_argument("--tempo", type=_finite, default=None, help="global tempo in BPM (dp)")
+    p.add_argument("--tempo", type=_checked(_finite, partial(_finite_positive, "tempo")), default=None,
+                   help="global tempo in BPM (dp)")
     p.add_argument("--ref", default=None, help="reference beats to take the global tempo from (dp)")
     p.add_argument("--threshold", type=_finite, default=0.3, help="sppk threshold (default 0.3)")
-    p.add_argument("--min-gap", type=_finite, default=0.15, help="sppk suppression gap in seconds (default 0.15)")
+    p.add_argument("--min-gap", type=_checked(_finite, partial(_non_negative, "min_gap")), default=0.15,
+                   help="sppk suppression gap in seconds (default 0.15)")
     p.add_argument("--tightness", type=_finite, default=100.0, help="dp tempo adherence (default 100)")
     p.add_argument("--out", required=True, help="output beats path")
     p.set_defaults(func=_cmd_track)
@@ -126,7 +137,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-ref", required=True, help="output reference beats path")
     p.add_argument("--out-est", required=True, help="output estimated beats path")
     p.add_argument("--out-act", default=None, help="optional output activation path")
-    p.add_argument("--fps", type=_finite, default=100.0, help="activation frame rate (default 100)")
+    p.add_argument("--fps", type=_checked(_finite, partial(_finite_positive, "fps")), default=100.0,
+                   help="activation frame rate (default 100)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("stats", help="dataset statistics from reference files")
@@ -177,7 +189,7 @@ def _cmd_synth(args) -> int:
     scenario = parse_scenario_file(args.scenario)
     ref = gen_reference(scenario.tempo_curve, scenario.duration)
     est = gen_estimate(ref, scenario, seed=args.seed)
-    # every output is computed before any is written, so a bad --fps
+    # every output is computed before any is written, so a failed run
     # leaves no partial set of files behind
     act = gen_activation(ref, fps=args.fps) if args.out_act else None
     write_beats_file(ref, args.out_ref)

@@ -71,6 +71,13 @@ def _finite_positive(name: str, value) -> float:
     return float(value)
 
 
+def _non_negative(name: str, value) -> float:
+    """``value`` as a float, or a ValueError unless it is >= 0."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class BeatSequence:
     """Strictly increasing event times in seconds.

@@ -9,7 +9,10 @@ Matching works on whole window tables (see
 :func:`beatcover.variants.window_table`): one private matcher finds,
 for every row at once, the first estimated beat where the row matches.
 Coverage, L-correct detection and the single-window
-:func:`window_match` all go through it.
+:func:`window_match` all go through it.  The matcher is one use of a
+band search, :func:`_first_in_band`, that finds for every row the first
+candidate in a sorted band that passes a check; the continuity metrics
+(:func:`beatcover.metrics.continuity_correct`) are the other.
 """
 
 from __future__ import annotations
@@ -22,29 +25,50 @@ from .variants import VariantWindow, window_table
 __all__ = ["window_match", "coverage_matrix", "l_correct_detection"]
 
 
+def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Slack that widens the band ``t -/+ tol`` to hold every ``x`` with ``|t - x| <= tol``.
+
+    The band edges ``t - tol`` and ``t + tol`` round, and so, when ``t``
+    is under ``2 * tol``, may ``|t - x|`` in the check, in the other
+    direction; a few ulps of slack keep every ``x`` that passes the
+    check inside the band.
+    """
+    return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
+
+
+def _first_in_band(lo: np.ndarray, hi: np.ndarray, passes) -> np.ndarray:
+    """Smallest ``k`` in ``[lo[r], hi[r])`` per row ``r`` with a pass, or -1.
+
+    ``passes(rows, k)`` checks candidate ``k[n]`` of row ``rows[n]`` and
+    returns a Boolean array.  Each round tries the next candidate of
+    every row that has neither passed nor run out of band.
+    """
+    first = np.full(len(lo), -1, dtype=np.intp)
+    for offset in range(int((hi - lo).max(initial=0))):
+        rows = np.flatnonzero((first < 0) & (lo + offset < hi))
+        k = lo[rows] + offset
+        ok = passes(rows, k)
+        first[rows[ok]] = k[ok]
+    return first
+
+
 def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Smallest matching estimate index per window row, or -1."""
-    n_win, span = windows.shape
-    first = np.full(n_win, -1, dtype=np.intp)
-    n_start = len(est) - span + 1
+    span = windows.shape[1]
     # Any match must align the first expected tap, so only candidates
-    # within epsilon of the row's first tap need the full check.  The
-    # band edges ``w0 - eps`` and ``w0 + eps`` round, and so, when ``w0``
-    # is under ``2 * eps``, may ``|w0 - e|`` in the check, in the other
-    # direction; a few ulps of slack keep every beat that passes the
-    # check inside the band.  A run may start no later than ``n_start - 1``,
-    # so an estimate shorter than a window (or no window) has no candidates.
+    # within epsilon of the row's first tap need the full check.  A run
+    # may start no later than ``len(est) - span``, so an estimate shorter
+    # than a window (or no window) has no candidates.
     w0 = windows[:, 0]
-    band = eps + 4.0 * (np.spacing(eps) + np.spacing(np.abs(w0)))
+    band = eps + _slack(eps, w0)
     lo = np.searchsorted(est, w0 - band, side="left")
-    hi = np.minimum(np.searchsorted(est, w0 + band, side="right"), n_start)
-    for offset in range(int(np.max(hi - lo, initial=0))):
-        j = lo + offset
-        rows = np.flatnonzero((first < 0) & (j < hi))
-        taps = est[j[rows, None] + np.arange(span)]
-        ok = np.all(np.abs(windows[rows] - taps) <= eps[rows, None], axis=1)
-        first[rows[ok]] = j[rows[ok]]
-    return first
+    hi = np.minimum(np.searchsorted(est, w0 + band, side="right"), len(est) - span + 1)
+
+    def aligned(rows, j):
+        taps = est[j[:, None] + np.arange(span)]
+        return np.all(np.abs(windows[rows] - taps) <= eps[rows, None], axis=1)
+
+    return _first_in_band(lo, hi, aligned)
 
 
 def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> None:

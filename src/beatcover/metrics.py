@@ -23,7 +23,7 @@ from .core import (
     ToleranceParams,
     _finite_positive,
 )
-from .matching import coverage_matrix, l_correct_detection
+from .matching import _first_in_band, _slack, coverage_matrix, l_correct_detection
 from .variants import condition_taps
 
 __all__ = [
@@ -41,6 +41,13 @@ __all__ = [
     "TrackReport",
     "evaluate_track",
 ]
+
+
+def _prf(ref_hits: int, n_ref: int, est_hits: int, n_est: int) -> tuple[float, float, float]:
+    """Precision, recall and their harmonic mean; an empty side scores 0."""
+    p = float(est_hits) / n_est if n_est else 0.0
+    r = float(ref_hits) / n_ref if n_ref else 0.0
+    return p, r, 2.0 * p * r / (p + r) if p + r else 0.0
 
 
 def f1_score(
@@ -68,10 +75,7 @@ def f1_score(
             j += 1
         else:
             i += 1
-    precision = matched / len(e) if len(e) else 0.0
-    recall = matched / len(r) if len(r) else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return _prf(matched, len(r), matched, len(e))
 
 
 def continuity_correct(
@@ -97,26 +101,20 @@ def continuity_correct(
     r, e = ref.times, est.times
     if len(r) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    correct = np.zeros(len(e), dtype=bool)
-    local = np.empty(len(r))
-    local[1:] = np.diff(r)
-    local[0] = local[1]  # first beat borrows the following interval
+    ibis = np.diff(r)
+    local = np.concatenate([ibis[:1], ibis])  # first beat borrows the following interval
     tol = gamma * local
     # Only reference beats whose phase edges r_i -/+ tol_i bracket e_j
     # can pass, so each estimate gets a band [lo_j, hi_j) of candidates.
     # The lower edges rise with i because gamma < 1; the upper edges
     # fall where an interval shrinks by more than (1 + gamma) / gamma,
     # so they are replaced by their running maximum (and the lower ones,
-    # against rounding, by their running minimum from the right).  The
-    # edges round, and near 0 s so may |r_i - e_j| in the rule, in the
-    # other direction; a few ulps of slack keep every pair that passes
-    # the rule inside the band, as in ``matching._first_match``.
-    slack = 4.0 * (np.spacing(tol) + np.spacing(r))
+    # against rounding, by their running minimum from the right).
+    slack = _slack(tol, r)
     lo = np.searchsorted(np.maximum.accumulate(r + tol + slack), e, side="left")
     hi = np.searchsorted(np.minimum.accumulate((r - tol - slack)[::-1])[::-1], e, side="right")
-    for offset in range(int(np.max(hi - lo, initial=0))):
-        j = np.flatnonzero(~correct & (lo + offset < hi))
-        i = lo[j] + offset
+
+    def in_phase(j, i):
         ok = np.abs(e[j] - r[i]) <= tol[i]
         # past the first estimate, reference beat i - 1 must exist and be
         # in phase with estimate j - 1, and the two intervals must agree
@@ -127,8 +125,9 @@ def continuity_correct(
             & (np.abs(e[jl - 1] - r[il - 1]) <= tol[il - 1])
             & (np.abs((e[jl] - e[jl - 1]) - local[il]) <= tol[il])
         )
-        correct[j[ok]] = True
-    return correct
+        return ok
+
+    return _first_in_band(lo, hi, in_phase) >= 0
 
 
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
@@ -191,14 +190,10 @@ def l_correct_fmeasure(
     :func:`beatcover.matching.l_correct_detection`.
     """
     if len(ref) < params.context:
-        raise TooFewBeatsError(
-            f"need at least {params.context} reference beats, got {len(ref)}"
-        )
+        raise TooFewBeatsError(f"need at least {params.context} reference beats, got {len(ref)}")
     ref_flags, est_flags = l_correct_detection(ref, est, params)
-    recall = float(np.count_nonzero(ref_flags)) / len(ref)
-    precision = float(np.count_nonzero(est_flags)) / len(est) if len(est) else 0.0
-    f = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return recall, precision, f
+    p, r, f = _prf(np.count_nonzero(ref_flags), len(ref), np.count_nonzero(est_flags), len(est))
+    return r, p, f
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import bisect
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActivationFunction, BeatcoverError, BeatSequence, EmptySequenceError
+from .core import ActivationFunction, BeatcoverError, BeatSequence, EmptySequenceError, _non_negative
 from .metrics import mean_track_tempo
 
 __all__ = [
@@ -45,8 +45,7 @@ def sppk(
     a candidate closer than ``min_gap`` seconds to an already accepted
     peak is suppressed.  May return an empty sequence.
     """
-    if not min_gap >= 0:
-        raise ValueError(f"min_gap must be >= 0, got {min_gap}")
+    _non_negative("min_gap", min_gap)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     v = act.values

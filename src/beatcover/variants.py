@@ -15,7 +15,8 @@ row its tolerance, the one adaptive tolerance formula.  Windows near
 the end of the sequence that would need beats beyond the last
 annotation do not exist and get no row.  The single-window builders
 below are thin wrappers over it that return a :class:`VariantWindow`,
-or None where the table has no row.
+or None where the table has no row; each builds the table of only the
+few beats its window reads.
 """
 
 from __future__ import annotations
@@ -146,15 +147,20 @@ def _window_at(
 ) -> VariantWindow | None:
     if not 0 <= instance < len(beats):
         raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
-    windows, eps, stride = window_table(beats.times, condition, length, tol)
-    if instance >= len(windows):
+    # The window reads beats ``instance`` to ``end - 1``, and an offbeat
+    # window also beat ``end``; the table of just those beats has it as
+    # row 0, so one window costs O(length), not a whole-sequence table.
+    stride = CONDITION_STEPS.get(condition, 1)
+    end = instance + stride * (length - 1) + 1
+    windows, eps, _ = window_table(beats.times[instance : end + 1], condition, length, tol)
+    if not len(windows):
         return None
     return VariantWindow(
         condition=condition,
         instance=instance,
-        times=windows[instance],
-        epsilon=float(eps[instance]),
-        cover_set=frozenset(range(instance, instance + stride * (length - 1) + 1, stride)),
+        times=windows[0],
+        epsilon=float(eps[0]),
+        cover_set=frozenset(range(instance, end, stride)),
     )
 
 

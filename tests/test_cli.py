@@ -113,7 +113,7 @@ class TestSynthCommand:
             "synth", "--scenario", str(path), "--out-ref", str(ref),
             "--out-est", str(est), "--out-act", str(act), "--fps", "0",
         ])
-        assert code == 2
+        assert code == 1
         assert "fps must be finite and > 0" in capsys.readouterr().err
         assert not ref.exists() and not est.exists() and not act.exists()
 
@@ -353,6 +353,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: beatcover {command} ")
         assert f"beatcover {command}: error: argument {flag}: must be finite, got '{value}'\n" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--fps", "0", "fps must be finite and > 0, got 0.0"),
+            ("--fps", "-1", "fps must be finite and > 0, got -1.0"),
+            ("--tempo", "0", "tempo must be finite and > 0, got 0.0"),
+            ("--tempo", "-5", "tempo must be finite and > 0, got -5.0"),
+            ("--min-gap", "-1", "min_gap must be >= 0, got -1.0"),
+        ],
+    )
+    def test_out_of_range_number_flag_is_usage_error(self, tmp_path, flag, value, reason, capsys):
+        # real inputs, so only the flag can stop the run
+        outs = [tmp_path / name for name in ("r.beats", "e.beats", "o.act")]
+        if flag == "--fps":
+            command = "synth"
+            argv = ["synth", "--scenario", str(write_scenario(tmp_path)), "--out-ref", str(outs[0]),
+                    "--out-est", str(outs[1]), "--out-act", str(outs[2])]
+        else:
+            command = "track"
+            act = tmp_path / "a.act"
+            write_activation_file(gen_activation(gen_reference(120, 6.0)), act)
+            ppt = "dp" if flag == "--tempo" else "sppk"
+            argv = ["track", "--activation", str(act), "--ppt", ppt, "--out", str(outs[0])]
+        assert run_cli(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: beatcover {command} ")
+        assert f"beatcover {command}: error: argument {flag}: {reason}\n" in err
+        assert not any(out.exists() for out in outs)
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0

@@ -158,6 +158,18 @@ class TestContinuity:
         assert continuity_correct(BeatSequence(ref), BeatSequence(est), 0.05).tolist() == [True]
         assert cmlt(BeatSequence(ref), BeatSequence(est), 0.05) == 0.5
 
+    def test_later_candidate_in_band_passes(self):
+        # gamma = 0.6 on 1 s intervals: estimate 2.5 s is in phase with
+        # reference beats 2 and 3, so both are in its band.  Beat 2 fails
+        # (the previous estimate, 1.8 s, is 0.8 s from beat 1); beat 3
+        # passes (1.8 s is in phase with beat 2, and 0.7 s is near 1 s).
+        ref, est = [0.0, 1.0, 2.0, 3.0, 4.0], [1.8, 2.5]
+        assert all(abs(est[1] - ref[i]) <= 0.6 for i in (2, 3))
+        assert oracles.oracle_continuity(ref, est, 0.6) == [True, True]
+        # moved out of phase, beat 3 leaves only the failing candidate
+        assert oracles.oracle_continuity(ref[:3] + [3.7], est, 0.6) == [True, False]
+        assert continuity_correct(BeatSequence(ref), BeatSequence(est), 0.6).tolist() == [True, True]
+
     def test_matches_oracle_on_seeded_edge_cases(self, rng):
         """Tempo drops, first beats near 0 s, estimates within 2 ulps of a phase edge."""
         for case in range(2000):

@@ -216,3 +216,22 @@ class TestDispatchAndEnumeration:
                 assert np.allclose(win.times, times, atol=1e-12)
                 assert win.cover_set == frozenset(cover)
                 assert win.epsilon == pytest.approx(eps, rel=1e-12)
+
+    def test_single_window_is_its_table_row(self, rng):
+        """Bit for bit, under changing tempo, at every anchor, None past the last row."""
+        for _ in range(20):
+            ibis = 60.0 / rng.uniform(50.0, 220.0, size=int(rng.integers(1, 24)))
+            beats = BeatSequence(rng.uniform(0.0, 3.0) + np.concatenate([[0.0], np.cumsum(ibis)]))
+            for length in range(2, 6):
+                params = ToleranceParams(context=length)
+                for condition in Condition:
+                    windows, eps, stride = window_table(beats.times, condition, length, params)
+                    for i in range(len(beats)):
+                        win = variant_window(beats, i, condition, params)
+                        if i >= len(windows):
+                            assert win is None
+                            continue
+                        assert (win.condition, win.instance) == (condition, i)
+                        assert win.times.tobytes() == windows[i].tobytes()
+                        assert np.float64(win.epsilon).tobytes() == eps[i].tobytes()
+                        assert win.cover_set == frozenset(range(i, i + stride * length, stride))
