@@ -9,10 +9,14 @@ Matching works on whole window tables (see
 :func:`beatcover.variants.window_table`): one private matcher finds,
 for every row at once, the first estimated beat where the row matches.
 Coverage, L-correct detection and the single-window
-:func:`window_match` all go through it.  The matcher is one use of a
-band search, :func:`_first_in_band`, that finds for every row the first
-candidate in a sorted band that passes a check; the continuity metrics
-(:func:`beatcover.metrics.continuity_correct`) are the other.
+:func:`window_match` all go through it.  Coverage stacks the tables of
+the conditions whose windows have the same span, so a short track costs
+one matcher call per span (four at the default context), not one per
+condition.  The matcher is one use of a band search,
+:func:`_first_in_band`, that finds for every row the first candidate in
+a sorted band that passes a check; the continuity metrics
+(:func:`beatcover.metrics.continuity_correct` and AMLt, which checks all
+of its variants in one search) are the other.
 """
 
 from __future__ import annotations
@@ -36,19 +40,29 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
 
 
+# Most rows that coverage and AMLt stack into one band search.  Stacking
+# the rows of several conditions or variants saves per-call overhead on
+# short tracks; on long tracks, where one table already has thousands of
+# rows, bigger stacks save nothing and only hold more memory.
+_BLOCK_ROWS = 4096
+
+
 def _first_in_band(lo: np.ndarray, hi: np.ndarray, passes) -> np.ndarray:
     """Smallest ``k`` in ``[lo[r], hi[r])`` per row ``r`` with a pass, or -1.
 
     ``passes(rows, k)`` checks candidate ``k[n]`` of row ``rows[n]`` and
-    returns a Boolean array.  Each round tries the next candidate of
-    every row that has neither passed nor run out of band.
+    returns a Boolean array.  Each round tries the next candidate of the
+    rows that have neither passed nor run out of band, and drops the rest.
     """
     first = np.full(len(lo), -1, dtype=np.intp)
-    for offset in range(int((hi - lo).max(initial=0))):
-        rows = np.flatnonzero((first < 0) & (lo + offset < hi))
-        k = lo[rows] + offset
+    rows = np.flatnonzero(lo < hi)
+    k = lo[rows]
+    while len(rows):
         ok = passes(rows, k)
         first[rows[ok]] = k[ok]
+        k = k + 1
+        left = ~ok & (k < hi[rows])
+        rows, k = rows[left], k[left]
     return first
 
 
@@ -71,7 +85,7 @@ def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.nd
     return _first_in_band(lo, hi, aligned)
 
 
-def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> None:
+def _mark(flags: np.ndarray, starts: np.ndarray, stride: int | np.ndarray, count: int) -> None:
     flags[starts[:, None] + stride * np.arange(count)] = True
 
 
@@ -94,11 +108,30 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    rows = np.zeros((len(Condition), len(ref)), dtype=bool)
-    for condition, row in zip(Condition, rows):
-        windows, eps, stride = window_table(ref.times, condition, params.context, params)
-        _mark(row, np.flatnonzero(_first_match(windows, eps, est.times) >= 0), stride, params.context)
-    return CoverageMatrix(rows)
+    n, length = len(ref), params.context
+    flags = np.zeros(len(Condition) * n, dtype=bool)
+    stack = []  # tables to match together: (windows, eps, first flag, stride) per row
+
+    def match():
+        windows, eps, starts, strides = (np.concatenate(part) for part in zip(*stack))
+        hit = _first_match(windows, eps, est.times) >= 0
+        _mark(flags, starts[hit], strides[hit, None], length)
+        stack.clear()
+
+    # Consecutive tables are matched together while they share a span and
+    # fit in one block.  ``Condition`` lists the seven conditions of span
+    # ``length`` (onbeat, offbeats, subharmonics) before the three
+    # harmonics, whose spans differ, so a short track takes one matcher
+    # call per span.
+    for c, condition in enumerate(Condition):
+        windows, eps, stride = window_table(ref.times, condition, length, params)
+        rows = len(windows) + sum(len(table[0]) for table in stack)
+        if stack and (windows.shape[1] != stack[0][0].shape[1] or rows > _BLOCK_ROWS):
+            match()
+        # row i covers beats i + stride * arange(length) of flag row c
+        stack.append((windows, eps, np.arange(c * n, c * n + len(windows)), np.full(len(windows), stride)))
+    match()
+    return CoverageMatrix(flags.reshape(len(Condition), n))
 
 
 def l_correct_detection(

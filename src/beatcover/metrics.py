@@ -23,7 +23,7 @@ from .core import (
     ToleranceParams,
     _finite_positive,
 )
-from .matching import _first_in_band, _slack, coverage_matrix, l_correct_detection
+from .matching import _BLOCK_ROWS, _first_in_band, _slack, coverage_matrix, l_correct_detection
 from .variants import condition_taps
 
 __all__ = [
@@ -63,7 +63,8 @@ def f1_score(
         ValueError: ``window`` not finite and > 0.
     """
     _finite_positive("window", window)
-    r, e = ref.times, est.times
+    # Python floats are the same doubles, and far cheaper to index one by one.
+    r, e = ref.times.tolist(), est.times.tolist()
     matched = 0
     i = j = 0
     while i < len(r) and j < len(e):
@@ -76,6 +77,54 @@ def f1_score(
         else:
             i += 1
     return _prf(matched, len(r), matched, len(e))
+
+
+_NAN = np.array([np.nan])
+
+
+def _continuity(refs, e: np.ndarray, gamma: float) -> np.ndarray:
+    """Continuity flags of ``e`` against each of ``refs``, one row per reference.
+
+    Each reference is a strictly increasing array of at least two beats;
+    all of them are checked in one band search.
+    """
+    m = len(e)
+    # A NaN before each reference makes its first beat the start of a
+    # sequence: r[i - 1] and tol[i - 1] there fail every comparison.
+    r = np.concatenate([x for ref in refs for x in (_NAN, ref)])
+    sizes = np.array([len(ref) for ref in refs])
+    starts = np.cumsum(sizes + 1) - sizes
+    local = np.concatenate([_NAN, np.diff(r)])  # r[i] - r[i - 1]
+    local[starts] = local[starts + 1]  # the first beat borrows the following interval
+    tol = gamma * local
+    # Only reference beats whose phase edges r_i -/+ tol_i bracket e_j
+    # can pass, so each estimate gets a band [lo_j, hi_j) of candidates.
+    # The lower edges rise with i because gamma < 1; the upper edges
+    # fall where an interval shrinks by more than (1 + gamma) / gamma,
+    # so they are replaced by their running maximum (and the lower ones,
+    # against rounding, by their running minimum from the right), one
+    # reference at a time.
+    slack = _slack(tol, r)
+    upper, lower = r + tol + slack, r - tol - slack
+    lo, hi = [], []
+    for s, t in zip(starts, starts + sizes):
+        lo.append(s + np.searchsorted(np.maximum.accumulate(upper[s:t]), e, side="left"))
+        hi.append(s + np.searchsorted(np.minimum.accumulate(lower[s:t][::-1])[::-1], e, side="right"))
+
+    def in_phase(rows, i):
+        j = rows % m
+        ok = np.abs(e[j] - r[i]) <= tol[i]
+        # past the first estimate, estimate j - 1 must be in phase with
+        # reference beat i - 1, and the two intervals must agree
+        later = j > 0
+        jl, il = j[later], i[later]
+        ok[later] &= (np.abs(e[jl - 1] - r[il - 1]) <= tol[il - 1]) & (
+            np.abs((e[jl] - e[jl - 1]) - local[il]) <= tol[il]
+        )
+        return ok
+
+    found = _first_in_band(np.concatenate(lo), np.concatenate(hi), in_phase)
+    return (found >= 0).reshape(len(refs), m)
 
 
 def continuity_correct(
@@ -97,37 +146,10 @@ def continuity_correct(
         ValueError: ``gamma`` outside (0, 1).
         TooFewBeatsError: fewer than two reference beats.
     """
-    ToleranceParams(gamma=gamma)  # the band below needs 0 < gamma < 1
-    r, e = ref.times, est.times
-    if len(r) < 2:
+    ToleranceParams(gamma=gamma)  # the band needs 0 < gamma < 1
+    if len(ref) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    ibis = np.diff(r)
-    local = np.concatenate([ibis[:1], ibis])  # first beat borrows the following interval
-    tol = gamma * local
-    # Only reference beats whose phase edges r_i -/+ tol_i bracket e_j
-    # can pass, so each estimate gets a band [lo_j, hi_j) of candidates.
-    # The lower edges rise with i because gamma < 1; the upper edges
-    # fall where an interval shrinks by more than (1 + gamma) / gamma,
-    # so they are replaced by their running maximum (and the lower ones,
-    # against rounding, by their running minimum from the right).
-    slack = _slack(tol, r)
-    lo = np.searchsorted(np.maximum.accumulate(r + tol + slack), e, side="left")
-    hi = np.searchsorted(np.minimum.accumulate((r - tol - slack)[::-1])[::-1], e, side="right")
-
-    def in_phase(j, i):
-        ok = np.abs(e[j] - r[i]) <= tol[i]
-        # past the first estimate, reference beat i - 1 must exist and be
-        # in phase with estimate j - 1, and the two intervals must agree
-        later = j > 0
-        jl, il = j[later], i[later]
-        ok[later] &= (
-            (il > 0)
-            & (np.abs(e[jl - 1] - r[il - 1]) <= tol[il - 1])
-            & (np.abs((e[jl] - e[jl - 1]) - local[il]) <= tol[il])
-        )
-        return ok
-
-    return _first_in_band(lo, hi, in_phase) >= 0
+    return _continuity([ref.times], est.times, gamma)[0]
 
 
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
@@ -144,14 +166,19 @@ def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     return float(np.count_nonzero(correct)) / max(len(ref), len(est))
 
 
-# The whole-track levels AMLt allows (Davies, Degara & Plumbley 2009).
-_AMLT_CONDITIONS = (
-    Condition.ONBEAT,
-    Condition.OFFBEAT_HALF,
-    Condition.SUBHARMONIC_HALF,
-    Condition.SUBHARMONIC_THIRD,
-    Condition.HARMONIC_DOUBLE,
-    Condition.HARMONIC_TRIPLE,
+# The whole-track levels AMLt allows (Davies, Degara & Plumbley 2009),
+# each at every phase.
+_AMLT_VARIANTS = tuple(
+    (condition, phase)
+    for condition in (
+        Condition.ONBEAT,
+        Condition.OFFBEAT_HALF,
+        Condition.SUBHARMONIC_HALF,
+        Condition.SUBHARMONIC_THIRD,
+        Condition.HARMONIC_DOUBLE,
+        Condition.HARMONIC_TRIPLE,
+    )
+    for phase in range(CONDITION_STEPS.get(condition, 1))
 )
 
 
@@ -162,7 +189,9 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     tempo (each at every phase), double and triple tempo.  Variants
     with fewer than two beats are dropped, as are degenerate ones whose
     taps collapse onto each other (sub-ulp reference gaps); a reference
-    with fewer than two beats therefore scores 0.
+    with fewer than two beats therefore scores 0.  Each variant is
+    scored as :func:`cmlt` would score it; all of them are checked in
+    one band search, or on long tracks in a few blocks of rows.
 
     One variant is chosen for the entire piece; a tracker that switches
     level mid-track cannot score well here, which is exactly the blind
@@ -172,13 +201,14 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
         ValueError: ``gamma`` outside (0, 1).
     """
     ToleranceParams(gamma=gamma)  # checked even if no variant gets scored
-    best = 0.0
-    for condition in _AMLT_CONDITIONS:
-        for phase in range(CONDITION_STEPS.get(condition, 1)):
-            taps = condition_taps(ref.times[phase:], condition)
-            if len(taps) >= 2 and bool(np.all(np.diff(taps) > 0.0)):
-                best = max(best, cmlt(BeatSequence(taps), est, gamma))
-    return best
+    taps = (condition_taps(ref.times[phase:], condition) for condition, phase in _AMLT_VARIANTS)
+    variants = [t for t in taps if len(t) >= 2 and bool(np.all(np.diff(t) > 0.0))]
+    if not variants:
+        return 0.0
+    per_search = max(1, _BLOCK_ROWS // max(len(est), 1))  # variants, one row per estimate each
+    blocks = [variants[k : k + per_search] for k in range(0, len(variants), per_search)]
+    correct = np.concatenate([np.count_nonzero(_continuity(b, est.times, gamma), axis=1) for b in blocks])
+    return float(np.max(correct / np.maximum([len(t) for t in variants], len(est))))
 
 
 def l_correct_fmeasure(

@@ -10,13 +10,18 @@ import oracles
 from beatcover import (
     BeatSequence,
     Condition,
+    Scenario,
+    Segment,
     ToleranceParams,
     coverage_matrix,
+    gen_estimate,
+    gen_reference,
     l_correct_detection,
     subharmonic_variant,
     variant_window,
     window_match,
 )
+from beatcover.matching import _BLOCK_ROWS, _first_in_band
 from conftest import constant_beats, random_times
 
 
@@ -119,6 +124,65 @@ class TestCoverageMatrix:
                 )
                 for name, row in expected.items():
                     assert np.array_equal(cm.covered[Condition.parse(name)], row)
+
+    def test_stacked_blocks_match_single_windows(self):
+        """Every row, on a reference whose span-L tables need more than one block."""
+        duration = 330.0
+        ref = gen_reference([(0.0, 100.0), (duration, 160.0)], duration)
+        segments = tuple(Segment(start, c, 0.004) for start, c in zip(range(0, len(ref), 70), Condition))
+        est = gen_estimate(ref, Scenario([(0.0, 100.0), (duration, 160.0)], duration, segments), seed=3)
+        assert 7 * (len(ref) - 4) > _BLOCK_ROWS
+        for context in (2, 3, 4, 5):
+            params = ToleranceParams(context=context)
+            cm = coverage_matrix(ref, est, params)
+            for condition in Condition:
+                expected = np.zeros(len(ref), dtype=bool)
+                for anchor in range(len(ref)):
+                    window = variant_window(ref, anchor, condition, params)
+                    if window is not None and window_match(window, est) is not None:
+                        expected[list(window.cover_set)] = True
+                assert np.array_equal(cm.covered[condition], expected), (context, condition)
+            assert cm.rows.any(axis=1).all() and not cm.any_row.all()
+
+
+def brute_first_in_band(lo, hi, table):
+    """Smallest k in [lo[r], hi[r]) with table[r, k], or -1, one row at a time."""
+    return [next((k for k in range(lo[r], hi[r]) if table[r, k]), -1) for r in range(len(lo))]
+
+
+class TestFirstInBand:
+    def test_matches_brute_force_scan(self, rng):
+        for case in range(200):
+            n_rows, n_cand = int(rng.integers(0, 40)), int(rng.integers(1, 12))
+            lo = rng.integers(0, n_cand, size=n_rows)
+            # widths from -2 (an empty band with hi < lo) up to the whole range
+            hi = np.clip(lo + rng.integers(-2, n_cand + 1, size=n_rows), 0, n_cand)
+            table = rng.random((n_rows, n_cand)) < rng.choice([0.05, 0.3, 0.8])
+            seen = []
+
+            def passes(rows, k):
+                assert np.all((lo[rows] <= k) & (k < hi[rows]))
+                seen.append(len(rows))
+                return table[rows, k]
+
+            got = _first_in_band(lo, hi, passes)
+            assert got.tolist() == brute_first_in_band(lo, hi, table), case
+            # each row is tried at most once per candidate, and only until it passes
+            assert sum(seen) == sum(
+                (f - l + 1) if f >= 0 else max(h - l, 0) for l, h, f in zip(lo, hi, got)
+            )
+
+    def test_edge_rows(self):
+        lo = np.array([0, 2, 4, 1, 0, 3])
+        hi = np.array([0, 1, 8, 5, 4, 6])
+        table = np.zeros((6, 8), dtype=bool)
+        table[0, 0] = table[1, 1] = True  # out of band: rows 0 and 1 have empty bands
+        table[2, 7] = True  # passes only at its last candidate
+        table[4, [1, 2, 3]] = True  # several passes: the first counts
+        table[5, 2] = True  # row 5 passes only before its band: no pass
+        got = _first_in_band(lo, hi, lambda rows, k: table[rows, k])
+        assert got.tolist() == [-1, -1, 7, -1, 1, -1]
+        assert got.tolist() == brute_first_in_band(lo, hi, table)
 
 
 # A first reference beat under 2 * eps: ``w0 - e`` then rounds, and an

@@ -28,6 +28,9 @@ from beatcover import (
     mlsr,
     stable_tempi_percentage,
 )
+from beatcover.matching import _BLOCK_ROWS
+from beatcover.metrics import _AMLT_VARIANTS
+from beatcover.variants import condition_taps
 from conftest import constant_beats, random_times
 
 
@@ -280,6 +283,47 @@ class TestCmltAmlt:
             gamma = float(rng.choice([0.1, 0.175, 0.4]))
             expected = oracles.oracle_amlt(ref.times.tolist(), est.times.tolist(), gamma)
             assert amlt(ref, est, gamma) == expected
+
+    def test_variant_start_has_no_predecessor(self):
+        # Half tempo from the first beat taps [0.72, 2.01], and from the
+        # second beat [1.68, 2.73].  Estimate 1.86 is in phase with 1.68; if
+        # 1.68 had 2.01 as its predecessor, 1.52 would be in phase with it
+        # and the interval 0.34 s near enough to 1.05 s (gamma = 0.7), so
+        # that variant would score 2 / 2.  A variant's first tap has no
+        # predecessor: the best is 2 / 3, from the half offbeats.
+        ref, est = [0.72, 1.68, 2.01, 2.73], [1.52, 1.86]
+        assert abs(est[0] - 2.01) <= 0.7 * (2.01 - 0.72)
+        assert abs(est[1] - 1.68) <= 0.7 * 1.05 and abs((est[1] - est[0]) - 1.05) <= 0.7 * 1.05
+        assert oracles.oracle_continuity([1.68, 2.73], est, 0.7) == [True, False]
+        assert oracles.oracle_amlt(ref, est, 0.7) == 2 / 3
+        assert amlt(BeatSequence(ref), BeatSequence(est), 0.7) == 2 / 3
+
+    @pytest.mark.parametrize("est", [[], [1.0], [1.0, 1.5, 2.0], [1.2, 1.7, 2.5, 3.1]])
+    def test_amlt_skips_degenerate_variants(self, est):
+        # A sub-ulp gap collapses the double- and triple-tempo taps and
+        # leaves one-tap variants; they sit between the kept ones.
+        ref = [1.0, float(np.nextafter(1.0, 2.0)), 2.0, 3.0]
+        expected = oracles.oracle_amlt(ref, est)
+        assert amlt(BeatSequence(ref), BeatSequence(est)) == expected
+        assert amlt(BeatSequence(ref[1:3]), BeatSequence(est)) == oracles.oracle_amlt(ref[1:3], est)
+
+    def test_amlt_over_several_blocks_is_best_cmlt(self):
+        """A track whose variants fill several band searches."""
+        duration = 240.0
+        curve = [(0.0, 140.0), (duration, 110.0)]
+        ref = gen_reference(curve, duration)
+        segments = (
+            Segment(0, Condition.HARMONIC_TRIPLE, 0.003),
+            Segment(len(ref) // 3, Condition.HARMONIC_DOUBLE, 0.003),
+            Segment(2 * len(ref) // 3, Condition.OFFBEAT_HALF, 0.003),
+        )
+        est = gen_estimate(ref, Scenario(curve, duration, segments), seed=5)
+        variants = [condition_taps(ref.times[phase:], c) for c, phase in _AMLT_VARIANTS]
+        assert len(variants) * len(est) > 2 * _BLOCK_ROWS
+        for gamma in (0.1, 0.175, 0.6):
+            expected = max(cmlt(BeatSequence(taps), est, gamma) for taps in variants)
+            assert amlt(ref, est, gamma) == expected
+            assert cmlt(ref, est, gamma) < expected
 
     @given(ref_est_strategy())
     def test_amlt_dominates_cmlt(self, pair):
