@@ -97,21 +97,14 @@ def _curve_on_span(points, duration):
     and for a span that could hold more than ``_MAX_BEATS`` beats.
     """
     _finite_positive("duration", duration)
-    times = np.asarray([t for t, _ in points])
-    bpms = np.asarray([b for _, b in points])
-    knot_t = [0.0]
-    knot_b = [float(np.interp(0.0, times, bpms))]
-    for t, b in zip(times, bpms):
-        if 0.0 < t < duration:
-            knot_t.append(float(t))
-            knot_b.append(float(b))
-    knot_t.append(float(duration))
-    knot_b.append(float(np.interp(duration, times, bpms)))
-    if duration * max(knot_b) / 60.0 > _MAX_BEATS:
+    times, bpms = np.asarray(points).T
+    knot_t = np.concatenate(([0.0], times[(times > 0.0) & (times < duration)], [duration]))
+    knot_b = np.interp(knot_t, times, bpms)
+    if duration * knot_b.max() / 60.0 > _MAX_BEATS:
         raise ValueError(
-            f"duration {duration} s at up to {max(knot_b)} BPM could give more than {_MAX_BEATS} beats"
+            f"duration {duration} s at up to {knot_b.max()} BPM could give more than {_MAX_BEATS} beats"
         )
-    return knot_t, knot_b
+    return knot_t.tolist(), knot_b.tolist()
 
 
 def gen_reference(tempo_curve, duration: float) -> BeatSequence:
@@ -126,25 +119,24 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
     or one that at the curve's highest BPM gives over a million beats.
     """
     knot_t, knot_b = _curve_on_span(_normalize_curve(tempo_curve), duration)
-    beats: list[float] = []
+    beats = []
     phase = 0.0
-    next_beat = 0
     for t0, t1, b0, b1 in zip(knot_t[:-1], knot_t[1:], knot_b[:-1], knot_b[1:]):
         r0 = b0 / 60.0
         r1 = b1 / 60.0
         dt = t1 - t0
         slope = (r1 - r0) / dt
         segment_phase = 0.5 * (r0 + r1) * dt
-        while next_beat < phase + segment_phase:
-            target = next_beat - phase
-            if slope == 0.0:
-                x = target / r0
-            else:
-                x = (np.sqrt(r0 * r0 + 2.0 * slope * target) - r0) / slope
-            beats.append(t0 + x)
-            next_beat += 1
+        # beat k falls where the accumulated phase reaches k; the beats
+        # not yet placed start at ceil(phase), and arange yields exactly
+        # the integers below phase + segment_phase
+        target = np.arange(np.ceil(phase), phase + segment_phase) - phase
+        if slope == 0.0:
+            beats.append(t0 + target / r0)
+        else:
+            beats.append(t0 + (np.sqrt(r0 * r0 + 2.0 * slope * target) - r0) / slope)
         phase += segment_phase
-    return BeatSequence(np.asarray(beats))
+    return BeatSequence(np.concatenate(beats))
 
 
 def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSequence:
@@ -172,7 +164,7 @@ def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSe
         if seg.condition in OFFBEAT_CONDITIONS:
             end += 1
         times = condition_taps(ref.times[start:end], seg.condition)
-        if seg.jitter_std > 0 and len(times):
+        if seg.jitter_std > 0:
             sigma = seg.jitter_std
             noise = np.clip(rng.normal(0.0, sigma, len(times)), -3.0 * sigma, 3.0 * sigma)
             times = np.maximum(times + noise, 0.0)
@@ -181,9 +173,7 @@ def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSe
     if np.any(np.diff(out) < 0):
         warnings.warn("jitter broke monotonicity; estimate re-sorted", stacklevel=2)
         out = np.sort(out)
-    if len(out) > 1:
-        out = out[np.concatenate(([True], np.diff(out) != 0.0))]
-    return BeatSequence(out)
+    return BeatSequence(out[np.diff(out, prepend=-np.inf) != 0.0])
 
 
 def gen_activation(
