@@ -131,10 +131,10 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
         # not yet placed start at ceil(phase), and arange yields exactly
         # the integers below phase + segment_phase
         target = np.arange(np.ceil(phase), phase + segment_phase) - phase
-        if slope == 0.0:
-            beats.append(t0 + target / r0)
-        else:
-            beats.append(t0 + (np.sqrt(r0 * r0 + 2.0 * slope * target) - r0) / slope)
+        # the quadratic's root in the form that needs no division by the
+        # slope, so a near-flat ramp keeps its precision; at slope 0 it
+        # is exactly target / r0, because sqrt(r0 * r0) == r0
+        beats.append(t0 + 2.0 * target / (r0 + np.sqrt(r0 * r0 + 2.0 * slope * target)))
         phase += segment_phase
     return BeatSequence(np.concatenate(beats))
 

@@ -56,6 +56,24 @@ class TestGenReference:
         assert len(beats) == len(expected)
         assert np.allclose(beats.times, expected, atol=1e-3)
 
+    @pytest.mark.parametrize(
+        "curve, duration",
+        [
+            ([(0.0, 120.0), (30.0, 120.000000001)], 30.0),
+            (
+                [(0.0, 182.57474058181185), (25.548518390145524, 182.57474058181285)],
+                25.548518390145524,
+            ),
+        ],
+    )
+    def test_near_flat_ramp_keeps_precision(self, curve, duration):
+        # dividing by a slope near 1e-12 placed these beats up to 0.4 ms
+        # off, and put the second curve's beats out of order
+        beats = gen_reference(curve, duration).times
+        assert np.all(np.diff(beats) > 0)
+        grid = np.arange(len(beats)) * 60.0 / curve[0][1]
+        assert np.abs(beats - grid).max() <= 1e-9
+
     def test_piecewise_segments_integrate_to_same_count(self):
         # splitting a constant curve into knots must not change the beats
         flat = gen_reference(100, 8.0)
