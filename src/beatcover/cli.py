@@ -83,13 +83,6 @@ def _finite(text: str) -> float:
 _finite.__name__ = "float"  # argparse names it in "invalid float value"
 
 
-def _metric_groups(text: str) -> list[str]:
-    try:
-        return check_metric_groups(part.strip() for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="beatcover", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND", parser_class=_Parser)
@@ -103,7 +96,9 @@ def build_parser() -> _Parser:
                    help=f"tolerance cap in seconds (default {_DEFAULTS.cap:.3f})")
     p.add_argument("--gamma", type=_tolerance("gamma", float), default=_DEFAULTS.gamma,
                    help=f"tolerance/IBI ratio (default {_DEFAULTS.gamma:.3f})")
-    p.add_argument("--metrics", type=_metric_groups, default=None,
+    p.add_argument("--metrics", default=None,
+                   type=_checked(lambda text: [m for m in map(str.strip, text.split(",")) if m],
+                                 check_metric_groups),
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
     p.add_argument("--workers", type=int, default=1, help="has no effect: tracks are evaluated one at a time")
     p.add_argument("--out", required=True, help="output JSON path")

@@ -47,13 +47,9 @@ def _fmt(x: float) -> str:
 
 def _runs(row: np.ndarray):
     """Maximal runs of True as (first, last) index pairs."""
-    idx = np.flatnonzero(row)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, ends)]
+    # a run starts where the row rises and ends one before it falls
+    edges = np.flatnonzero(np.diff(row, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _tick_step(t_max: float) -> float:
