@@ -139,6 +139,15 @@ class TestEvalCommand:
         assert report["tracks"][0]["track_id"] == "a"
         assert "evaluated 1 track(s)" in capsys.readouterr().out
 
+    def test_unmatched_reference_is_a_warning(self, tmp_path, capsys):
+        ref_dir, est_dir = self.make_dirs(tmp_path)
+        (ref_dir / "b.beats").write_text((ref_dir / "a.beats").read_text())
+        out = tmp_path / "report.json"
+        code = run_cli(["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(out)])
+        assert code == 0
+        assert "warning: no estimate for reference 'b'" in capsys.readouterr().err
+        assert [t["track_id"] for t in json.loads(out.read_text())["tracks"]] == ["a"]
+
     def test_metrics_filter(self, tmp_path):
         ref_dir, est_dir = self.make_dirs(tmp_path)
         out = tmp_path / "report.json"
@@ -299,6 +308,10 @@ class TestStatsCommand:
         assert "tracks:" in out
         assert "105.00 BPM" in out
         assert "100.00 %" in out
+
+    def test_empty_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli(["stats", "--ref", str(tmp_path)]) == 2
+        assert "no reference tracks" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -252,3 +252,17 @@ class TestCoverageMatrix:
         assert np.array_equal(cm.any_row, rows.any(axis=0))
         assert np.array_equal(cm.offbeat_row, rows[offbeat].any(axis=0))
         assert CoverageMatrix.from_rows(cm.covered) == cm
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        BeatSequence([0.5]),
+        ActivationFunction(fps=10.0, values=[0.5]),
+        CoverageMatrix(np.ones((len(Condition), 1), dtype=bool)),
+    ],
+    ids=["beats", "activation", "coverage"],
+)
+def test_equality_with_another_type_is_false(value):
+    assert value != [0.5]
+    assert not value == "0.5"

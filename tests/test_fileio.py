@@ -73,6 +73,12 @@ class TestActivationFiles:
         with pytest.raises(MissingFpsError):
             parse_activation_file(path)
 
+    def test_comment_only_file_lacks_fps_header(self, tmp_path):
+        path = tmp_path / "a.act"
+        path.write_text("# no header, no frames\n\n")
+        with pytest.raises(MissingFpsError, match="missing 'fps=<rate>' header"):
+            parse_activation_file(path)
+
     def test_value_out_of_range(self, tmp_path):
         path = tmp_path / "a.act"
         path.write_text("fps=100\n0.5\n1.5\n")
@@ -164,6 +170,21 @@ class TestScenarioFiles:
         path.write_text("duration = 4\ntempo = 0:120, 8\nsegment = 0 onbeat\n")
         with pytest.raises(ParseError):
             parse_scenario_file(path)
+
+    @pytest.mark.parametrize("segment", ["0", "0 onbeat 0.01 extra"], ids=["one_field", "four_fields"])
+    def test_segment_field_count(self, tmp_path, segment):
+        path = tmp_path / "s.scenario"
+        path.write_text(f"duration = 4\ntempo = 120\nsegment = {segment}\n")
+        with pytest.raises(ParseError, match="segment needs") as err:
+            parse_scenario_file(path)
+        assert err.value.lineno == 3
+
+    def test_line_without_equals_sign(self, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text("duration = 4\ntempo 120\nsegment = 0 onbeat\n")
+        with pytest.raises(ParseError, match="expected 'key = value'") as err:
+            parse_scenario_file(path)
+        assert err.value.lineno == 2
 
     def test_semantic_errors_become_parse_errors(self, tmp_path):
         # validation inside Scenario (first segment must start at 0)

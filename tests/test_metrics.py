@@ -387,6 +387,11 @@ class TestAcrScores:
             assert scores.acr_any >= scores.acr_offbeat
             assert 0.0 <= scores.acr_any <= 1.0
 
+    def test_no_beats_scores_zero(self):
+        scores = acr_scores(CoverageMatrix(np.zeros((len(Condition), 0), dtype=bool)))
+        assert set(scores.per_condition.values()) == {0.0}
+        assert scores.acr_any == scores.acr_offbeat == 0.0
+
 
 class TestMlsr:
     def test_single_level_no_switch(self):

@@ -94,6 +94,11 @@ class TestEvaluateDataset:
         assert len(report.tracks) == 2
 
 
+def test_stats_need_a_reference():
+    with pytest.raises(NoPairsFoundError, match="no reference tracks"):
+        dataset_stats_from_refs([])
+
+
 class TestMeansAndStats:
     def test_means_are_means_of_rounded_track_values(self, tmp_path):
         ref_dir, est_dir = make_dataset(tmp_path)

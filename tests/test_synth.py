@@ -88,6 +88,15 @@ class TestGenReference:
         with pytest.raises(ValueError):
             gen_reference([(0.0, 100.0), (0.0, 120.0)], 4.0)
 
+    @pytest.mark.parametrize(
+        "curve, message",
+        [([], "at least one point"), ([(-1.0, 100.0), (2.0, 120.0)], "times must be >= 0")],
+        ids=["empty", "negative_time"],
+    )
+    def test_bad_curve_messages(self, curve, message):
+        with pytest.raises(ValueError, match=message):
+            gen_reference(curve, 4.0)
+
     def test_beat_count_is_bounded_before_generating(self):
         # 2e12 beats: the check must fire before any beat is placed
         with pytest.raises(ValueError, match="more than 1000000 beats"):
@@ -143,6 +152,10 @@ class TestScenarioValidation:
     def test_needs_a_segment(self):
         with pytest.raises(ValueError):
             Scenario(120, 4.0, ())
+
+    def test_segment_rejects_negative_start(self):
+        with pytest.raises(ValueError, match="segment start must be >= 0"):
+            Segment(-1, Condition.ONBEAT)
 
     def test_segment_rejects_negative_jitter(self):
         with pytest.raises(ValueError):

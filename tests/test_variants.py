@@ -9,6 +9,7 @@ from beatcover import (
     BeatSequence,
     Condition,
     ToleranceParams,
+    VariantWindow,
     WindowTooShortError,
     adaptive_epsilon,
     condition_taps,
@@ -175,6 +176,10 @@ class TestDispatchAndEnumeration:
     def test_instance_out_of_range(self):
         with pytest.raises(ValueError):
             variant_window(constant_beats(120, 4), 4, Condition.ONBEAT)
+
+    def test_window_needs_two_times(self):
+        with pytest.raises(WindowTooShortError, match="at least two times"):
+            VariantWindow(Condition.ONBEAT, 0, [0.5], 0.07, frozenset({0}))
 
     def test_two_beats_yield_only_onbeat_and_harmonics(self):
         times = BeatSequence([0.0, 0.5]).times

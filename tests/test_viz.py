@@ -101,3 +101,17 @@ class TestRenderCoverageSvg:
             if g.get("id") == "row-onbeat":
                 bars = [r for r in g.iter(f"{SVG}rect") if r.get("class") == "cover"]
                 assert len(bars) == 1
+
+    def test_axis_ticks_every_ten_minutes_past_an_hour(self):
+        ref = gen_reference(30, 3700.0)  # last beat at 3698 s
+        root = ET.fromstring(render_coverage_svg(coverage_matrix(ref, ref), ref))
+        axis = next(g for g in root.iter(f"{SVG}g") if g.get("id") == "time-axis")
+        labels = [e.text for e in axis.iter(f"{SVG}text")]
+        assert labels[:-1] == [f"{600.0 * k:.1f}" for k in range(7)]
+
+    def test_single_beat_at_zero_without_panel(self):
+        # the time axis would span 0 s; it falls back to 1 s
+        ref = BeatSequence([0.0])
+        root = ET.fromstring(render_coverage_svg(coverage_matrix(ref, ref), ref))
+        axis = next(g for g in root.iter(f"{SVG}g") if g.get("id") == "time-axis")
+        assert [e.text for e in axis.iter(f"{SVG}text")][:-1] == ["0.0", "0.5", "1.0"]
