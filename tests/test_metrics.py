@@ -23,6 +23,7 @@ from beatcover import (
     f1_score,
     gen_estimate,
     gen_reference,
+    l_correct_detection,
     l_correct_fmeasure,
     mean_track_tempo,
     mlsr,
@@ -504,3 +505,54 @@ class TestEvaluateTrack:
         assert report.acr_any == round(scores.acr_any, 6)
         assert report.acr[Condition.HARMONIC_DOUBLE] == 1.0
         assert report.acr[Condition.ONBEAT] == 0.0
+
+
+def scale_case(rng, case):
+    """(ref, est, params) for the scale-by-two test.
+
+    References start at 0 s, within 0.1 s of it, or later, and hold
+    2 to 40 beats at a steady or drifting tempo.  Estimates are random,
+    jittered, offbeat or quantized to a 10 ms grid, the last so that
+    many residuals land on a tolerance boundary.
+    """
+    n = int(rng.integers(2, 41))
+    start = (0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 5.0))[case % 3]
+    ibis = rng.uniform(0.25, 1.2) * (1.0 if case % 2 else rng.uniform(0.8, 1.25, n - 1))
+    ref = start + np.concatenate([[0.0], np.cumsum(np.broadcast_to(ibis, n - 1))])
+    kind = case % 4
+    if kind == 0:
+        est = rng.uniform(0.0, ref[-1] + 1.0, size=int(rng.integers(0, 2 * n)))
+    else:
+        taps = condition_taps(ref, Condition.OFFBEAT_HALF) if kind == 2 else ref
+        est = taps + rng.normal(0.0, rng.choice([0.005, 0.02, 0.06]), len(taps))
+        if kind == 3:
+            est = np.round(est, 2)
+    est = np.unique(est[est >= 0.0])
+    params = ToleranceParams(
+        cap=rng.choice([0.02, 0.07, 0.5]),
+        gamma=rng.choice([0.05, 0.175, 0.6, 0.9]),
+        context=int(rng.integers(2, 5)),
+    )
+    return BeatSequence(ref), BeatSequence(est), params
+
+
+def test_scaling_all_times_by_two_changes_no_result(rng):
+    """Doubling every time, cap and the F1 window is exact in binary
+    floating point, and so is every difference, mean, gamma product and
+    ulp slack computed from them; every result must be equal bit for bit."""
+    for case in range(600):
+        ref, est, params = scale_case(rng, case)
+        ref2, est2 = BeatSequence(2.0 * ref.times), BeatSequence(2.0 * est.times)
+        params2 = ToleranceParams(2.0 * params.cap, params.gamma, params.context)
+        assert np.array_equal(
+            coverage_matrix(ref, est, params).rows, coverage_matrix(ref2, est2, params2).rows
+        ), case
+        if len(ref) >= params.context:
+            for a, b in zip(l_correct_detection(ref, est, params), l_correct_detection(ref2, est2, params2)):
+                assert np.array_equal(a, b), case
+        assert np.array_equal(
+            continuity_correct(ref, est, params.gamma), continuity_correct(ref2, est2, params.gamma)
+        ), case
+        assert cmlt(ref, est, params.gamma) == cmlt(ref2, est2, params.gamma), case
+        assert amlt(ref, est, params.gamma) == amlt(ref2, est2, params.gamma), case
+        assert f1_score(ref, est, params.cap) == f1_score(ref2, est2, params2.cap), case
