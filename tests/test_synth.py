@@ -87,15 +87,10 @@ class TestGenReference:
             gen_reference(-5, 4.0)
         with pytest.raises(ValueError):
             gen_reference([(0.0, 100.0), (0.0, 120.0)], 4.0)
-
-    @pytest.mark.parametrize(
-        "curve, message",
-        [([], "at least one point"), ([(-1.0, 100.0), (2.0, 120.0)], "times must be >= 0")],
-        ids=["empty", "negative_time"],
-    )
-    def test_bad_curve_messages(self, curve, message):
-        with pytest.raises(ValueError, match=message):
-            gen_reference(curve, 4.0)
+        with pytest.raises(ValueError, match="at least one point"):
+            gen_reference([], 4.0)
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            gen_reference([(-1.0, 100.0), (2.0, 120.0)], 4.0)
 
     def test_beat_count_is_bounded_before_generating(self):
         # 2e12 beats: the check must fire before any beat is placed
