@@ -82,6 +82,9 @@ def _finite(text: str) -> float:
 
 _finite.__name__ = "float"  # argparse names it in "invalid float value"
 
+# argparse type for --metrics: comma-separated group names, each checked
+_metric_list = _checked(lambda text: [m for m in map(str.strip, text.split(",")) if m], check_metric_groups)
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="beatcover", description=__doc__.splitlines()[0])
@@ -96,9 +99,7 @@ def build_parser() -> _Parser:
                    help=f"tolerance cap in seconds (default {_DEFAULTS.cap:.3f})")
     p.add_argument("--gamma", type=_tolerance("gamma", float), default=_DEFAULTS.gamma,
                    help=f"tolerance/IBI ratio (default {_DEFAULTS.gamma:.3f})")
-    p.add_argument("--metrics", default=None,
-                   type=_checked(lambda text: [m for m in map(str.strip, text.split(",")) if m],
-                                 check_metric_groups),
+    p.add_argument("--metrics", type=_metric_list, default=None,
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
     p.add_argument("--workers", type=int, default=1, help="has no effect: tracks are evaluated one at a time")
     p.add_argument("--out", required=True, help="output JSON path")
