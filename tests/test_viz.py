@@ -26,6 +26,12 @@ def render_parsed(**kwargs):
     return text, ET.fromstring(text), ref, est, cm
 
 
+def axis_labels(text):
+    """Tick labels of the time axis, without its "time (s)" title."""
+    axis = next(g for g in ET.fromstring(text).iter(f"{SVG}g") if g.get("id") == "time-axis")
+    return [e.text for e in axis.iter(f"{SVG}text")][:-1]
+
+
 class TestRenderCoverageSvg:
     def test_is_well_formed_svg(self):
         text, root, *_ = render_parsed()
@@ -104,14 +110,11 @@ class TestRenderCoverageSvg:
 
     def test_axis_ticks_every_ten_minutes_past_an_hour(self):
         ref = gen_reference(30, 3700.0)  # last beat at 3698 s
-        root = ET.fromstring(render_coverage_svg(coverage_matrix(ref, ref), ref))
-        axis = next(g for g in root.iter(f"{SVG}g") if g.get("id") == "time-axis")
-        labels = [e.text for e in axis.iter(f"{SVG}text")]
-        assert labels[:-1] == [f"{600.0 * k:.1f}" for k in range(7)]
+        labels = axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))
+        assert labels == [f"{600.0 * k:.1f}" for k in range(7)]
 
     def test_single_beat_at_zero_without_panel(self):
         # the time axis would span 0 s; it falls back to 1 s
         ref = BeatSequence([0.0])
-        root = ET.fromstring(render_coverage_svg(coverage_matrix(ref, ref), ref))
-        axis = next(g for g in root.iter(f"{SVG}g") if g.get("id") == "time-axis")
-        assert [e.text for e in axis.iter(f"{SVG}text")][:-1] == ["0.0", "0.5", "1.0"]
+        labels = axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))
+        assert labels == ["0.0", "0.5", "1.0"]
