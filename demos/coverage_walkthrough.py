@@ -13,12 +13,11 @@ from beatcover import (
     BeatSequence,
     Condition,
     acr_scores,
-    adaptive_epsilon,
     coverage_matrix,
     evaluate_track,
     gen_reference,
-    subharmonic_variant,
     variant_window,
+    window_table,
 )
 
 # 12 seconds of 120 BPM gives 24 annotated beats, half a second apart
@@ -64,6 +63,8 @@ print(f"  tolerance {win.epsilon:.4f} s (1.0 s strides, so the 0.070 s cap rules
 fast = gen_reference(240.0, 4.0)
 tight = variant_window(fast, 0, Condition.ONBEAT)
 print(f"onbeat window at 240 BPM: tolerance {tight.epsilon:.4f} s")
-print(f"direct check: {adaptive_epsilon(tight.times):.4f} s")
+# a single window is one row of the condition's whole table
+_, eps, _ = window_table(fast.times, Condition.ONBEAT, 2)
+print(f"direct check: {eps[0]:.4f} s")
 print(f"subharmonic step 2 there still spans 0.5 s gaps: "
-      f"{subharmonic_variant(fast, 0, 2, 2).epsilon:.4f} s")
+      f"{variant_window(fast, 0, Condition.SUBHARMONIC_HALF).epsilon:.4f} s")

@@ -23,6 +23,11 @@ __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activati
 # place; it stops a huge duration or tempo before the beat list grows.
 _MAX_BEATS = 1_000_000
 
+# Lowest accepted BPM.  Below about 1e-152 the squared beat rate in
+# gen_reference underflows and constant-tempo beats leave the 60 / bpm
+# grid; the floor keeps a wide margin above that.
+_MIN_BPM = 1e-100
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -44,7 +49,8 @@ class Scenario:
     """A tempo curve plus the scripted per-segment tap behavior.
 
     tempo_curve: a single BPM value for constant tempo, or a sequence
-        of (time, bpm) knots interpolated linearly in between.
+        of (time, bpm) knots interpolated linearly in between; every
+        BPM is at least 1e-100.
     duration: seconds of material to generate beats for; duration times
         the curve's highest BPM over [0, duration], divided by 60, may
         not exceed one million beats.
@@ -85,8 +91,8 @@ def _normalize_curve(tempo_curve) -> tuple[tuple[float, float], ...]:
         raise ValueError("tempo curve times must be >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("tempo curve times must be strictly increasing")
-    if any(bpm <= 0 for _, bpm in points):
-        raise ValueError("tempo curve BPM values must be > 0")
+    if any(bpm < _MIN_BPM for _, bpm in points):
+        raise ValueError(f"tempo curve BPM values must be >= {_MIN_BPM:g}")
     return points
 
 
@@ -115,8 +121,9 @@ def gen_reference(tempo_curve, duration: float) -> BeatSequence:
     count is quadratic in time and each beat time solves a quadratic;
     for constant tempo the intervals are exactly 60/bpm.
 
-    Raises ValueError for a duration that is not finite and positive,
-    or one that at the curve's highest BPM gives over a million beats.
+    Raises ValueError for a BPM below 1e-100, for a duration that is
+    not finite and positive, or one that at the curve's highest BPM
+    gives over a million beats.
     """
     knot_t, knot_b = _curve_on_span(_normalize_curve(tempo_curve), duration)
     beats = []

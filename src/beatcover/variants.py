@@ -13,14 +13,15 @@ use it directly.  :func:`window_table` cuts those taps into every
 window of a sequence at once, one row per anchor beat, and gives each
 row its tolerance, the one adaptive tolerance formula.  Windows near
 the end of the sequence that would need beats beyond the last
-annotation do not exist and get no row.  The single-window builders
-below are thin wrappers over it that return a :class:`VariantWindow`,
-or None where the table has no row; each builds the table of only the
-few beats its window reads.
+annotation do not exist and get no row.  :func:`variant_window` is
+the one single-window view: one row of that table as a
+:class:`VariantWindow`, or None where the table has no row, built from
+the table of only the few beats the window reads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,6 @@ __all__ = [
     "VariantWindow",
     "condition_taps",
     "window_table",
-    "adaptive_epsilon",
-    "subharmonic_variant",
-    "harmonic_variant",
-    "offbeat_variant",
     "variant_window",
 ]
 
@@ -108,8 +105,13 @@ def window_table(
     An offbeat row needs beat ``i + length`` for its last interval.
 
     Raises:
+        ValueError: ``length`` is not an integer.
         WindowTooShortError: ``length`` is below 2.
     """
+    try:
+        length = operator.index(length)
+    except TypeError:
+        raise ValueError(f"window length must be an integer, got {length!r}") from None
     if length < 2:
         raise WindowTooShortError(f"window length must be >= 2, got {length}")
     stride = CONDITION_STEPS.get(condition, 1)
@@ -122,37 +124,29 @@ def window_table(
     return windows, eps, stride
 
 
-def adaptive_epsilon(times, params: ToleranceParams = ToleranceParams()) -> float:
-    """Matching tolerance for one window: min(cap, gamma * mean interval).
+def variant_window(
+    beats: BeatSequence,
+    instance: int,
+    condition: Condition,
+    params: ToleranceParams = ToleranceParams(),
+) -> VariantWindow | None:
+    """The window of one condition anchored at beat ``instance``, or None.
 
-    Slow passages get a wide but capped tolerance; fast subdivided
-    windows get a proportionally tight one.
+    The window is row ``instance`` of :func:`window_table` with length
+    ``params.context``, or None where the table has no such row.
 
     Raises:
-        WindowTooShortError: fewer than two times, so no interval exists.
+        ValueError: ``instance`` is not the index of a beat.
     """
-    return float(window_table(times, Condition.ONBEAT, np.size(times), params)[1][0])
-
-
-def _condition_for(name: str, value, table: dict) -> Condition:
-    # Matched with ==, as dict membership did: 2.0 selects half tempo.
-    for condition, parameter in table.items():
-        if parameter == value:
-            return condition
-    raise ValueError(f"{name} must be one of {sorted(table.values())}, got {value}")
-
-
-def _window_at(
-    beats: BeatSequence, instance: int, length: int, condition: Condition, tol: ToleranceParams
-) -> VariantWindow | None:
     if not 0 <= instance < len(beats):
         raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
     # The window reads beats ``instance`` to ``end - 1``, and an offbeat
     # window also beat ``end``; the table of just those beats has it as
     # row 0, so one window costs O(length), not a whole-sequence table.
+    length = params.context
     stride = CONDITION_STEPS.get(condition, 1)
     end = instance + stride * (length - 1) + 1
-    windows, eps, _ = window_table(beats.times[instance : end + 1], condition, length, tol)
+    windows, eps, _ = window_table(beats.times[instance : end + 1], condition, length, params)
     if not len(windows):
         return None
     return VariantWindow(
@@ -162,69 +156,3 @@ def _window_at(
         epsilon=float(eps[0]),
         cover_set=frozenset(range(instance, end, stride)),
     )
-
-
-def subharmonic_variant(
-    beats: BeatSequence,
-    instance: int,
-    length: int,
-    step: int,
-    tol: ToleranceParams = ToleranceParams(),
-) -> VariantWindow | None:
-    """Window of every ``step``-th beat starting at ``instance``.
-
-    step=1 is the plain onbeat window; steps 2..4 model tapping at a
-    half, third, or quarter of the annotated tempo.  Returns None when
-    the last required beat index falls outside the sequence.
-    """
-    condition = _condition_for("step", step, CONDITION_STEPS)
-    return _window_at(beats, instance, length, condition, tol)
-
-
-def harmonic_variant(
-    beats: BeatSequence,
-    instance: int,
-    length: int,
-    factor: int,
-    tol: ToleranceParams = ToleranceParams(),
-) -> VariantWindow | None:
-    """Window with ``factor - 1`` extra taps interpolated into each interval.
-
-    Models tapping at 2x, 3x, or 4x the annotated tempo.  A window over
-    ``length`` anchor beats has ``length + (factor - 1) * (length - 1)``
-    times, but only the anchors appear in the cover set: the interpolated
-    taps exist to verify the faster pulse, not to credit extra beats.
-    Returns None when the anchors run past the end of the sequence.
-    """
-    condition = _condition_for("factor", factor, CONDITION_FACTORS)
-    return _window_at(beats, instance, length, condition, tol)
-
-
-def offbeat_variant(
-    beats: BeatSequence,
-    instance: int,
-    length: int,
-    fraction: float,
-    tol: ToleranceParams = ToleranceParams(),
-) -> VariantWindow | None:
-    """Window of taps displaced ``fraction`` of the way into each interval.
-
-    fraction must be one of 1/2, 1/3, 2/3.  Each of the ``length`` taps
-    needs the interval after its anchor beat, so the window additionally
-    requires beat ``instance + length`` to exist; returns None otherwise.
-    """
-    condition = _condition_for("fraction", fraction, CONDITION_FRACTIONS)
-    return _window_at(beats, instance, length, condition, tol)
-
-
-def variant_window(
-    beats: BeatSequence,
-    instance: int,
-    condition: Condition,
-    params: ToleranceParams = ToleranceParams(),
-) -> VariantWindow | None:
-    """Build the window for one condition at one anchor, or None.
-
-    The window length is ``params.context``.
-    """
-    return _window_at(beats, instance, params.context, condition, params)

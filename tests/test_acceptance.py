@@ -20,22 +20,20 @@ from beatcover import (
     Segment,
     ToleranceParams,
     acr_scores,
-    adaptive_epsilon,
     coverage_matrix,
     dp_track,
     evaluate_track,
     gen_activation,
     gen_estimate,
     gen_reference,
-    harmonic_variant,
     mlsr,
-    offbeat_variant,
     sppk,
     stable_tempi_percentage,
-    subharmonic_variant,
     variant_window,
+    window_table,
 )
 from beatcover.cli import main as cli_main
+from beatcover.core import CONDITION_FACTORS, CONDITION_FRACTIONS, CONDITION_STEPS
 from conftest import constant_beats, random_times
 
 
@@ -195,23 +193,27 @@ def test_c6_window_shapes_and_epsilon():
     """Window sizes and the adaptive tolerance obey their closed forms."""
     beats = constant_beats(100, 40)
     for length in (2, 3, 4, 5, 6):
-        for factor in (2, 3, 4):
-            win = harmonic_variant(beats, 3, length, factor)
+        params = ToleranceParams(context=length)
+        for condition, factor in CONDITION_FACTORS.items():
+            win = variant_window(beats, 3, condition, params)
             assert len(win) == length + (factor - 1) * (length - 1)
             assert len(win.cover_set) == length
-        for step in (1, 2, 3, 4):
-            win = subharmonic_variant(beats, 3, length, step)
+        for condition, step in CONDITION_STEPS.items():
+            win = variant_window(beats, 3, condition, params)
             assert len(win) == length
             assert max(win.cover_set) - min(win.cover_set) == step * (length - 1)
-        for fraction in (0.5, 1.0 / 3.0, 2.0 / 3.0):
-            win = offbeat_variant(beats, 3, length, fraction)
+        for condition in CONDITION_FRACTIONS:
+            win = variant_window(beats, 3, condition, params)
             assert len(win) == length
             assert len(win.cover_set) == length
 
-    # hand-checked tolerance values
-    assert abs(adaptive_epsilon([0.0, 0.25, 0.50]) - 0.04375) <= 1e-12
-    assert abs(adaptive_epsilon([0.0, 0.50, 1.00]) - 0.070) <= 1e-12
-    assert abs(adaptive_epsilon([0.0, 0.40, 0.80]) - 0.070) <= 1e-12
+    # hand-checked tolerance values of one three-beat onbeat window
+    for times, expected in (
+        ([0.0, 0.25, 0.50], 0.04375),
+        ([0.0, 0.50, 1.00], 0.070),
+        ([0.0, 0.40, 0.80], 0.070),
+    ):
+        assert abs(window_table(times, Condition.ONBEAT, 3)[1][0] - expected) <= 1e-12
 
     # and the closed form on random windows, to 1e-12
     rng = np.random.default_rng(66)

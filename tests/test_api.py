@@ -9,7 +9,7 @@ MODULE_NAMES = ("core", "fileio", "matching", "metrics", "report", "synth", "tra
 MODULES = [importlib.import_module(f"beatcover.{name}") for name in MODULE_NAMES]
 
 # The names beatcover exported while __init__.py still listed them by
-# hand; none may disappear.
+# hand; none may disappear except on purpose, as RETIRED_NAMES did.
 EARLIER_NAMES = """
     AcrScores ActivationFunction BeatSequence BeatcoverError Condition
     CoverageMatrix DatasetReport DatasetStats DegenerateTempoError
@@ -17,15 +17,19 @@ EARLIER_NAMES = """
     NoPairsFoundError NonMonotonicError OFFBEAT_CONDITIONS ParseError SCHEMA_VERSION
     Scenario Segment StemCollisionError ToleranceParams TooFewBeatsError TrackReport
     ValueOutOfRangeError VariantWindow WindowTooShortError __version__ acr_scores
-    adaptive_epsilon amlt cmlt compute_means condition_taps continuity_correct
+    amlt cmlt compute_means condition_taps continuity_correct
     coverage_matrix dataset_stats_from_refs dp_track evaluate_dataset evaluate_track
     f1_score gen_activation gen_estimate gen_reference global_tempo_from_reference
-    harmonic_variant l_correct_detection l_correct_fmeasure mean_track_tempo mlsr
-    offbeat_variant parse_activation_file parse_beats_file parse_report
+    l_correct_detection l_correct_fmeasure mean_track_tempo mlsr
+    parse_activation_file parse_beats_file parse_report
     parse_scenario_file read_report render_coverage_svg serialize_report sppk
-    stable_tempi_percentage subharmonic_variant validate_beats variant_window
+    stable_tempi_percentage validate_beats variant_window
     window_match window_table write_activation_file write_beats_file write_report
 """.split()
+
+# Window builders keyed by step, factor or fraction, and the one-window
+# tolerance; window_table and variant_window give the same windows.
+RETIRED_NAMES = ("subharmonic_variant", "harmonic_variant", "offbeat_variant", "adaptive_epsilon")
 
 
 def test_no_name_is_public_in_two_modules():
@@ -52,5 +56,10 @@ def test_star_import_binds_exactly_all():
 
 
 def test_earlier_names_are_kept():
-    assert len(EARLIER_NAMES) == 68
+    assert len(EARLIER_NAMES) == 64
     assert set(EARLIER_NAMES) <= set(beatcover.__all__)
+
+
+def test_retired_names_are_gone():
+    for module in (beatcover, beatcover.variants):
+        assert [name for name in RETIRED_NAMES if hasattr(module, name)] == [], module.__name__

@@ -106,6 +106,17 @@ class TestSynthCommand:
         assert f"{path}: " in err and "more than 1000000 beats" in err
         assert not (tmp_path / "r").exists()
 
+    def test_bpm_below_floor_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "duration = 6e163\ntempo = 1e-160\nsegment = 0 onbeat\n")
+        code = run_cli([
+            "synth", "--scenario", str(path),
+            "--out-ref", str(tmp_path / "r"), "--out-est", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "BPM values must be >= 1e-100" in err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_fps_writes_no_output(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         ref, est, act = (tmp_path / name for name in ("r.beats", "e.beats", "a.act"))

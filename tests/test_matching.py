@@ -17,12 +17,15 @@ from beatcover import (
     gen_estimate,
     gen_reference,
     l_correct_detection,
-    subharmonic_variant,
     variant_window,
     window_match,
 )
 from beatcover.matching import _BLOCK_ROWS, _first_in_band
 from conftest import constant_beats, random_times
+
+
+def onbeat_window(times, length=3):
+    return variant_window(BeatSequence(times), 0, Condition.ONBEAT, ToleranceParams(context=length))
 
 
 def times_strategy(max_size=30, span=15.0):
@@ -36,20 +39,20 @@ def times_strategy(max_size=30, span=15.0):
 
 class TestWindowMatch:
     def test_finds_smallest_offset(self):
-        win = subharmonic_variant(BeatSequence([1.0, 1.5, 2.0]), 0, 3, 1)
+        win = onbeat_window([1.0, 1.5, 2.0])
         est = BeatSequence([0.2, 0.98, 1.52, 1.99])
         assert win.epsilon == pytest.approx(0.070)
         assert window_match(win, est) == 1
 
     def test_one_tap_out_of_tolerance_fails(self):
-        win = subharmonic_variant(BeatSequence([1.0, 1.5, 2.0]), 0, 3, 1)
+        win = onbeat_window([1.0, 1.5, 2.0])
         est = BeatSequence([0.98, 1.62, 1.99])
         assert window_match(win, est) is None
 
     def test_distance_exactly_epsilon_matches(self):
         # closed comparison: landing on the tolerance boundary still
         # counts; an exactly representable epsilon keeps this test exact
-        win = subharmonic_variant(BeatSequence([0.0, 0.25, 0.5]), 0, 3, 1)
+        win = onbeat_window([0.0, 0.25, 0.5])
         win = replace(win, epsilon=0.0625)
         est = BeatSequence([0.0625, 0.3125, 0.5625])
         assert window_match(win, est) == 0
@@ -59,12 +62,12 @@ class TestWindowMatch:
     def test_gap_in_estimate_breaks_the_run(self):
         # taps must be consecutive estimated beats; an extra beat in
         # between shifts the run and breaks the alignment
-        win = subharmonic_variant(BeatSequence([0.0, 0.5, 1.0]), 0, 3, 1)
+        win = onbeat_window([0.0, 0.5, 1.0])
         est = BeatSequence([0.0, 0.25, 0.5, 1.0])
         assert window_match(win, est) is None
 
     def test_empty_estimate(self):
-        win = subharmonic_variant(BeatSequence([0.0, 0.5, 1.0]), 0, 2, 1)
+        win = onbeat_window([0.0, 0.5, 1.0], 2)
         assert window_match(win, BeatSequence([])) is None
 
     @given(times_strategy(), st.integers(min_value=0, max_value=5))

@@ -556,3 +556,20 @@ def test_scaling_all_times_by_two_changes_no_result(rng):
         assert cmlt(ref, est, params.gamma) == cmlt(ref2, est2, params.gamma), case
         assert amlt(ref, est, params.gamma) == amlt(ref2, est2, params.gamma), case
         assert f1_score(ref, est, params.cap) == f1_score(ref2, est2, params2.cap), case
+
+
+def test_wider_tolerance_loses_no_match(rng):
+    """Coverage rows are non-decreasing in cap and in gamma, and the
+    continuity flags in gamma: a wider band keeps every match it had."""
+    for case in range(600):
+        ref, est, params = scale_case(rng, case)
+        cap = params.cap + rng.uniform(0.0, 0.3)
+        gamma = params.gamma + rng.uniform(0.0, 0.99 - params.gamma)
+        rows = coverage_matrix(ref, est, params).rows
+        for wider in (
+            ToleranceParams(cap, params.gamma, params.context),
+            ToleranceParams(params.cap, gamma, params.context),
+        ):
+            assert not np.any(rows & ~coverage_matrix(ref, est, wider).rows), case
+        correct = continuity_correct(ref, est, params.gamma)
+        assert not np.any(correct & ~continuity_correct(ref, est, gamma)), case

@@ -105,6 +105,19 @@ class TestGenReference:
         with pytest.raises(ValueError, match="more than 1000000 beats"):
             Scenario(60.0, 1_000_001.0, (Segment(0, Condition.ONBEAT),))
 
+    def test_bpm_floor_places_exact_beats(self):
+        # at the floor the squared beat rate is still a normal float
+        ref = gen_reference(1e-100, 6e103)
+        assert len(ref) == 100
+        assert np.array_equal(ref.times, np.arange(100) / (1e-100 / 60.0))
+
+    @pytest.mark.parametrize("curve", [1e-160, 9.99e-101, [(0.0, 120.0), (2.0, 1e-101)]])
+    def test_bpm_below_floor_rejected(self, curve):
+        with pytest.raises(ValueError, match="BPM values must be >= 1e-100"):
+            gen_reference(curve, 6e163)
+        with pytest.raises(ValueError, match="BPM values must be >= 1e-100"):
+            Scenario(curve, 6e163, (Segment(0, Condition.ONBEAT),))
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 

@@ -11,11 +11,7 @@ from beatcover import (
     ToleranceParams,
     VariantWindow,
     WindowTooShortError,
-    adaptive_epsilon,
     condition_taps,
-    harmonic_variant,
-    offbeat_variant,
-    subharmonic_variant,
     variant_window,
     window_table,
 )
@@ -50,22 +46,31 @@ class TestConditionTaps:
         assert single.tolist() == ([] if condition in OFFBEAT_CONDITIONS else [2.0])
 
 
+def onbeat_epsilon(times):
+    """Tolerance of the one onbeat window over all of ``times``."""
+    return window_table(times, Condition.ONBEAT, np.size(times))[1][0]
+
+
+def window(beats, condition, length, instance=0):
+    return variant_window(beats, instance, condition, ToleranceParams(context=length))
+
+
 class TestAdaptiveEpsilon:
     def test_fast_window_scales_with_interval(self):
         # mean interval 0.25 s -> 0.175 * 0.25 = 0.04375, below the cap
-        assert adaptive_epsilon([0.0, 0.25, 0.5]) == pytest.approx(0.04375)
+        assert onbeat_epsilon([0.0, 0.25, 0.5]) == pytest.approx(0.04375)
 
     def test_slow_window_hits_cap(self):
         # mean interval 0.5 s -> 0.0875 would exceed the cap of 0.070
-        assert adaptive_epsilon([0.0, 0.5, 1.0]) == pytest.approx(0.070)
+        assert onbeat_epsilon([0.0, 0.5, 1.0]) == pytest.approx(0.070)
 
     def test_cap_boundary(self):
         # 0.175 * 0.4 = 0.070 exactly: cap and scaled value coincide
-        assert adaptive_epsilon([0.0, 0.4, 0.8]) == pytest.approx(0.070)
+        assert onbeat_epsilon([0.0, 0.4, 0.8]) == pytest.approx(0.070)
 
     def test_needs_two_times(self):
         with pytest.raises(WindowTooShortError):
-            adaptive_epsilon([1.0])
+            onbeat_epsilon([1.0])
 
     @given(
         st.floats(min_value=0.05, max_value=2.0),
@@ -74,13 +79,29 @@ class TestAdaptiveEpsilon:
     def test_closed_form(self, period, count):
         times = period * np.arange(count)
         expected = min(0.070, 0.175 * period)
-        assert adaptive_epsilon(times) == pytest.approx(expected, rel=1e-12)
+        assert onbeat_epsilon(times) == pytest.approx(expected, rel=1e-12)
+
+
+class TestWindowLength:
+    @pytest.mark.parametrize("length", [2.0, 2.5])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="window length must be an integer"):
+            window_table(constant_beats(120, 8).times, Condition.ONBEAT, length)
+
+    def test_numpy_integer_length_accepted(self):
+        times = constant_beats(120, 8).times
+        for condition in Condition:
+            windows, eps, stride = window_table(times, condition, np.int64(3))
+            expected = window_table(times, condition, 3)
+            assert windows.tobytes() == expected[0].tobytes()
+            assert eps.tobytes() == expected[1].tobytes()
+            assert stride == expected[2]
 
 
 class TestSubharmonicVariant:
     def test_every_second_beat(self):
         beats = constant_beats(120, 8)
-        win = subharmonic_variant(beats, 0, 3, 2)
+        win = window(beats, Condition.SUBHARMONIC_HALF, 3)
         assert np.allclose(win.times, [0.0, 1.0, 2.0])
         assert win.cover_set == frozenset({0, 2, 4})
         assert win.condition is Condition.SUBHARMONIC_HALF
@@ -88,24 +109,20 @@ class TestSubharmonicVariant:
     def test_none_when_step_overruns(self):
         beats = constant_beats(120, 8)
         # i + d*(L-1) = 0 + 4*2 = 8 >= 8
-        assert subharmonic_variant(beats, 0, 3, 4) is None
+        assert window(beats, Condition.SUBHARMONIC_QUARTER, 3) is None
 
     def test_step_one_is_identity_window(self):
         beats = BeatSequence([0.0, 0.5, 1.0])
-        win = subharmonic_variant(beats, 0, 3, 1)
+        win = window(beats, Condition.ONBEAT, 3)
         assert win.condition is Condition.ONBEAT
         assert np.array_equal(win.times, beats.times)
         assert win.cover_set == frozenset({0, 1, 2})
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            subharmonic_variant(constant_beats(120, 8), 0, 2, 5)
 
 
 class TestHarmonicVariant:
     def test_double_length(self):
         beats = BeatSequence([0.0, 1.0, 2.0])
-        win = harmonic_variant(beats, 0, 3, 2)
+        win = window(beats, Condition.HARMONIC_DOUBLE, 3)
         # L' = L + (h-1)(L-1) = 3 + 2 = 5
         assert len(win) == 5
         assert np.allclose(win.times, [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -113,27 +130,30 @@ class TestHarmonicVariant:
 
     def test_uneven_intervals_interpolate_per_interval(self):
         beats = BeatSequence([0.0, 0.9, 2.1])
-        win = harmonic_variant(beats, 0, 2, 3)
+        win = window(beats, Condition.HARMONIC_TRIPLE, 2)
         assert np.allclose(win.times, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
         assert win.cover_set == frozenset({0, 1})
 
     def test_none_when_anchors_overrun(self):
         beats = BeatSequence([0.0, 1.0])
-        assert harmonic_variant(beats, 1, 2, 2) is None
+        assert window(beats, Condition.HARMONIC_DOUBLE, 2, instance=1) is None
 
     def test_epsilon_uses_subdivided_interval(self):
         beats = constant_beats(60, 4)  # 1 s intervals
-        win = harmonic_variant(beats, 0, 2, 4)
+        win = window(beats, Condition.HARMONIC_QUADRUPLE, 2)
         # window intervals are 0.25 s -> 0.175 * 0.25
         assert win.epsilon == pytest.approx(0.04375)
 
     @given(
         st.integers(min_value=2, max_value=6),
-        st.sampled_from([2, 3, 4]),
+        st.sampled_from(
+            [(Condition.HARMONIC_DOUBLE, 2), (Condition.HARMONIC_TRIPLE, 3), (Condition.HARMONIC_QUADRUPLE, 4)]
+        ),
     )
-    def test_length_formula_and_anchor_membership(self, length, factor):
+    def test_length_formula_and_anchor_membership(self, length, harmonic):
+        condition, factor = harmonic
         beats = constant_beats(100, 10)
-        win = harmonic_variant(beats, 1, length, factor)
+        win = window(beats, condition, length, instance=1)
         assert len(win) == length + (factor - 1) * (length - 1)
         anchors = beats.times[1 : 1 + length]
         for a in anchors:
@@ -143,25 +163,21 @@ class TestHarmonicVariant:
 class TestOffbeatVariant:
     def test_half_offbeat(self):
         beats = BeatSequence([0.0, 1.0, 2.0])
-        win = offbeat_variant(beats, 0, 2, 0.5)
+        win = window(beats, Condition.OFFBEAT_HALF, 2)
         assert np.allclose(win.times, [0.5, 1.5])
         assert win.cover_set == frozenset({0, 1})
         assert win.condition is Condition.OFFBEAT_HALF
 
     def test_one_third(self):
         beats = BeatSequence([0.0, 1.0, 2.0])
-        win = offbeat_variant(beats, 0, 2, 1.0 / 3.0)
+        win = window(beats, Condition.OFFBEAT_ONE_THIRD, 2)
         assert np.allclose(win.times, [1.0 / 3.0, 4.0 / 3.0])
 
     def test_needs_interval_after_last_anchor(self):
         # every tap sits inside the interval after its anchor, so the
         # beat at instance + length must exist
         beats = BeatSequence([0.0, 1.0])
-        assert offbeat_variant(beats, 0, 2, 0.5) is None
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            offbeat_variant(constant_beats(120, 8), 0, 2, 0.25)
+        assert window(beats, Condition.OFFBEAT_HALF, 2) is None
 
 
 class TestDispatchAndEnumeration:
