@@ -9,11 +9,11 @@ statistics).  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import partial
 
-from .core import BeatcoverError, EmptySequenceError, ToleranceParams, _finite_positive, _non_negative
+from .core import BeatcoverError, EmptySequenceError, ToleranceParams
+from .core import _finite, _finite_positive, _non_negative
 from .fileio import (
     parse_activation_file,
     parse_beats_file,
@@ -72,16 +72,6 @@ def _tolerance(field: str, convert):
     return _checked(convert, lambda value: ToleranceParams(**{field: value}))
 
 
-def _finite(text: str) -> float:
-    """Argparse type for a float flag that must be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-_finite.__name__ = "float"  # argparse names it in "invalid float value"
-
 # argparse type for --metrics: comma-separated group names, each checked
 _metric_list = _checked(lambda text: [m for m in map(str.strip, text.split(",")) if m], check_metric_groups)
 
@@ -108,13 +98,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="run a post-processing tracker")
     p.add_argument("--activation", required=True, help="activation file (fps=... header)")
     p.add_argument("--ppt", required=True, choices=("dp", "sppk"), help="tracker to run")
-    p.add_argument("--tempo", type=_checked(_finite, partial(_finite_positive, "tempo")), default=None,
+    p.add_argument("--tempo", type=_checked(float, partial(_finite_positive, "tempo")), default=None,
                    help="global tempo in BPM (dp)")
     p.add_argument("--ref", default=None, help="reference beats to take the global tempo from (dp)")
-    p.add_argument("--threshold", type=_finite, default=0.3, help="sppk threshold (default 0.3)")
-    p.add_argument("--min-gap", type=_checked(_finite, partial(_non_negative, "min_gap")), default=0.15,
+    p.add_argument("--threshold", type=_checked(float, partial(_finite, "threshold")), default=0.3,
+                   help="sppk threshold (default 0.3)")
+    p.add_argument("--min-gap", type=_checked(float, partial(_non_negative, "min_gap")), default=0.15,
                    help="sppk suppression gap in seconds (default 0.15)")
-    p.add_argument("--tightness", type=_finite, default=100.0, help="dp tempo adherence (default 100)")
+    p.add_argument("--tightness", type=_checked(float, partial(_finite, "tightness")), default=100.0,
+                   help="dp tempo adherence (default 100)")
     p.add_argument("--out", required=True, help="output beats path")
     p.set_defaults(func=_cmd_track)
 
@@ -133,7 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-ref", required=True, help="output reference beats path")
     p.add_argument("--out-est", required=True, help="output estimated beats path")
     p.add_argument("--out-act", default=None, help="optional output activation path")
-    p.add_argument("--fps", type=_checked(_finite, partial(_finite_positive, "fps")), default=100.0,
+    p.add_argument("--fps", type=_checked(float, partial(_finite_positive, "fps")), default=100.0,
                    help="activation frame rate (default 100)")
     p.set_defaults(func=_cmd_synth)
 

@@ -64,6 +64,11 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+# The four scalar parameter rules.  Each returns the value converted, or
+# raises a ValueError that names the parameter; the comparisons are
+# written so that nan fails them.
+
+
 def _finite_positive(name: str, value) -> float:
     """``value`` as a float, or a ValueError unless it is finite and > 0."""
     if not 0.0 < value < np.inf:
@@ -72,10 +77,28 @@ def _finite_positive(name: str, value) -> float:
 
 
 def _non_negative(name: str, value) -> float:
-    """``value`` as a float, or a ValueError unless it is >= 0."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    """``value`` as a float, or a ValueError unless it is finite and >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return float(value)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float, or a ValueError unless it is finite."""
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def _index(name: str, value) -> int:
+    """``value`` as an int, or a ValueError unless it is an integer.
+
+    A numpy integer is accepted; a float is not, even ``2.0``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +241,7 @@ class ToleranceParams:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         object.__setattr__(self, "gamma", float(self.gamma))
-        try:
-            context = operator.index(self.context)
-        except TypeError:
-            raise ValueError(f"context must be an integer, got {self.context}") from None
+        context = _index("context", self.context)
         if context < 2:
             raise ValueError(f"context must be >= 2, got {self.context}")
         object.__setattr__(self, "context", context)

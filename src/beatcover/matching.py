@@ -86,7 +86,8 @@ def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray) -> np.nd
 
 
 def _mark(flags: np.ndarray, starts: np.ndarray, stride: int | np.ndarray, count: int) -> None:
-    flags[starts[:, None] + stride * np.arange(count)] = True
+    if len(starts):  # with no row to mark, a huge ``count`` builds nothing
+        flags[starts[:, None] + stride * np.arange(count)] = True
 
 
 def window_match(window: VariantWindow, est: BeatSequence) -> int | None:

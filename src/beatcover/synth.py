@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OFFBEAT_CONDITIONS, ActivationFunction, BeatSequence, Condition, _finite_positive
+from .core import OFFBEAT_CONDITIONS, ActivationFunction, BeatSequence, Condition
+from .core import _finite_positive, _index, _non_negative
 from .variants import condition_taps
 
 __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activation"]
@@ -22,6 +23,10 @@ __all__ = ["Segment", "Scenario", "gen_reference", "gen_estimate", "gen_activati
 # Upper limit on duration * highest BPM / 60, the most beats a curve can
 # place; it stops a huge duration or tempo before the beat list grows.
 _MAX_BEATS = 1_000_000
+
+# Upper limit on (last beat + 1 s) * fps, about the frames of an
+# activation curve; it stops a huge fps before the frame arrays are built.
+_MAX_FRAMES = 10_000_000
 
 # Lowest accepted BPM.  Below about 1e-152 the squared beat rate in
 # gen_reference underflows and constant-tempo beats leave the 60 / bpm
@@ -31,17 +36,20 @@ _MIN_BPM = 1e-100
 
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of tracker behavior, starting at a reference beat index."""
+    """One stretch of tracker behavior, starting at a reference beat index.
+
+    start is stored as ``int``, so a numpy integer is accepted.
+    """
 
     start: int
     condition: Condition
     jitter_std: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _index("segment start", self.start))
         if self.start < 0:
             raise ValueError(f"segment start must be >= 0, got {self.start}")
-        if not 0 <= self.jitter_std < np.inf:
-            raise ValueError(f"jitter_std must be finite and >= 0, got {self.jitter_std}")
+        _non_negative("jitter_std", self.jitter_std)
 
 
 @dataclass(frozen=True)
@@ -195,12 +203,18 @@ def gen_activation(
     The curve runs from 0 to one second past the last beat (a bare
     second if there are no beats), is clipped to [0, 1], and gets
     seeded Gaussian noise when noise_std > 0.
+
+    Raises ValueError for an fps or peak_width that is not finite and
+    positive, a noise_std that is not finite and >= 0, and a curve whose
+    (last beat + 1 s) * fps exceeds ten million frames.
     """
-    _finite_positive("fps", fps)
+    # Python floats, so a product past the float range is inf, not a warning
+    fps = _finite_positive("fps", fps)
     _finite_positive("peak_width", peak_width)
-    if not 0 <= noise_std < np.inf:
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    last = beats.times[-1] if len(beats) else 0.0
+    _non_negative("noise_std", noise_std)
+    last = float(beats.times[-1]) if len(beats) else 0.0
+    if (last + 1.0) * fps > _MAX_FRAMES:
+        raise ValueError(f"{last + 1.0} s at fps {fps} would need more than {_MAX_FRAMES} activation frames")
     n_frames = int(round((last + 1.0) * fps)) + 1
     t = np.arange(n_frames) / fps
     values = np.zeros(n_frames)

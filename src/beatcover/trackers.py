@@ -13,7 +13,8 @@ import bisect
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActivationFunction, BeatcoverError, BeatSequence, EmptySequenceError, _non_negative
+from .core import ActivationFunction, BeatcoverError, BeatSequence, EmptySequenceError
+from .core import _finite, _finite_positive, _non_negative
 from .metrics import mean_track_tempo
 
 __all__ = [
@@ -46,8 +47,7 @@ def sppk(
     peak is suppressed.  May return an empty sequence.
     """
     _non_negative("min_gap", min_gap)
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    _finite("threshold", threshold)
     v = act.values
     interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
     candidates = interior[v[interior] >= threshold]
@@ -83,15 +83,18 @@ def dp_track(
     number of frames times the window width (``1.5 * tau``) and memory
     with the number of frames.
 
+    Any finite tightness is accepted.  At 0 every gap in the window
+    scores alike, and below 0 a gap further from ``tau`` scores higher,
+    so both can give beats far from the target tempo.
+
     Raises:
         EmptySequenceError: the activation has no frames.
-        ValueError: tau is not finite.
+        ValueError: global_tempo is not finite and > 0, tightness is not
+            finite, or tau is not finite.
         DegenerateTempoError: tau comes out below 2 frames.
     """
-    if not global_tempo > 0:
-        raise ValueError(f"global_tempo must be > 0, got {global_tempo}")
-    if not np.isfinite(tightness):
-        raise ValueError(f"tightness must be finite, got {tightness}")
+    _finite_positive("global_tempo", global_tempo)
+    _finite("tightness", tightness)
     if len(act) == 0:
         raise EmptySequenceError("activation has no frames")
     tau = act.fps * 60.0 / global_tempo

@@ -21,7 +21,6 @@ the table of only the few beats the window reads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .core import (
     ToleranceParams,
     WindowTooShortError,
     _frozen_array,
+    _index,
 )
 
 __all__ = [
@@ -108,10 +108,7 @@ def window_table(
         ValueError: ``length`` is not an integer.
         WindowTooShortError: ``length`` is below 2.
     """
-    try:
-        length = operator.index(length)
-    except TypeError:
-        raise ValueError(f"window length must be an integer, got {length!r}") from None
+    length = _index("window length", length)
     if length < 2:
         raise WindowTooShortError(f"window length must be >= 2, got {length}")
     stride = CONDITION_STEPS.get(condition, 1)
@@ -119,6 +116,8 @@ def window_table(
     taps = condition_taps(times, Condition.ONBEAT if stride > 1 else condition)
     span = factor * (length - 1) + 1
     n_win = max((taps.size - 1 - stride * (span - 1)) // factor + 1, 0)
+    if not n_win:  # nothing of size ``span``, which may be huge, is built
+        return np.empty((0, span)), np.empty(0), stride
     windows = taps[factor * np.arange(n_win)[:, None] + stride * np.arange(span)]
     eps = np.minimum(params.cap, params.gamma * np.mean(np.diff(windows, axis=1), axis=1))
     return windows, eps, stride
@@ -138,6 +137,7 @@ def variant_window(
     Raises:
         ValueError: ``instance`` is not the index of a beat.
     """
+    instance = _index("instance", instance)
     if not 0 <= instance < len(beats):
         raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
     # The window reads beats ``instance`` to ``end - 1``, and an offbeat

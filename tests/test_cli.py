@@ -129,6 +129,20 @@ class TestSynthCommand:
         assert not ref.exists() and not est.exists() and not act.exists()
 
 
+    @pytest.mark.parametrize("fps", ["1e15", "1e308"])
+    def test_huge_fps_exits_2_and_writes_no_output(self, tmp_path, capsys, fps):
+        path = write_scenario(tmp_path)
+        ref, est, act = (tmp_path / name for name in ("r.beats", "e.beats", "a.act"))
+        code = run_cli([
+            "synth", "--scenario", str(path), "--out-ref", str(ref),
+            "--out-est", str(est), "--out-act", str(act), "--fps", fps,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than 10000000 activation frames" in err
+        assert not ref.exists() and not est.exists() and not act.exists()
+
+
 class TestEvalCommand:
     def make_dirs(self, tmp_path):
         ref, est, _ = run_synth(tmp_path)
@@ -299,6 +313,18 @@ class TestVizCommand:
         assert 'id="beats-panel"' in text
         assert 'id="row-any"' in text
 
+    def test_window_longer_than_reference_renders_empty_rows(self, tmp_path, capsys):
+        ref, est, _ = run_synth(tmp_path)
+        out = tmp_path / "cover.svg"
+        code = run_cli([
+            "viz", "--ref", str(ref), "--est", str(est),
+            "--L", "1000000000000000", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert 'id="row-any"' in text and 'class="cover"' not in text
+
     def test_comment_only_reference_exits_2(self, tmp_path, capsys):
         _, est, _ = run_synth(tmp_path)
         ref = tmp_path / "empty.beats"
@@ -372,11 +398,19 @@ class TestExitCodes:
         ids=lambda argv: argv[-1],
     )
     def test_non_finite_number_flag_is_usage_error(self, argv, value, capsys):
+        # each flag prints the message of the core rule its library parameter uses
+        rules = {
+            "--tempo": "tempo must be finite and > 0",
+            "--threshold": "threshold must be finite",
+            "--min-gap": "min_gap must be finite and >= 0",
+            "--tightness": "tightness must be finite",
+            "--fps": "fps must be finite and > 0",
+        }
         command, flag = argv[0], argv[-1]
         assert run_cli(argv + [value]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: beatcover {command} ")
-        assert f"beatcover {command}: error: argument {flag}: must be finite, got '{value}'\n" in err
+        assert f"beatcover {command}: error: argument {flag}: {rules[flag]}, got {value}\n" in err
 
     @pytest.mark.parametrize(
         "flag, value, reason",
@@ -385,7 +419,7 @@ class TestExitCodes:
             ("--fps", "-1", "fps must be finite and > 0, got -1.0"),
             ("--tempo", "0", "tempo must be finite and > 0, got 0.0"),
             ("--tempo", "-5", "tempo must be finite and > 0, got -5.0"),
-            ("--min-gap", "-1", "min_gap must be >= 0, got -1.0"),
+            ("--min-gap", "-1", "min_gap must be finite and >= 0, got -1.0"),
         ],
     )
     def test_out_of_range_number_flag_is_usage_error(self, tmp_path, flag, value, reason, capsys):

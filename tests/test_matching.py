@@ -113,6 +113,11 @@ class TestCoverageMatrix:
         cm = coverage_matrix(constant_beats(120, 8), BeatSequence([]))
         assert not cm.any_row.any()
 
+    def test_window_longer_than_reference_builds_nothing(self):
+        # a window of 10**15 beats: marking its cover set would need petabytes
+        ref = constant_beats(120, 20)
+        assert not coverage_matrix(ref, ref, ToleranceParams(context=10**15)).rows.any()
+
     def test_matches_oracle_on_random_input(self, rng):
         # context 4 and 5 give harmonic-quadruple windows of 13 and 17
         # taps, long enough for numpy's unrolled summation in the mean
@@ -271,6 +276,11 @@ class TestLCorrectDetection:
         assert not ref_flags[5]
         assert ref_flags[[0, 1, 2, 3, 8, 9]].all()
         assert est_flags.all()
+
+    def test_window_longer_than_reference_builds_nothing(self):
+        ref = constant_beats(120, 20)
+        ref_flags, est_flags = l_correct_detection(ref, ref, ToleranceParams(context=10**15))
+        assert not ref_flags.any() and not est_flags.any()
 
     def test_matches_oracle_on_random_input(self, rng):
         flagged = 0

@@ -165,6 +165,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="segment start must be >= 0"):
             Segment(-1, Condition.ONBEAT)
 
+    @pytest.mark.parametrize("start", [1.0, 1.5])
+    def test_segment_rejects_non_integer_start(self, start):
+        with pytest.raises(ValueError, match="segment start must be an integer"):
+            Segment(start, Condition.ONBEAT)
+
+    def test_segment_numpy_integer_start_becomes_int(self):
+        segment = Segment(np.int64(4), Condition.ONBEAT)
+        assert segment.start == 4 and type(segment.start) is int
+
     def test_segment_rejects_negative_jitter(self):
         with pytest.raises(ValueError):
             Segment(0, Condition.ONBEAT, jitter_std=-0.01)
@@ -287,6 +296,18 @@ class TestGenActivation:
         # unchecked, nan and negative values would return the clean curve
         with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
             gen_activation(gen_reference(120, 4.0), noise_std=noise_std)
+
+    @pytest.mark.parametrize("fps", [1e15, np.float64(1e308)])
+    def test_huge_fps_rejected_before_allocating(self, fps):
+        # 1e308 frames per second would also overflow the frame count to inf
+        with pytest.raises(ValueError, match="more than 10000000 activation frames"):
+            gen_activation(gen_reference(120, 4.0), fps=fps)
+
+    def test_frame_bound_rejects_just_over_it(self):
+        # with no beats the curve lasts one second, so (last + 1 s) * fps
+        # is fps itself; at the bound it would build ten million frames
+        with pytest.raises(ValueError, match="more than 10000000 activation frames"):
+            gen_activation(BeatSequence([]), fps=np.nextafter(1e7, np.inf))
 
     @pytest.mark.parametrize("peak_width", [math.nan, math.inf])
     def test_bad_peak_width_rejected(self, peak_width):

@@ -89,6 +89,12 @@ class TestSppk:
         with pytest.raises(ValueError, match="min_gap"):
             sppk(act, min_gap=float("nan"))
 
+    def test_infinite_min_gap_rejected(self):
+        # an infinite gap would quietly keep only the highest peak
+        act = ActivationFunction(fps=100.0, values=np.zeros(10))
+        with pytest.raises(ValueError, match="min_gap must be finite and >= 0"):
+            sppk(act, min_gap=float("inf"))
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_rejected(self, threshold):
         # a nan threshold would pass no candidate and quietly return 0 beats
@@ -229,6 +235,11 @@ class TestDpTrack:
         act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
         with pytest.raises(ValueError, match="global_tempo"):
             dp_track(act, global_tempo=float("nan"))
+
+    def test_infinite_tempo_rejected(self):
+        act = ActivationFunction(fps=100.0, values=np.full(100, 0.5))
+        with pytest.raises(ValueError, match="global_tempo must be finite and > 0"):
+            dp_track(act, global_tempo=float("inf"))
 
     @pytest.mark.parametrize("tightness", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_tightness_rejected(self, tightness):

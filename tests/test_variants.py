@@ -88,6 +88,15 @@ class TestWindowLength:
         with pytest.raises(ValueError, match="window length must be an integer"):
             window_table(constant_beats(120, 8).times, Condition.ONBEAT, length)
 
+    def test_length_beyond_the_sequence_builds_nothing(self):
+        # a row of 10**15 taps would need petabytes; no row fits, so none is built
+        beats = constant_beats(120, 8)
+        params = ToleranceParams(context=10**15)
+        for condition in Condition:
+            windows, eps, _ = window_table(beats.times, condition, 10**15)
+            assert len(windows) == 0 and len(eps) == 0
+            assert variant_window(beats, 0, condition, params) is None
+
     def test_numpy_integer_length_accepted(self):
         times = constant_beats(120, 8).times
         for condition in Condition:
@@ -192,6 +201,17 @@ class TestDispatchAndEnumeration:
     def test_instance_out_of_range(self):
         with pytest.raises(ValueError):
             variant_window(constant_beats(120, 4), 4, Condition.ONBEAT)
+
+    @pytest.mark.parametrize("instance", [1.0, 1.5])
+    def test_non_integer_instance_rejected(self, instance):
+        with pytest.raises(ValueError, match="instance must be an integer"):
+            variant_window(constant_beats(120, 8), instance, Condition.ONBEAT)
+
+    def test_numpy_integer_instance_becomes_int(self):
+        beats = constant_beats(120, 8)
+        window = variant_window(beats, np.int64(1), Condition.ONBEAT)
+        assert window.instance == 1 and type(window.instance) is int
+        assert window.times.tobytes() == variant_window(beats, 1, Condition.ONBEAT).times.tobytes()
 
     def test_window_needs_two_times(self):
         with pytest.raises(WindowTooShortError, match="at least two times"):
