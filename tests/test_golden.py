@@ -10,13 +10,31 @@
   ``demos/scenarios/double_to_quadruple.scenario`` and a noisy activation
   of the same reference, each tracked by ``track --ppt dp`` and ``track
   --ppt sppk``.  This pins ``gen_activation``, ``dp_track`` and ``sppk``.
+* ``cover_*``: coverage SVGs of a level switch with an activation panel
+  (polyline, reference and estimate ticks) at several lengths and frame
+  rates, with and without the estimate ticks, and one with no panel.
+  The 5-minute, 100 fps figure, the size the benchmark renders, is
+  pinned by its sha256 to keep the repository small.
 """
+
+import hashlib
 
 from pathlib import Path
 
 import pytest
 
-from beatcover import gen_activation, parse_beats_file, write_activation_file
+from beatcover import (
+    Condition,
+    Scenario,
+    Segment,
+    coverage_matrix,
+    gen_activation,
+    gen_estimate,
+    gen_reference,
+    parse_beats_file,
+    render_coverage_svg,
+    write_activation_file,
+)
 from beatcover.cli import main as cli_main
 from test_acceptance import run_pipeline
 
@@ -66,3 +84,37 @@ def tracker_outputs(tmp_path_factory):
 ])
 def test_tracker_outputs_match_golden_bytes(tracker_outputs, name):
     assert tracker_outputs[name] == (GOLDEN / name).read_bytes()
+
+
+# name -> (seconds, activation fps or None for no panel, draw the estimate)
+SVG_CASES = {
+    "cover_30s_100fps.svg": (30.0, 100.0, True),
+    "cover_40s_86fps.svg": (40.0, 44100 / 512, True),
+    "cover_60s_50fps.svg": (60.0, 50.0, True),
+    "cover_20s_100fps_no_est.svg": (20.0, 100.0, False),
+    "cover_20s_no_panel.svg": (20.0, None, False),
+}
+LONG_SVG_SHA256 = "c1664bcc3abf8916614c22ce9c104f8a4d99cb19428be8d43738b2ab7de2b68b"
+
+
+def render_svg_case(seconds, fps, with_est) -> bytes:
+    """A jittered estimate that switches from the beat to double tempo
+    on a 112 -> 128 BPM ramp, over a noisy activation of the reference."""
+    scenario = Scenario(
+        ((0.0, 112.0), (seconds, 128.0)), seconds,
+        (Segment(0, Condition.ONBEAT, 0.01), Segment(20, Condition.HARMONIC_DOUBLE, 0.01)),
+    )
+    ref = gen_reference(scenario.tempo_curve, scenario.duration)
+    est = gen_estimate(ref, scenario, seed=3)
+    act = gen_activation(ref, fps=fps, noise_std=0.1, seed=4) if fps else None
+    svg = render_coverage_svg(coverage_matrix(ref, est), ref, act=act, est=est if with_est else None)
+    return svg.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", SVG_CASES)
+def test_coverage_svgs_match_golden_bytes(name):
+    assert render_svg_case(*SVG_CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_five_minute_coverage_svg_matches_pinned_hash():
+    assert hashlib.sha256(render_svg_case(300.0, 100.0, True)).hexdigest() == LONG_SVG_SHA256
