@@ -82,7 +82,8 @@ def render_coverage_svg(
     if t_max <= 0.0:
         t_max = 1.0
 
-    def x(time: float) -> float:
+    def x(time):
+        """Plot x of a time in seconds, or of each element of an array."""
         return _MARGIN_LEFT + time / t_max * _PLOT_WIDTH
 
     pad = 0.5 * float(np.mean(ref.ibis)) if len(ref) >= 2 else 0.25
@@ -110,24 +111,24 @@ def render_coverage_svg(
             f'height="{_fmt(_PANEL_HEIGHT)}" fill="#f7f7f7" stroke="#cccccc"/>'
         )
         if act is not None and len(act):
-            pts = " ".join(
-                f"{_fmt(x(time))},{_fmt(p_bot - v * (_PANEL_HEIGHT - 8.0))}"
-                for time, v in zip(act.frame_times().tolist(), act.values.tolist())
-            )
+            # "%.2f" and f"{v:.2f}" share one float formatter, so filling a
+            # template per array gives the bytes of a per-point f-string
+            xy = np.column_stack((x(act.frame_times()), p_bot - act.values * (_PANEL_HEIGHT - 8.0)))
+            pts = " ".join(["%.2f,%.2f"] * len(act)) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#888888" stroke-width="1"/>'
             )
-        for time in t.tolist():
-            parts.append(
-                f'<line class="ref-beat" x1="{_fmt(x(time))}" y1="{_fmt(p_top)}" '
-                f'x2="{_fmt(x(time))}" y2="{_fmt(mid)}" stroke="#1b7837" stroke-width="1"/>'
-            )
+        parts += map(
+            f'<line class="ref-beat" x1="{{0:.2f}}" y1="{_fmt(p_top)}" '
+            f'x2="{{0:.2f}}" y2="{_fmt(mid)}" stroke="#1b7837" stroke-width="1"/>'.format,
+            x(t).tolist(),
+        )
         if est is not None:
-            for time in est.times.tolist():
-                parts.append(
-                    f'<line class="est-beat" x1="{_fmt(x(time))}" y1="{_fmt(mid)}" '
-                    f'x2="{_fmt(x(time))}" y2="{_fmt(p_bot)}" stroke="#b2182b" stroke-width="1"/>'
-                )
+            parts += map(
+                f'<line class="est-beat" x1="{{0:.2f}}" y1="{_fmt(mid)}" '
+                f'x2="{{0:.2f}}" y2="{_fmt(p_bot)}" stroke="#b2182b" stroke-width="1"/>'.format,
+                x(est.times).tolist(),
+            )
         parts.append(
             f'<text x="{_fmt(_MARGIN_LEFT - 8.0)}" y="{_fmt(mid)}" text-anchor="end">beats</text>'
         )

@@ -259,3 +259,16 @@ def oracle_activation(beat_times, fps, peak_width=0.05, noise_std=0.0, seed=0):
         noise = np.random.default_rng(seed).normal(0.0, noise_std, n_frames)
         values = np.clip(values + noise, 0.0, 1.0)
     return values
+
+
+def oracle_polyline_points(values, fps, t_max):
+    """The activation polyline's ``points``, one f-string per frame.
+
+    Frame ``k`` is at ``k / fps`` seconds.  The plot spans x 170 to 890
+    over ``[0, t_max]``; the beats panel's bottom is at y 126 and a value
+    of 1 rises 102 above it.
+    """
+    return " ".join(
+        f"{170.0 + k / fps / t_max * 720.0:.2f},{126.0 - v * 102.0:.2f}"
+        for k, v in enumerate(values)
+    )

@@ -1,8 +1,13 @@
+import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beatcover import (
+    ActivationFunction,
     BeatSequence,
     Condition,
     coverage_matrix,
@@ -13,6 +18,7 @@ from beatcover import (
     Scenario,
     Segment,
 )
+from oracles import oracle_polyline_points
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -118,3 +124,36 @@ class TestRenderCoverageSvg:
         ref = BeatSequence([0.0])
         labels = axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))
         assert labels == ["0.0", "0.5", "1.0"]
+
+
+@st.composite
+def panel_case(draw):
+    """(activation values, fps, last reference beat) for one beats panel.
+
+    Half the cases put x and y on binary ties such as 170.125, where
+    ``%.2f`` rounds half to even: with fps ``2**j`` and the time axis
+    ``2**(7 - j)`` s long, x steps by 720 / 128 = 5.625, and a value
+    ``i / 16`` puts y at 126 - 6.375 i.
+    """
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=7))
+        fps, last_beat = 2.0**j, 2.0 ** (7 - j)
+        value = st.integers(min_value=0, max_value=16).map(lambda i: i / 16)
+        values = draw(st.lists(value, min_size=1, max_size=129))
+    else:
+        fps = draw(st.sampled_from([100.0, 44100 / 512, 50.0]) | st.floats(min_value=1.0, max_value=1000.0))
+        last_beat = draw(st.floats(min_value=0.01, max_value=10.0))
+        value = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+        values = draw(st.lists(value, min_size=1, max_size=300))
+    return values, fps, last_beat
+
+
+@given(panel_case())
+def test_polyline_points_match_per_frame_formatting(case):
+    values, fps, last_beat = case
+    ref = BeatSequence([last_beat])
+    act = ActivationFunction(fps=fps, values=np.array(values))
+    svg = render_coverage_svg(coverage_matrix(ref, ref), ref, act=act)
+    t_max = max(last_beat, (len(values) - 1) / fps)
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    assert points == oracle_polyline_points(values, fps, t_max)
