@@ -13,7 +13,7 @@ import sys
 from functools import partial
 
 from .core import BeatcoverError, EmptySequenceError, ToleranceParams
-from .core import _finite, _finite_positive, _non_negative
+from .core import _finite, _finite_positive, _index, _non_negative
 from .fileio import (
     parse_activation_file,
     parse_beats_file,
@@ -91,7 +91,8 @@ def build_parser() -> _Parser:
                    help=f"tolerance/IBI ratio (default {_DEFAULTS.gamma:.3f})")
     p.add_argument("--metrics", type=_metric_list, default=None,
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
-    p.add_argument("--workers", type=int, default=1, help="has no effect: tracks are evaluated one at a time")
+    p.add_argument("--workers", type=_checked(int, partial(_index, "workers", low=1)), default=1,
+                   help="has no effect: tracks are evaluated one at a time")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_eval)
 
@@ -121,7 +122,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate reference/estimate files from a scenario")
     p.add_argument("--scenario", required=True, help="scenario script path")
-    p.add_argument("--seed", type=int, default=0, help="jitter seed (default 0)")
+    p.add_argument("--seed", type=_checked(int, partial(_index, "seed", low=0)), default=0,
+                   help="jitter seed (default 0)")
     p.add_argument("--out-ref", required=True, help="output reference beats path")
     p.add_argument("--out-est", required=True, help="output estimated beats path")
     p.add_argument("--out-act", default=None, help="optional output activation path")

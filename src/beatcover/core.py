@@ -90,15 +90,19 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _index(name: str, value) -> int:
-    """``value`` as an int, or a ValueError unless it is an integer.
+def _index(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int, or a ValueError unless it is an integer
+    (and ``>= low`` when ``low`` is given).
 
     A numpy integer is accepted; a float is not, even ``2.0``.
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +245,7 @@ class ToleranceParams:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         object.__setattr__(self, "gamma", float(self.gamma))
-        context = _index("context", self.context)
-        if context < 2:
-            raise ValueError(f"context must be >= 2, got {self.context}")
-        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "context", _index("context", self.context, 2))
 
 
 @dataclass(frozen=True, eq=False)

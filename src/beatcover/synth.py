@@ -46,9 +46,7 @@ class Segment:
     jitter_std: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _index("segment start", self.start))
-        if self.start < 0:
-            raise ValueError(f"segment start must be >= 0, got {self.start}")
+        object.__setattr__(self, "start", _index("segment start", self.start, 0))
         _non_negative("jitter_std", self.jitter_std)
 
 
@@ -161,13 +159,16 @@ def gen_estimate(ref: BeatSequence, scenario: Scenario, seed: int = 0) -> BeatSe
     standard deviations; if a jittered sequence still comes out
     non-monotonic it is re-sorted with a warning, and exact duplicate
     times are collapsed.
+
+    Raises ValueError for a seed that is not an integer >= 0, and for a
+    segment that starts past the last reference beat.
     """
     n = len(ref)
     if scenario.segments[-1].start >= n:
         raise ValueError(
             f"segment start {scenario.segments[-1].start} beyond {n} reference beats"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index("seed", seed, 0))
     bounds = [seg.start for seg in scenario.segments] + [n]
     parts = []
     for seg, start, end in zip(scenario.segments, bounds[:-1], bounds[1:]):
@@ -205,13 +206,15 @@ def gen_activation(
     seeded Gaussian noise when noise_std > 0.
 
     Raises ValueError for an fps or peak_width that is not finite and
-    positive, a noise_std that is not finite and >= 0, and a curve whose
-    (last beat + 1 s) * fps exceeds ten million frames.
+    positive, a noise_std that is not finite and >= 0, a seed that is not
+    an integer >= 0, and a curve whose (last beat + 1 s) * fps exceeds ten
+    million frames.
     """
     # Python floats, so a product past the float range is inf, not a warning
     fps = _finite_positive("fps", fps)
     _finite_positive("peak_width", peak_width)
     _non_negative("noise_std", noise_std)
+    seed = _index("seed", seed, 0)
     last = float(beats.times[-1]) if len(beats) else 0.0
     if (last + 1.0) * fps > _MAX_FRAMES:
         raise ValueError(f"{last + 1.0} s at fps {fps} would need more than {_MAX_FRAMES} activation frames")

@@ -420,15 +420,24 @@ class TestExitCodes:
             ("--tempo", "0", "tempo must be finite and > 0, got 0.0"),
             ("--tempo", "-5", "tempo must be finite and > 0, got -5.0"),
             ("--min-gap", "-1", "min_gap must be finite and >= 0, got -1.0"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--workers", "-5", "workers must be >= 1, got -5"),
+            ("--workers", "0", "workers must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_number_flag_is_usage_error(self, tmp_path, flag, value, reason, capsys):
         # real inputs, so only the flag can stop the run
         outs = [tmp_path / name for name in ("r.beats", "e.beats", "o.act")]
-        if flag == "--fps":
+        if flag in ("--fps", "--seed"):
             command = "synth"
             argv = ["synth", "--scenario", str(write_scenario(tmp_path)), "--out-ref", str(outs[0]),
                     "--out-est", str(outs[1]), "--out-act", str(outs[2])]
+        elif flag == "--workers":
+            command = "eval"
+            for name in ("ref", "est"):
+                (tmp_path / name).mkdir()
+                write_beats_file(gen_reference(120, 6.0), tmp_path / name / "a.beats")
+            argv = ["eval", "--ref", str(tmp_path / "ref"), "--est", str(tmp_path / "est"), "--out", str(outs[0])]
         else:
             command = "track"
             act = tmp_path / "a.act"

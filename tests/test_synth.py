@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,29 @@ class TestGenEstimate:
         est = gen_estimate(ref, sc, seed=5)
         cm = coverage_matrix(ref, est)
         assert cm.covered[Condition.ONBEAT].all()
+
+
+@pytest.mark.parametrize("seed, reason", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (None, "seed must be an integer, got None"),
+])
+@pytest.mark.parametrize("generate", ["estimate", "activation"])
+def test_bad_seed_rejected_by_name(generate, seed, reason):
+    ref = gen_reference(120, 4.0)
+    sc = Scenario(120, 4.0, (Segment(0, Condition.ONBEAT, jitter_std=0.01),))
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        if generate == "estimate":
+            gen_estimate(ref, sc, seed=seed)
+        else:
+            gen_activation(ref, noise_std=0.05, seed=seed)
+
+
+def test_numpy_integer_seed_is_accepted():
+    ref = gen_reference(120, 4.0)
+    sc = Scenario(120, 4.0, (Segment(0, Condition.ONBEAT, jitter_std=0.01),))
+    assert np.array_equal(gen_estimate(ref, sc, seed=np.int64(7)).times, gen_estimate(ref, sc, seed=7).times)
+    assert gen_activation(ref, noise_std=0.05, seed=np.int64(7)) == gen_activation(ref, noise_std=0.05, seed=7)
 
 
 class TestGenActivation:
