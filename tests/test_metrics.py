@@ -10,6 +10,7 @@ from beatcover import (
     BeatSequence,
     Condition,
     CoverageMatrix,
+    OFFBEAT_CONDITIONS,
     Scenario,
     Segment,
     TooFewBeatsError,
@@ -388,6 +389,18 @@ class TestAcrScores:
             assert scores.acr_any >= scores.acr_offbeat
             assert 0.0 <= scores.acr_any <= 1.0
 
+    @pytest.mark.parametrize("condition", OFFBEAT_CONDITIONS)
+    def test_offbeat_taps_cover_all_but_the_last_beat(self, rng, condition):
+        # the last beat starts no interval, so no offbeat window covers it
+        for _ in range(100):
+            n = int(rng.integers(5, 40))
+            ref = BeatSequence(np.cumsum(rng.uniform(0.3, 0.8, n)))
+            est = BeatSequence(condition_taps(ref.times, condition))
+            for length in (2, 3, 4):
+                cm = coverage_matrix(ref, est, ToleranceParams(context=length))
+                assert cm.covered[condition][:-1].all() and not cm.covered[condition][-1]
+                assert acr_scores(cm).per_condition[condition] == (n - 1) / n
+
     def test_no_beats_scores_zero(self):
         scores = acr_scores(CoverageMatrix(np.zeros((len(Condition), 0), dtype=bool)))
         assert set(scores.per_condition.values()) == {0.0}
@@ -556,6 +569,30 @@ def test_scaling_all_times_by_two_changes_no_result(rng):
         assert cmlt(ref, est, params.gamma) == cmlt(ref2, est2, params.gamma), case
         assert amlt(ref, est, params.gamma) == amlt(ref2, est2, params.gamma), case
         assert f1_score(ref, est, params.cap) == f1_score(ref2, est2, params2.cap), case
+
+
+def test_reversing_time_mirrors_coverage(rng):
+    """Map every time t to T - t on a 1/256 s grid, with T a whole second
+    past the last beat: every difference and mean is then exact.  The
+    onbeat, subharmonic and harmonic rows come out reversed, and the one-
+    and two-third offbeats swap.  An offbeat tap is credited to the first
+    beat of its interval, so each offbeat row also shifts by one beat;
+    the last beat, which no offbeat window covers, is left unchecked."""
+    mirror = {c: c for c in Condition}
+    mirror[Condition.OFFBEAT_ONE_THIRD] = Condition.OFFBEAT_TWO_THIRD
+    mirror[Condition.OFFBEAT_TWO_THIRD] = Condition.OFFBEAT_ONE_THIRD
+    for case in range(600):
+        ref, est, params = scale_case(rng, case)
+        r, e = (np.unique(np.round(s.times * 256.0) / 256.0) for s in (ref, est))
+        end = np.ceil(max(r[-1], e[-1] if len(e) else 0.0)) + 1.0
+        rows = coverage_matrix(BeatSequence(r), BeatSequence(e), params).covered
+        back = coverage_matrix(BeatSequence(end - r[::-1]), BeatSequence(end - e[::-1]), params).covered
+        for c in Condition:
+            a, b = rows[c], back[mirror[c]][::-1]
+            if c in OFFBEAT_CONDITIONS:
+                assert np.array_equal(a[:-1], b[1:]), (case, c)
+            else:
+                assert np.array_equal(a, b), (case, c)
 
 
 def test_wider_tolerance_loses_no_match(rng):
