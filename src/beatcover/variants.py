@@ -104,6 +104,11 @@ def window_table(
     whose interpolated taps verify the faster pulse but cover nothing.
     An offbeat row needs beat ``i + length`` for its last interval.
 
+    The table has one column per tap of a row.  A table with no row has
+    at most one column more than the taps it is cut from, since no longer
+    row fits, and so a huge ``length`` allocates nothing in proportion to
+    it.
+
     Raises:
         ValueError: ``length`` is not an integer.
         WindowTooShortError: ``length`` is below 2.
@@ -116,8 +121,8 @@ def window_table(
     taps = condition_taps(times, Condition.ONBEAT if stride > 1 else condition)
     span = factor * (length - 1) + 1
     n_win = max((taps.size - 1 - stride * (span - 1)) // factor + 1, 0)
-    if not n_win:  # nothing of size ``span``, which may be huge, is built
-        return np.empty((0, span)), np.empty(0), stride
+    if not n_win:
+        return np.empty((0, min(span, taps.size + 1))), np.empty(0), stride
     windows = taps[factor * np.arange(n_win)[:, None] + stride * np.arange(span)]
     eps = np.minimum(params.cap, params.gamma * np.mean(np.diff(windows, axis=1), axis=1))
     return windows, eps, stride

@@ -45,6 +45,68 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+# Values that _format_points formats at a time.  Even, so that each block
+# starts on a "," separator; the bound keeps a long polyline's integer
+# temporaries to a few hundred kB.
+_FORMAT_BLOCK = 8192
+
+
+def _format_points(values: np.ndarray) -> str:
+    """``"%.2f"`` of each value, joined alternately by ``,`` and `` ``.
+
+    ``[x0, y0, x1, y1, ...]`` gives ``"x0,y0 x1,y1 ..."``, byte for byte
+    what Python's correctly rounded formatter writes.  The rounding is
+    done on integers: ``np.frexp`` gives ``v = m * 2**e``, and the 53-bit
+    mantissa ``M = m * 2**53`` times 100 is ``v * 100 * 2**s`` exactly,
+    with ``s = 53 - e``.  A right shift by ``s`` that rounds half to even
+    on the exact remainder gives ``round(v * 100)``.  Its digits, the
+    ``.`` and the separators are written as ``uint8`` columns, and the
+    leading zeros are masked out.
+
+    Exact for ``0 <= v < 2**52``, where ``s >= 1`` and ``100 * M`` fits in
+    an int64.  Every value the figure formats lies well inside: beat and
+    frame times are ``>= 0`` and at most the axis length, so x is in
+    [170, 890], and activation values are in [0, 1], so y is in [24, 126].
+    """
+    chunks = []
+    for start in range(0, len(values), _FORMAT_BLOCK):
+        # each name is reused from step to step, so that a block holds few
+        # temporaries at a time
+        cents, shift = np.frexp(values[start : start + _FORMAT_BLOCK])
+        # below 2**-62 the product is under 2**-2, and a shift of 62
+        # rounds it to 0 as a longer one would
+        shift = np.minimum(np.int64(53) - shift.astype(np.int64), np.int64(62))
+        cents = np.ldexp(cents, 53).astype(np.int64)
+        cents *= np.int64(100)
+        # adding half - 1 and the last bit kept carries exactly when the
+        # remainder is above half, or at half with an odd quotient
+        carry = (cents >> shift) & np.int64(1)
+        carry += (np.int64(1) << (shift - np.int64(1))) - np.int64(1)
+        cents += carry
+        cents >>= shift
+        digits = len(str(int(cents.max()) // 100))
+        # the integer part's leading zeros are masked out
+        keep = np.ones((len(cents), digits + 4), dtype=bool)
+        for k in range(digits - 1):
+            keep[:, k] = cents >= np.int64(10 ** (digits + 1 - k))
+        out = np.empty(keep.shape, dtype=np.uint8)
+        for k in [digits + 2, digits + 1, *range(digits - 1, -1, -1)]:
+            quotient = cents // np.int64(10)
+            cents -= quotient * np.int64(10) - np.int64(ord("0"))
+            out[:, k] = cents
+            cents = quotient
+        out[:, digits] = ord(".")
+        out[0::2, -1] = ord(",")
+        out[1::2, -1] = ord(" ")
+        chunks.append(out[keep].tobytes())
+    return b"".join(chunks)[:-1].decode("ascii")
+
+
+def _format_each(values: np.ndarray) -> list[str]:
+    """``"%.2f"`` of each value, as a list."""
+    return _format_points(values).replace(",", " ").split()
+
+
 def _runs(row: np.ndarray):
     """Maximal runs of True as (first, last) index pairs."""
     # a run starts where the row rises and ends one before it falls
@@ -111,23 +173,21 @@ def render_coverage_svg(
             f'height="{_fmt(_PANEL_HEIGHT)}" fill="#f7f7f7" stroke="#cccccc"/>'
         )
         if act is not None and len(act):
-            # "%.2f" and f"{v:.2f}" share one float formatter, so filling a
-            # template per array gives the bytes of a per-point f-string
             xy = np.column_stack((x(act.frame_times()), p_bot - act.values * (_PANEL_HEIGHT - 8.0)))
-            pts = " ".join(["%.2f,%.2f"] * len(act)) % tuple(xy.ravel().tolist())
+            pts = _format_points(xy.ravel())
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="#888888" stroke-width="1"/>'
             )
         parts += map(
-            f'<line class="ref-beat" x1="{{0:.2f}}" y1="{_fmt(p_top)}" '
-            f'x2="{{0:.2f}}" y2="{_fmt(mid)}" stroke="#1b7837" stroke-width="1"/>'.format,
-            x(t).tolist(),
+            f'<line class="ref-beat" x1="{{0}}" y1="{_fmt(p_top)}" '
+            f'x2="{{0}}" y2="{_fmt(mid)}" stroke="#1b7837" stroke-width="1"/>'.format,
+            _format_each(x(t)),
         )
         if est is not None:
             parts += map(
-                f'<line class="est-beat" x1="{{0:.2f}}" y1="{_fmt(mid)}" '
-                f'x2="{{0:.2f}}" y2="{_fmt(p_bot)}" stroke="#b2182b" stroke-width="1"/>'.format,
-                x(est.times).tolist(),
+                f'<line class="est-beat" x1="{{0}}" y1="{_fmt(mid)}" '
+                f'x2="{{0}}" y2="{_fmt(p_bot)}" stroke="#b2182b" stroke-width="1"/>'.format,
+                _format_each(x(est.times)),
             )
         parts.append(
             f'<text x="{_fmt(_MARGIN_LEFT - 8.0)}" y="{_fmt(mid)}" text-anchor="end">beats</text>'

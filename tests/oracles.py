@@ -272,3 +272,8 @@ def oracle_polyline_points(values, fps, t_max):
         f"{170.0 + k / fps / t_max * 720.0:.2f},{126.0 - v * 102.0:.2f}"
         for k, v in enumerate(values)
     )
+
+
+def oracle_format_points(values):
+    """``"%.2f"`` of each value, joined alternately by ``,`` and `` ``."""
+    return "".join(f"{v:.2f}{', '[k % 2]}" for k, v in enumerate(values))[:-1]

@@ -325,6 +325,19 @@ class TestVizCommand:
         text = out.read_text()
         assert 'id="row-any"' in text and 'class="cover"' not in text
 
+    @pytest.mark.parametrize("length", ["3000000000000000000", "100000000000000000000"])
+    def test_window_too_long_for_numpy_renders_like_any_long_window(self, tmp_path, capsys, length):
+        # numpy cannot shape even an empty array of that many columns
+        ref, est, _ = run_synth(tmp_path)
+        figures = []
+        for arg in ("1000000000000000", length):
+            out = tmp_path / f"cover-{arg}.svg"
+            code = run_cli(["viz", "--ref", str(ref), "--est", str(est), "--L", arg, "--out", str(out)])
+            assert code == 0
+            figures.append(out.read_bytes())
+        assert capsys.readouterr().err == ""
+        assert figures[0] == figures[1]
+
     def test_comment_only_reference_exits_2(self, tmp_path, capsys):
         _, est, _ = run_synth(tmp_path)
         ref = tmp_path / "empty.beats"

@@ -252,3 +252,51 @@ class TestDpTrack:
 
 def test_global_tempo_from_reference():
     assert global_tempo_from_reference(constant_beats(132, 30)) == pytest.approx(132.0)
+
+
+def scale_values(rng, case):
+    """Activation values for the scaling tests: random, rounded to one
+    decimal, or held for five frames (plateaus and ties), half of them
+    with a silent lead-in."""
+    n = int(rng.integers(40, 400))
+    values = rng.random(n)
+    if case % 3 == 1:
+        values = np.round(values, 1)
+    elif case % 3 == 2:
+        values = np.repeat(values[: n // 5 + 1], 5)[:n]
+    if case % 2:
+        values[: n // 4] = 0.0
+    return values
+
+
+def test_sppk_doubling_fps_and_halving_min_gap_halves_the_times(rng):
+    """The candidate frames depend on the values alone.  The gap test
+    compares ``d / fps`` with ``min_gap``; with fps doubled and min_gap
+    halved both sides are halved, which is exact in binary floating
+    point, so every comparison and so every accepted frame is the same,
+    and each time ``frame / (2 * fps)`` is exactly half of ``frame / fps``."""
+    for case in range(300):
+        values = scale_values(rng, case)
+        fps = float(rng.choice([100.0, 44100 / 512, rng.uniform(5.0, 500.0)]))
+        # gaps that are whole frames sit on the ``>=`` boundary
+        min_gap = float(rng.choice([0.0, rng.integers(1, 30) / fps, rng.uniform(0.0, 0.5)]))
+        threshold = float(rng.uniform(0.0, 0.8))
+        got = sppk(ActivationFunction(fps=fps, values=values), threshold, min_gap)
+        half = sppk(ActivationFunction(fps=2.0 * fps, values=values), threshold, min_gap / 2.0)
+        assert half.times.tolist() == (got.times / 2.0).tolist(), case
+
+
+def test_dp_track_doubling_fps_and_tempo_halves_the_times(rng):
+    """``tau = fps * 60 / global_tempo``: ``2 * fps * 60`` is exactly twice
+    ``fps * 60``, and dividing by ``2 * global_tempo`` gives exactly the
+    same double ``tau``.  The path depends only on the values, ``tau``
+    and the tightness, so the frames are the same, and each time
+    ``frame / (2 * fps)`` is exactly half of ``frame / fps``."""
+    for case in range(300):
+        values = scale_values(rng, case)
+        fps = float(rng.choice([100.0, 44100 / 512, rng.uniform(10.0, 200.0)]))
+        tempo = float(rng.uniform(50.0, 200.0))
+        tightness = (100.0, 0.0, -1.0, 3.7)[case % 4]
+        got = dp_track(ActivationFunction(fps=fps, values=values), tempo, tightness)
+        half = dp_track(ActivationFunction(fps=2.0 * fps, values=values), 2.0 * tempo, tightness)
+        assert half.times.tolist() == (got.times / 2.0).tolist(), case

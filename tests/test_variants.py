@@ -89,13 +89,17 @@ class TestWindowLength:
             window_table(constant_beats(120, 8).times, Condition.ONBEAT, length)
 
     def test_length_beyond_the_sequence_builds_nothing(self):
-        # a row of 10**15 taps would need petabytes; no row fits, so none is built
+        # a row of 10**15 taps would need petabytes, and numpy cannot even
+        # shape an empty array of 3e18 or 1e20 columns; no row fits, so
+        # none is built and the columns stop at the taps
         beats = constant_beats(120, 8)
-        params = ToleranceParams(context=10**15)
-        for condition in Condition:
-            windows, eps, _ = window_table(beats.times, condition, 10**15)
-            assert len(windows) == 0 and len(eps) == 0
-            assert variant_window(beats, 0, condition, params) is None
+        for length in (10**15, 3 * 10**18, 10**20):
+            params = ToleranceParams(context=length)
+            for condition in Condition:
+                windows, eps, _ = window_table(beats.times, condition, length)
+                assert len(windows) == 0 and len(eps) == 0
+                assert windows.shape[1] < 4 * len(beats)  # at most the quadruple's taps + 1
+                assert variant_window(beats, 0, condition, params) is None
 
     def test_numpy_integer_length_accepted(self):
         times = constant_beats(120, 8).times

@@ -18,7 +18,8 @@ from beatcover import (
     Scenario,
     Segment,
 )
-from oracles import oracle_polyline_points
+from beatcover.viz import _FORMAT_BLOCK, _format_points
+from oracles import oracle_format_points, oracle_polyline_points
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -157,3 +158,76 @@ def test_polyline_points_match_per_frame_formatting(case):
     t_max = max(last_beat, (len(values) - 1) / fps)
     points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
     assert points == oracle_polyline_points(values, fps, t_max)
+
+
+def test_polyline_x_keeps_its_operation_order():
+    """x is ``170 + t / t_max * 720``.  At frame 714 of this case that is
+    456.87499999999994 and formats as 456.87, while the reordered
+    ``170 + t * (720 / t_max)`` gives 456.875, which rounds to 456.88."""
+    fps, last_beat = 244.66637595636874, 6.022230553550414
+    values = np.zeros(1793)
+    ref = BeatSequence([last_beat])
+    act = ActivationFunction(fps=fps, values=values)
+    svg = render_coverage_svg(coverage_matrix(ref, ref), ref, act=act)
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    assert points == oracle_polyline_points(values, fps, act.duration)
+    assert points.split(" ")[714] == "456.87,126.00"
+
+
+class TestFormatPoints:
+    """``viz._format_points`` rounds in integers; Python's float formatter
+    is the reference."""
+
+    def test_every_hundredth_and_half_hundredth_and_their_neighbours(self):
+        k = np.arange(2 * 10**5) / 200
+        for values in (k, np.nextafter(k, 0.0), np.nextafter(k, np.inf)):
+            assert _format_points(values) == oracle_format_points(values.tolist())
+
+    def test_binary_ties_round_half_to_even(self):
+        # 0.125 and 170.125 are exact ties; 2.675 is just below one
+        values = [0.125, 170.125, 2.675, 0.375, 0.625, 0.875]
+        assert _format_points(np.array(values)) == "0.12,170.12 2.67,0.38 0.62,0.88"
+
+    def test_zero_subnormal_and_large_values(self):
+        values = [0.0, 5e-324, 2.2250738585072014e-308, 0.005, 9.995, 99.995, 999999.995, 1e6]
+        values += (10.0 ** np.arange(7) - 0.005).tolist() + [2.0**52 - 0.5, 2.0**52 - 1.0]
+        assert _format_points(np.array(values)) == oracle_format_points(values)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, _FORMAT_BLOCK + 1])
+    def test_block_edges(self, offset):
+        values = np.random.default_rng(offset + 2).uniform(0.0, 1000.0, _FORMAT_BLOCK + offset)
+        assert _format_points(values) == oracle_format_points(values.tolist())
+
+    def test_empty(self):
+        assert _format_points(np.empty(0)) == ""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=2.0**52, exclude_max=True), max_size=40))
+    def test_matches_percent_format_over_its_domain(self, values):
+        assert _format_points(np.array(values, dtype=np.float64)) == oracle_format_points(values)
+
+
+@pytest.mark.parametrize("frames", [_FORMAT_BLOCK - 1, _FORMAT_BLOCK, _FORMAT_BLOCK + 1])
+def test_polylines_across_format_blocks(frames):
+    fps = 100.0
+    values = np.random.default_rng(frames).random(frames)
+    ref = BeatSequence([1.0])
+    act = ActivationFunction(fps=fps, values=values)
+    svg = render_coverage_svg(coverage_matrix(ref, ref), ref, act=act)
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    assert points == oracle_polyline_points(values, fps, act.duration)
+
+
+def test_tick_x_match_per_beat_formatting():
+    """Each tick class formats its x as one array, across a block edge;
+    every x1 and x2 equals a per-beat f-string."""
+    rng = np.random.default_rng(5)
+    ref = BeatSequence(np.cumsum(rng.uniform(0.2, 0.8, _FORMAT_BLOCK + 1)))
+    est = BeatSequence(np.round(ref.times[1::3], 3))
+    svg = render_coverage_svg(coverage_matrix(ref, est), ref, est=est)
+    t_max = max(ref.times[-1], est.times[-1])
+    root = ET.fromstring(svg)
+    for cls, seq in (("ref-beat", ref), ("est-beat", est)):
+        lines = [e for e in root.iter(f"{SVG}line") if e.get("class") == cls]
+        want = [f"{170.0 + t / t_max * 720.0:.2f}" for t in seq.times.tolist()]
+        assert [e.get("x1") for e in lines] == want
+        assert [e.get("x2") for e in lines] == want
