@@ -23,7 +23,14 @@ from .core import (
     ToleranceParams,
     _finite_positive,
 )
-from .matching import _BLOCK_ROWS, _first_in_band, _slack, coverage_matrix, l_correct_detection
+from .matching import (
+    _BLOCK_ROWS,
+    _coverage_pass,
+    _first_in_band,
+    _l_correct_pass,
+    _slack,
+    l_correct_detection,
+)
 from .variants import condition_taps
 
 __all__ = [
@@ -219,10 +226,18 @@ def l_correct_fmeasure(
     Counts reference and estimated beats flagged by
     :func:`beatcover.matching.l_correct_detection`.
     """
+    _check_context(ref, params)
+    return _l_correct_scores(*l_correct_detection(ref, est, params))
+
+
+def _check_context(ref: BeatSequence, params: ToleranceParams) -> None:
     if len(ref) < params.context:
         raise TooFewBeatsError(f"need at least {params.context} reference beats, got {len(ref)}")
-    ref_flags, est_flags = l_correct_detection(ref, est, params)
-    p, r, f = _prf(np.count_nonzero(ref_flags), len(ref), np.count_nonzero(est_flags), len(est))
+
+
+def _l_correct_scores(ref_flags: np.ndarray, est_flags: np.ndarray) -> tuple[float, float, float]:
+    """Recall, precision and F-measure of L-correct flags."""
+    p, r, f = _prf(np.count_nonzero(ref_flags), len(ref_flags), np.count_nonzero(est_flags), len(est_flags))
     return r, p, f
 
 
@@ -340,23 +355,60 @@ def evaluate_track(
     params: ToleranceParams = ToleranceParams(),
 ) -> TrackReport:
     """Run every metric on one (reference, estimate) pair."""
-    precision, recall, f1 = f1_score(ref, est, window=params.cap)
-    lr, lp, lf = l_correct_fmeasure(ref, est, params)
-    cm = coverage_matrix(ref, est, params)
-    acr = acr_scores(cm)
-    return TrackReport(
-        track_id=track_id,
-        f1=_r6(f1),
-        precision=_r6(precision),
-        recall=_r6(recall),
-        cmlt=_r6(cmlt(ref, est, params.gamma)),
-        amlt=_r6(amlt(ref, est, params.gamma)),
-        l_correct_f=_r6(lf),
-        l_correct_p=_r6(lp),
-        l_correct_r=_r6(lr),
-        acr={c: _r6(v) for c, v in acr.per_condition.items()},
-        acr_any=_r6(acr.acr_any),
-        acr_offbeat=_r6(acr.acr_offbeat),
-        mlsr=_r6(mlsr(cm)),
-        params=params,
-    )
+    return _evaluate_tracks([(track_id, ref, est)], params)[0]
+
+
+def _passes(items, params: ToleranceParams):
+    """The ``(track_id, ref, est)`` items in passes of up to ``_BLOCK_ROWS`` reference beats.
+
+    Yields lists of ``(track_id, ref, est, F1 scores)``; a track with
+    more beats than that is a pass of its own.  F1 and the window-length
+    check run on each item as it is taken from ``items``, so the first
+    bad item raises, as it would one track at a time; past the check no
+    metric raises.
+    """
+    batch, beats = [], 0
+    for track_id, ref, est in items:
+        scores = f1_score(ref, est, window=params.cap)
+        _check_context(ref, params)
+        if batch and beats + len(ref) > _BLOCK_ROWS:
+            yield batch
+            batch, beats = [], 0
+        batch.append((track_id, ref, est, scores))
+        beats += len(ref)
+    if batch:
+        yield batch
+
+
+def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
+    """Run every metric on each ``(track_id, ref, est)`` item, in order.
+
+    L-correct and coverage match the windows of each pass of tracks
+    together (see :func:`_passes`); CMLt and AMLt then run per track.
+    """
+    reports = []
+    for batch in _passes(items, params):
+        pairs = [(ref, est) for _, ref, est, _ in batch]
+        l_correct = [_l_correct_scores(*flags) for flags in _l_correct_pass(pairs, params)]
+        for track, (lr, lp, lf), cm in zip(batch, l_correct, _coverage_pass(pairs, params)):
+            track_id, ref, est, (precision, recall, f1) = track
+            acr = acr_scores(cm)
+            reports.append(
+                TrackReport(
+                    track_id=track_id,
+                    f1=_r6(f1),
+                    precision=_r6(precision),
+                    recall=_r6(recall),
+                    cmlt=_r6(cmlt(ref, est, params.gamma)),
+                    amlt=_r6(amlt(ref, est, params.gamma)),
+                    l_correct_f=_r6(lf),
+                    l_correct_p=_r6(lp),
+                    l_correct_r=_r6(lr),
+                    acr={c: _r6(v) for c, v in acr.per_condition.items()},
+                    acr_any=_r6(acr.acr_any),
+                    acr_offbeat=_r6(acr.acr_offbeat),
+                    mlsr=_r6(mlsr(cm)),
+                    params=params,
+                )
+            )
+    return reports

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import BeatcoverError, BeatSequence, Condition, ToleranceParams
 from .fileio import parse_beats_file
-from .metrics import TrackReport, _r6, evaluate_track, mean_track_tempo, stable_intervals
+from .metrics import TrackReport, _evaluate_tracks, _r6, mean_track_tempo, stable_intervals
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -142,9 +142,12 @@ def _by_stem(directory) -> dict[str, Path]:
 def evaluate_dataset(ref_dir, est_dir, params: ToleranceParams = ToleranceParams()) -> DatasetReport:
     """Evaluate every stem-matched (reference, estimate) file pair.
 
-    Tracks are evaluated one at a time in sorted stem order.  Unmatched
-    files become warnings; the result is independent of directory
-    listing order.
+    Tracks are read and scored in sorted stem order, so the first bad
+    file or too-short reference in that order raises.  Their windows are
+    matched in passes of up to 4096 reference beats (see
+    :mod:`beatcover.matching`), which give each track the scores it gets
+    on its own.  Unmatched files become warnings; the result is
+    independent of directory listing order.
 
     Raises:
         NoPairsFoundError: no stem matched at all.
@@ -159,12 +162,15 @@ def evaluate_dataset(ref_dir, est_dir, params: ToleranceParams = ToleranceParams
         [f"no estimate for reference {s!r}" for s in sorted(set(refs) - set(ests))]
         + [f"no reference for estimate {s!r}" for s in sorted(set(ests) - set(refs))]
     )
-    tracks = []
     ref_seqs = []
-    for stem in stems:
-        ref = parse_beats_file(refs[stem])
-        tracks.append(evaluate_track(stem, ref, parse_beats_file(ests[stem]), params))
-        ref_seqs.append(ref)
+
+    def pairs():  # read lazily, so files are read and scored in stem order
+        for stem in stems:
+            ref = parse_beats_file(refs[stem])
+            ref_seqs.append(ref)
+            yield stem, ref, parse_beats_file(ests[stem])
+
+    tracks = _evaluate_tracks(pairs(), params)
     return DatasetReport(
         tracks=tuple(tracks),
         means=compute_means(tracks),

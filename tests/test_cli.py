@@ -223,6 +223,29 @@ class TestEvalCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "short, garbled, message",
+        [
+            ("b", "c", "error: need at least 3 reference beats, got 2"),
+            ("c", "b", "b.txt:2: beat time is not a number: 'abc'"),
+        ],
+    )
+    def test_first_bad_track_in_stem_order_is_the_error(self, tmp_path, capsys, short, garbled, message):
+        # files are read and scored track by track in stem order, although
+        # windows are matched in passes over several tracks
+        ref_dir, est_dir = tmp_path / "refs", tmp_path / "ests"
+        ref_dir.mkdir()
+        est_dir.mkdir()
+        beats = "".join(f"{0.5 * k}\n" for k in range(8))
+        for stem in "abc":
+            (ref_dir / f"{stem}.txt").write_text("0.5\n1.0\n" if stem == short else beats)
+            (est_dir / f"{stem}.txt").write_text("0.5\nabc\n" if stem == garbled else beats)
+        out = tmp_path / "r.json"
+        code = run_cli(["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(out), "--L", "3"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code = run_cli([
             "eval", "--ref", str(tmp_path / "absent"), "--est", str(tmp_path),

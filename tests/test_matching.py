@@ -20,7 +20,8 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _first_in_band
+from beatcover.matching import _BLOCK_ROWS, _coverage_pass, _first_in_band, _l_correct_pass, _runs
+from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
 
@@ -152,6 +153,126 @@ class TestCoverageMatrix:
                         expected[list(window.cover_set)] = True
                 assert np.array_equal(cm.covered[condition], expected), (context, condition)
             assert cm.rows.any(axis=1).all() and not cm.any_row.all()
+
+
+# Times on a 1/64 s grid are exact, and so is a 1/16 s cap: an estimate
+# 4/64 s from its tap lands on the tolerance boundary, 5/64 s misses it.
+GRID = 64
+GRID_CAP = 4 / GRID
+
+
+def grid_track(intervals, offsets, start=0, condition=Condition.ONBEAT):
+    """A reference from ``start`` and ``intervals`` (grid steps), and an
+    estimate on the grid that taps like ``condition``, its ``k``-th tap
+    moved by ``offsets[k % len(offsets)]`` steps or skipped where that
+    offset is None; both in seconds."""
+    ref = (start + np.cumsum([0, *intervals])) / GRID
+    taps = np.round(condition_taps(ref, condition) * GRID).tolist()
+    moved = (t + o for t, o in zip(taps, itertools.cycle(offsets)) if o is not None)
+    est = sorted({t for t in moved if t >= 0})
+    return BeatSequence(ref), BeatSequence(np.array(est, dtype=float) / GRID)
+
+
+def assert_pass_matches_oracles(pairs, params):
+    """Every track of one pass of ``pairs`` against the quadratic oracles."""
+    length, cap, gamma = params.context, params.cap, params.gamma
+    cms = _coverage_pass(pairs, params)
+    flags = _l_correct_pass(pairs, params)
+    assert len(cms) == len(flags) == len(pairs)
+    for k, ((ref, est), cm, (ref_flags, est_flags)) in enumerate(zip(pairs, cms, flags)):
+        r, e = ref.times.tolist(), est.times.tolist()
+        expected = oracles.oracle_coverage(r, e, length, cap, gamma)
+        for condition in Condition:
+            assert cm.covered[condition].tolist() == expected[condition.value], (k, condition, r, e)
+        assert (ref_flags.tolist(), est_flags.tolist()) == oracles.oracle_l_correct(r, e, length, cap), (k, r, e)
+
+
+class TestPass:
+    """Coverage and L-correct of several tracks matched in one pass."""
+
+    def seeded_pairs(self, rng, length):
+        pairs = []
+        for _ in range(int(rng.integers(2, 7))):
+            kind = int(rng.integers(0, 6))
+            # one-beat references, references shorter than L, and longer ones
+            n = {0: 1, 1: int(rng.integers(2, length + 1))}.get(kind, int(rng.integers(length, 26)))
+            # a track may start after the one before it has ended
+            start = int(rng.integers(0, 32)) if rng.random() < 0.5 else int(rng.integers(30, 35)) * GRID
+            # most taps on time, some on or just past the tolerance boundary
+            moves = [-5, -4, -1, 1, 4, 5, None]
+            offsets = [moves[k] if u < 0.3 else 0 for k, u in zip(rng.integers(0, 7, 4 * n), rng.random(4 * n))]
+            if kind == 2:  # the tracker found nothing
+                offsets = [None]
+            condition = list(Condition)[int(rng.integers(0, len(Condition)))]
+            pairs.append(grid_track(rng.integers(16, 48, n - 1), offsets, start, condition))
+        if rng.random() < 0.3:
+            pairs.insert(int(rng.integers(0, len(pairs))), (BeatSequence([]), pairs[0][1]))
+        return pairs
+
+    def test_every_track_agrees_with_the_oracles(self, rng):
+        # tracks shorter than L, one-beat and empty references, empty
+        # estimates, and estimates on the tolerance boundary
+        for length in range(2, 9):
+            for cap in (GRID_CAP, 0.070):
+                params = ToleranceParams(cap=cap, context=length)
+                for _ in range(6):
+                    assert_pass_matches_oracles(self.seeded_pairs(rng, length), params)
+
+    def test_rows_of_the_concatenation_are_the_tracks_own_rows(self, rng):
+        # every row that a pass searches holds the taps and the tolerance
+        # of the same row of its track's own table, bit for bit; at L = 8
+        # a harmonic-quadruple row has 29 taps, whose 28 gaps np.mean sums
+        # pairwise
+        for length in range(2, 9):
+            params = ToleranceParams(context=length)
+            refs = [random_times(rng, int(rng.integers(0, 30))) for _ in range(5)]
+            starts = np.cumsum([0, *map(len, refs)]).tolist()
+            bounds = [(a, b, 0, 0) for a, b in zip(starts, starts[1:])]
+            for condition in Condition:
+                windows, eps, _ = window_table(np.concatenate(refs), condition, length, params)
+                own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts, refs)]
+                own = [(a, table) for a, table in own if len(table[0])]
+                runs = _runs(bounds, len(windows)) if len(windows) else []
+                assert [run[:2] for run in runs] == [(a, a + len(table[0])) for a, table in own]
+                for a, (own_windows, own_eps, _) in own:
+                    assert np.array_equal(windows[a : a + len(own_windows)], own_windows), (length, condition)
+                    assert eps[a : a + len(own_eps)].tobytes() == own_eps.tobytes(), (length, condition)
+
+    def test_a_match_stays_inside_its_track(self):
+        # the first estimate stops a beat early, and the next one goes on
+        # from there: its beats must not complete the first track's windows
+        ref = BeatSequence([0.5, 1.0, 1.5])
+        pairs = [(ref, BeatSequence([0.5, 1.0])), (ref, BeatSequence([1.5, 2.0]))]
+        cms = _coverage_pass(pairs, ToleranceParams())
+        assert cms[0].covered[Condition.ONBEAT].tolist() == [True, True, False]
+        (ref_flags, est_flags), _ = _l_correct_pass(pairs, ToleranceParams())
+        assert ref_flags.tolist() == [True, True, False] and est_flags.tolist() == [True, True]
+        assert_pass_matches_oracles(pairs, ToleranceParams())
+
+    def test_window_longer_than_every_track_builds_nothing(self):
+        pairs = [(constant_beats(120, 20), constant_beats(120, 20))] * 3
+        for length in (21, 10**15, 3 * 10**18):
+            params = ToleranceParams(context=length)
+            assert not any(cm.rows.any() for cm in _coverage_pass(pairs, params))
+            assert not any(f.any() for flags in _l_correct_pass(pairs, params) for f in flags)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(16, 48), max_size=12),
+                st.lists(st.one_of(st.none(), st.integers(-5, 5)), min_size=1, max_size=8),
+                st.integers(0, 32),
+                st.sampled_from(list(Condition)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(2, 8),
+        st.sampled_from([GRID_CAP, 0.070]),
+    )
+    def test_pass_matches_oracles(self, tracks, length, cap):
+        pairs = [grid_track(*track) for track in tracks]
+        assert_pass_matches_oracles(pairs, ToleranceParams(cap=cap, context=length))
 
 
 def brute_first_in_band(lo, hi, table):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from beatcover import (
     compute_means,
     dataset_stats_from_refs,
     evaluate_dataset,
+    evaluate_track,
     gen_estimate,
     gen_reference,
     parse_report,
@@ -23,6 +25,8 @@ from beatcover import (
     write_beats_file,
     write_report,
 )
+from beatcover.fileio import parse_beats_file
+from beatcover.matching import _BLOCK_ROWS
 from conftest import constant_beats
 
 
@@ -92,6 +96,53 @@ class TestEvaluateDataset:
         (ref_dir / ".DS_Store").write_text("junk")
         report = evaluate_dataset(ref_dir, est_dir)
         assert len(report.tracks) == 2
+
+
+class TestPasses:
+    """Tracks are matched in passes; each track keeps its own scores."""
+
+    def test_tracks_score_as_they_do_alone(self, tmp_path, rng):
+        ref_dir, est_dir = tmp_path / "ref", tmp_path / "est"
+        ref_dir.mkdir()
+        est_dir.mkdir()
+        # about 6800 reference beats in all, so the windows take two
+        # passes; one track alone has more beats than one pass holds
+        durations = [2.0, 30.0, 1.0, 700.0, 45.0, 2400.0, 12.0, 60.0, 1.5]
+        for k, duration in enumerate(durations):
+            ref = gen_reference(float(rng.uniform(70.0, 160.0)), duration)
+            segments = (Segment(0, list(Condition)[k % len(Condition)], 0.005),)
+            est = gen_estimate(ref, Scenario(float(rng.uniform(70.0, 160.0)), duration, segments), seed=k)
+            write_beats_file(ref, ref_dir / f"t{k}.beats")
+            write_beats_file(est if k != 2 else BeatSequence([]), est_dir / f"t{k}.beats")
+        report = evaluate_dataset(ref_dir, est_dir, ToleranceParams(context=2))
+        refs = [parse_beats_file(ref_dir / f"t{k}.beats") for k in range(len(durations))]
+        assert sum(map(len, refs)) > _BLOCK_ROWS and max(map(len, refs)) > _BLOCK_ROWS
+        for k, track in enumerate(report.tracks):
+            est = parse_beats_file(est_dir / f"t{k}.beats")
+            assert track == evaluate_track(f"t{k}", refs[k], est, ToleranceParams(context=2))
+        assert any(t.acr_any > 0.5 for t in report.tracks)
+
+    def test_pass_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        # a pass holds at most _BLOCK_ROWS reference beats, so four times
+        # the tracks add only their reports to the peak
+        def peak(n_tracks):
+            root = tmp_path / str(n_tracks)
+            for side in ("ref", "est"):
+                (root / side).mkdir(parents=True)
+            for k in range(n_tracks):
+                ref = constant_beats(100 + k % 50, 40, start=0.01 * k)
+                write_beats_file(ref, root / "ref" / f"t{k:03d}.beats")
+                write_beats_file(BeatSequence(ref.times[::2]), root / "est" / f"t{k:03d}.beats")
+            tracemalloc.start()
+            try:
+                evaluate_dataset(root / "ref", root / "est")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(96), peak(384)
+        assert 96 * 40 <= _BLOCK_ROWS < 384 * 40
+        assert large - small < 1.5 * 2**20, (small, large)
 
 
 def test_stats_need_a_reference():
