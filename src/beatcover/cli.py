@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", type=_metric_list, default=None,
                    help=f"comma-separated groups to report (default all): {','.join(METRIC_GROUPS)}")
     p.add_argument("--workers", type=_checked(int, partial(_index, "workers", low=1)), default=1,
-                   help="has no effect: tracks are evaluated one at a time")
+                   help="accepted but has no effect")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_eval)
 

@@ -9,13 +9,13 @@ Matching works on whole window tables (see
 :func:`beatcover.variants.window_table`): one private matcher finds,
 for every row at once, the first estimated beat where the row matches.
 Coverage, L-correct detection and the single-window
-:func:`window_match` all go through it.  Coverage and L-correct match
-the windows of several tracks in one pass: the pass concatenates their
-references and cuts each condition's table once from them, and each
-track's rows search only that track's estimate.  Coverage also stacks
-the tables of the conditions whose windows have the same span, so a
-pass costs one matcher call per stack, not one per condition and
-track.  :func:`coverage_matrix` and :func:`l_correct_detection` are the
+:func:`window_match` all go through it.  Coverage and L-correct are one
+pass over the windows of several tracks: the pass concatenates their
+references, cuts each condition's table once from them, and matches
+each table in one matcher call, in which each track's rows search only
+that track's estimate.  L-correct matches the onbeat and half-offbeat
+tables a second time, with the fixed tolerance cap.
+:func:`coverage_matrix` and :func:`l_correct_detection` are the
 one-track case of that pass.  The matcher is one use of a band search,
 :func:`_first_in_band`, that finds for every row the first candidate in
 a sorted band that passes a check; the continuity metrics
@@ -46,11 +46,11 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
 
 
-# Most rows that coverage and AMLt stack into one band search, and most
-# reference beats in one pass of several tracks.  Stacking the rows of
-# several conditions, variants or tracks saves per-call overhead on
-# short tracks; on long tracks, where one table already has thousands of
-# rows, bigger stacks save nothing and only hold more memory.
+# Most rows that AMLt stacks into one band search, and most reference
+# beats in one pass of several tracks.  Stacking the rows of several
+# variants or tracks saves per-call overhead on short tracks; on long
+# tracks, where one table already has thousands of rows, bigger stacks
+# save nothing and only hold more memory.
 _BLOCK_ROWS = 4096
 
 
@@ -123,7 +123,7 @@ def _concat(pairs):
     return np.concatenate(refs), np.concatenate(ests), bounds
 
 
-def _runs(bounds, rows: int, offset: int = 0) -> list:
+def _runs(bounds, rows: int) -> list:
     """The matcher runs of a table with ``rows`` rows cut from the joined references.
 
     The table has a row for each anchor whose window reads no beat past
@@ -131,68 +131,38 @@ def _runs(bounds, rows: int, offset: int = 0) -> list:
     ``g`` to ``g + reach``, where ``reach`` is the number of beats less
     the number of rows.  A row that reads past its own track's last beat
     exists only in the joined table and is in no run; each other row
-    holds the same taps and tolerance as in its track's own table.  The
-    table starts at row ``offset`` of its stack.
+    holds the same taps and tolerance as in its track's own table.
     """
     reach = bounds[-1][1] - rows
-    return [(offset + a, offset + b - reach, s, t) for a, b, s, t in bounds if b - reach > a]
+    return [(a, b - reach, s, t) for a, b, s, t in bounds if b - reach > a]
 
 
-def _coverage_pass(pairs, params: ToleranceParams) -> list[CoverageMatrix]:
-    """The coverage of each (reference, estimate) pair, matched in one pass."""
+def _pass(pairs, params: ToleranceParams) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
+    """The coverage and the L-correct flags of each (reference, estimate) pair, in one pass.
+
+    Each pair gets ``(coverage, ref_flags, est_flags)``: what
+    :func:`coverage_matrix` and :func:`l_correct_detection` return.
+    """
     r, e, bounds = _concat(pairs)
     length = params.context
-    flags = np.zeros((len(Condition), len(r)), dtype=bool)
-    stack = []  # tables to match together: (windows, eps, flag row, stride)
-
-    def match():
-        if len(stack) == 1:
-            windows, eps = stack[0][:2]
-        else:
-            windows = np.concatenate([t[0] for t in stack])
-            eps = np.concatenate([t[1] for t in stack])
-        offsets = list(accumulate((len(table) for table, *_ in stack), initial=0))
-        runs = [run for (table, *_), at in zip(stack, offsets) for run in _runs(bounds, len(table), at)]
-        first = _first_match(windows, eps, e, runs)
-        for (table, _, c, stride), at in zip(stack, offsets):
-            # row g covers beats g + stride * arange(length) of flag row c
-            hit = np.flatnonzero(first[at : at + len(table)] >= 0)
-            _mark(flags[c], hit, stride, length)
-        stack.clear()
-
-    # Consecutive tables are matched together while they share a span and
-    # fit in one block.  ``Condition`` lists the seven conditions of span
-    # ``length`` (onbeat, offbeats, subharmonics) before the three
-    # harmonics, whose spans differ, so a short pass takes one matcher
-    # call per span.  A table with no row needs no call.
+    # a row per condition, then L-correct's reference flags
+    flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
+    est_flags = np.zeros(len(e), dtype=bool)
     for c, condition in enumerate(Condition):
         windows, eps, stride = window_table(r, condition, length, params)
         if not len(windows):
             continue
-        rows = len(windows) + sum(len(table[0]) for table in stack)
-        if stack and (windows.shape[1] != stack[0][0].shape[1] or rows > _BLOCK_ROWS):
-            match()
-        stack.append((windows, eps, c, stride))
-    if stack:
-        match()
-    return [CoverageMatrix(flags[:, a:b]) for a, b, _, _ in bounds]
-
-
-def _l_correct_pass(pairs, params: ToleranceParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The L-correct flags of each (reference, estimate) pair, matched in one pass."""
-    r, e, bounds = _concat(pairs)
-    ref_flags = np.zeros(len(r), dtype=bool)
-    est_flags = np.zeros(len(e), dtype=bool)
-    for condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF):
-        windows, _, stride = window_table(r, condition, params.context, params)
-        if not len(windows):
-            continue
-        eps = np.full(len(windows), params.cap)
-        first = _first_match(windows, eps, e, _runs(bounds, len(windows)))
-        hit = np.flatnonzero(first >= 0)
-        _mark(ref_flags, hit, stride, params.context)
-        _mark(est_flags, first[hit], 1, windows.shape[1])
-    return [(ref_flags[a:b], est_flags[s:t]) for a, b, s, t in bounds]
+        runs = _runs(bounds, len(windows))
+        # row g covers beats g + stride * arange(length) of flag row c
+        first = _first_match(windows, eps, e, runs)
+        _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
+        if condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF):
+            # L-correct: the same rows and runs under the fixed tolerance
+            first = _first_match(windows, np.full(len(windows), params.cap), e, runs)
+            hit = np.flatnonzero(first >= 0)
+            _mark(flags[-1], hit, stride, length)
+            _mark(est_flags, first[hit], 1, windows.shape[1])
+    return [(CoverageMatrix(flags[:-1, a:b]), flags[-1, a:b], est_flags[s:t]) for a, b, s, t in bounds]
 
 
 def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
@@ -215,7 +185,7 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    return _coverage_pass([(ref, est)], params)[0]
+    return _pass([(ref, est)], params)[0][0]
 
 
 def l_correct_detection(
@@ -229,4 +199,4 @@ def l_correct_detection(
     flags over the reference beats and over the estimated beats; an
     estimated beat is flagged when it takes part in any matched window.
     """
-    return _l_correct_pass([(ref, est)], params)[0]
+    return _pass([(ref, est)], params)[0][1:]

@@ -25,9 +25,8 @@ from .core import (
 )
 from .matching import (
     _BLOCK_ROWS,
-    _coverage_pass,
     _first_in_band,
-    _l_correct_pass,
+    _pass,
     _slack,
     l_correct_detection,
 )
@@ -383,15 +382,16 @@ def _passes(items, params: ToleranceParams):
 def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     """Run every metric on each ``(track_id, ref, est)`` item, in order.
 
-    L-correct and coverage match the windows of each pass of tracks
-    together (see :func:`_passes`); CMLt and AMLt then run per track.
+    Coverage and L-correct match the windows of each pass of tracks (see
+    :func:`_passes`) in one :func:`beatcover.matching._pass`; CMLt and
+    AMLt then run per track.
     """
     reports = []
     for batch in _passes(items, params):
         pairs = [(ref, est) for _, ref, est, _ in batch]
-        l_correct = [_l_correct_scores(*flags) for flags in _l_correct_pass(pairs, params)]
-        for track, (lr, lp, lf), cm in zip(batch, l_correct, _coverage_pass(pairs, params)):
+        for track, (cm, *flags) in zip(batch, _pass(pairs, params)):
             track_id, ref, est, (precision, recall, f1) = track
+            lr, lp, lf = _l_correct_scores(*flags)
             acr = acr_scores(cm)
             reports.append(
                 TrackReport(

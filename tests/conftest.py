@@ -39,7 +39,7 @@ ACCEPTANCE = {
     "test_c1_identity_suite": "1 identity estimates score perfectly on all metrics, 50 tracks under 5 s",
     "test_c2_pure_level_suites": "2 each pure-condition estimate lights up exactly its own coverage row",
     "test_c3_level_switch_scenario": "3 double-to-quadruple switch: ACR-any high, CMLt low, MLSR pinpoints the boundary",
-    "test_c4_window_length_monotonicity": "4 ACR-any never increases as window length grows (100 scenarios)",
+    "test_c4_window_length_monotonicity": "4 ACR-any never increases as window length grows (100 constant-tempo scenarios)",
     "test_c5_coverage_matches_brute_force": "5 coverage matrix is bit-for-bit equal to the quadratic oracle (200 instances)",
     "test_c6_window_shapes_and_epsilon": "6 variant window sizes and adaptive tolerance match closed forms",
     "test_c7_tracker_recovery": "7 DP tracker recovers clean beats; peak picker matches suppression oracle",

@@ -151,7 +151,12 @@ def test_c3_level_switch_scenario():
 
 
 def test_c4_window_length_monotonicity():
-    """Longer windows are harder to match: ACR-any falls as L grows."""
+    """On constant-tempo references longer windows are harder to match: ACR-any falls as L grows.
+
+    Where the tempo varies, a longer window's tolerance can grow enough
+    for ACR-any to rise (see
+    ``TestAcrScores::test_acr_any_can_rise_with_window_length``).
+    """
     rng = np.random.default_rng(44)
     conditions = list(Condition)
     for _ in range(100):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -485,6 +486,9 @@ class TestExitCodes:
         assert err.startswith(f"usage: beatcover {command} ")
         assert f"beatcover {command}: error: argument {flag}: {reason}\n" in err
         assert not any(out.exists() for out in outs)
+        if flag == "--workers":
+            assert run_cli(["eval", "--help"]) == 0
+            assert re.search(r"--workers WORKERS\s+accepted but has no effect\n", capsys.readouterr().out)
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0

@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _coverage_pass, _first_in_band, _l_correct_pass, _runs
+from beatcover.matching import _BLOCK_ROWS, _first_in_band, _pass, _runs
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -135,8 +135,12 @@ class TestCoverageMatrix:
                 for name, row in expected.items():
                     assert np.array_equal(cm.covered[Condition.parse(name)], row)
 
-    def test_stacked_blocks_match_single_windows(self):
-        """Every row, on a reference whose span-L tables need more than one block."""
+    def test_long_tables_match_single_windows(self):
+        """Every row, on a reference whose span-L tables hold more rows together than one block.
+
+        Such a reference is a pass of its own, and each of its tables is
+        matched in one call of thousands of rows.
+        """
         duration = 330.0
         ref = gen_reference([(0.0, 100.0), (duration, 160.0)], duration)
         segments = tuple(Segment(start, c, 0.004) for start, c in zip(range(0, len(ref), 70), Condition))
@@ -176,10 +180,9 @@ def grid_track(intervals, offsets, start=0, condition=Condition.ONBEAT):
 def assert_pass_matches_oracles(pairs, params):
     """Every track of one pass of ``pairs`` against the quadratic oracles."""
     length, cap, gamma = params.context, params.cap, params.gamma
-    cms = _coverage_pass(pairs, params)
-    flags = _l_correct_pass(pairs, params)
-    assert len(cms) == len(flags) == len(pairs)
-    for k, ((ref, est), cm, (ref_flags, est_flags)) in enumerate(zip(pairs, cms, flags)):
+    results = _pass(pairs, params)
+    assert len(results) == len(pairs)
+    for k, ((ref, est), (cm, ref_flags, est_flags)) in enumerate(zip(pairs, results)):
         r, e = ref.times.tolist(), est.times.tolist()
         expected = oracles.oracle_coverage(r, e, length, cap, gamma)
         for condition in Condition:
@@ -243,9 +246,8 @@ class TestPass:
         # from there: its beats must not complete the first track's windows
         ref = BeatSequence([0.5, 1.0, 1.5])
         pairs = [(ref, BeatSequence([0.5, 1.0])), (ref, BeatSequence([1.5, 2.0]))]
-        cms = _coverage_pass(pairs, ToleranceParams())
-        assert cms[0].covered[Condition.ONBEAT].tolist() == [True, True, False]
-        (ref_flags, est_flags), _ = _l_correct_pass(pairs, ToleranceParams())
+        (cm, ref_flags, est_flags), _ = _pass(pairs, ToleranceParams())
+        assert cm.covered[Condition.ONBEAT].tolist() == [True, True, False]
         assert ref_flags.tolist() == [True, True, False] and est_flags.tolist() == [True, True]
         assert_pass_matches_oracles(pairs, ToleranceParams())
 
@@ -253,8 +255,9 @@ class TestPass:
         pairs = [(constant_beats(120, 20), constant_beats(120, 20))] * 3
         for length in (21, 10**15, 3 * 10**18):
             params = ToleranceParams(context=length)
-            assert not any(cm.rows.any() for cm in _coverage_pass(pairs, params))
-            assert not any(f.any() for flags in _l_correct_pass(pairs, params) for f in flags)
+            results = _pass(pairs, params)
+            assert not any(cm.rows.any() for cm, _, _ in results)
+            assert not any(f.any() for _, *flags in results for f in flags)
 
     @given(
         st.lists(

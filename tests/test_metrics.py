@@ -20,8 +20,10 @@ from beatcover import (
     cmlt,
     continuity_correct,
     coverage_matrix,
+    dp_track,
     evaluate_track,
     f1_score,
+    gen_activation,
     gen_estimate,
     gen_reference,
     l_correct_detection,
@@ -401,6 +403,16 @@ class TestAcrScores:
                 assert cm.covered[condition][:-1].all() and not cm.covered[condition][-1]
                 assert acr_scores(cm).per_condition[condition] == (n - 1) / n
 
+    def test_acr_any_can_rise_with_window_length(self):
+        # the window's mean interval, and so its tolerance, grows with L: at
+        # L = 2 the window at beat 0 has mean 0.3 s and eps 0.0525 s, which
+        # the 0.06 s miss fails; at L = 3 it has mean 0.4 s and eps 0.07 s
+        ref, est = BeatSequence([1.0, 1.3, 1.8]), BeatSequence([1.0, 1.36, 1.8])
+        cm = coverage_matrix(ref, est, ToleranceParams(context=2))
+        assert cm.any_row.tolist() == [False, True, True]
+        assert acr_scores(cm).acr_any == 2 / 3
+        assert acr_scores(coverage_matrix(ref, est, ToleranceParams(context=3))).acr_any == 1.0
+
     def test_no_beats_scores_zero(self):
         scores = acr_scores(CoverageMatrix(np.zeros((len(Condition), 0), dtype=bool)))
         assert set(scores.per_condition.values()) == {0.0}
@@ -429,6 +441,18 @@ class TestMlsr:
                 "harmonic_double": [False, False, True, True],
             }
         )
+        assert mlsr(cm) == 0.0
+
+    def test_beat_covered_by_both_levels_counts_no_switch(self):
+        # dp_track at 90 BPM taps on the beat until the step to 180 BPM at
+        # 30 s and at half tempo after it; beat 45, at the step, is covered
+        # by both levels, so it bridges them
+        ref = gen_reference([(0, 90), (29.99, 90), (30, 180), (60, 180)], 60)
+        est = dp_track(gen_activation(ref, noise_std=0.05, seed=1), 90)
+        cm = coverage_matrix(ref, est)
+        onbeat, half = cm.covered[Condition.ONBEAT], cm.covered[Condition.SUBHARMONIC_HALF]
+        assert onbeat[45] and half[45]
+        assert not onbeat[46:].any() and not half[:45].any()
         assert mlsr(cm) == 0.0
 
     def test_uncovered_beats_are_skipped(self):
