@@ -9,6 +9,7 @@ differ in the last bit, so bit equality needs numpy's.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -202,6 +203,82 @@ def oracle_mlsr(rows):
         if not any(row[prev] and row[cur] for row in rows.values()):
             switches += 1
     return switches / len(covered)
+
+
+def oracle_track_report(ref, est, length=2, cap=0.070, gamma=0.175):
+    """Every per-track score of a report, from the oracles above, rounded to six decimals.
+
+    Returns the report's scalar fields in report order, then ``acr``, a
+    dict of the per-condition coverage ratios.  ``ref`` needs at least
+    ``length`` beats.
+    """
+    n, m = len(ref), len(est)
+
+    def prf(ref_hits, est_hits):
+        p = est_hits / m if m else 0.0
+        r = ref_hits / n
+        return p, r, 2.0 * p * r / (p + r) if p + r else 0.0
+
+    matched = oracle_f1_matched(ref, est, cap)
+    precision, recall, f1 = prf(matched, matched)
+    ref_flags, est_flags = oracle_l_correct(ref, est, length, cap)
+    lp, lr, lf = prf(sum(ref_flags), sum(est_flags))
+    rows = oracle_coverage(ref, est, length, cap, gamma)
+    offbeat = [name for name, (kind, _) in CONDITIONS.items() if kind == "off"]
+    scores = {
+        "f1": f1,
+        "precision": precision,
+        "recall": recall,
+        "cmlt": sum(oracle_continuity(ref, est, gamma)) / max(n, m),
+        "amlt": oracle_amlt(ref, est, gamma),
+        "l_correct_f": lf,
+        "l_correct_p": lp,
+        "l_correct_r": lr,
+        "acr_any": sum(any(row[k] for row in rows.values()) for k in range(n)) / n,
+        "acr_offbeat": sum(any(rows[name][k] for name in offbeat) for k in range(n)) / n,
+        "mlsr": oracle_mlsr(rows),
+    }
+    report = {key: round(value, 6) for key, value in scores.items()}
+    report["acr"] = {name: round(sum(row) / n, 6) for name, row in rows.items()}
+    return report
+
+
+def oracle_report_text(tracks, length=2, cap=0.070, gamma=0.175):
+    """The JSON text of a ``beatcover eval`` report, from :func:`oracle_track_report`.
+
+    ``tracks`` holds ``(stem, ref, est)`` in stem order, every stem with
+    both files.  The means and the track tempi are numpy's means: they
+    sum pairwise, and bit equality needs the same order of additions.
+    """
+    reports = [dict(track_id=stem, **oracle_track_report(ref, est, length, cap, gamma)) for stem, ref, est in tracks]
+    scalars = [key for key in reports[0] if key not in ("track_id", "acr")]
+    means = {key: round(float(np.mean([t[key] for t in reports])), 6) for key in scalars}
+    for name in CONDITIONS:
+        means[f"acr_{name}"] = round(float(np.mean([t["acr"][name] for t in reports])), 6)
+    total, stable, intervals, tempi = 0.0, 0, 0, []
+    for _, ref, _ in tracks:
+        total += ref[-1] - ref[0]
+        ibis = [b - a for a, b in zip(ref, ref[1:])]
+        tempo = 60.0 / float(np.mean(ibis))
+        tempi.append(tempo)
+        stable += sum(0.96 <= (60.0 / ibi) / tempo <= 1.04 for ibi in ibis)
+        intervals += len(ibis)
+    text = {
+        "schema_version": 1,
+        "params": {"cap": cap, "gamma": gamma, "context": length},
+        "dataset_stats": {
+            "n_tracks": len(tracks),
+            "total_duration": round(total, 6),
+            "percent_stable_tempi": round(100.0 * stable / intervals, 6),
+            "mean_track_tempo": round(float(np.mean(tempi)), 6),
+        },
+        "means": means,
+        "tracks": [
+            {"track_id": t["track_id"], **{key: t[key] for key in scalars}, "acr": t["acr"]} for t in reports
+        ],
+        "warnings": [],
+    }
+    return json.dumps(text, indent=2) + "\n"
 
 
 def oracle_peaks(values, threshold):

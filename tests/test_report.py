@@ -1,8 +1,14 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from beatcover import (
     BeatSequence,
@@ -27,6 +33,7 @@ from beatcover import (
 )
 from beatcover.fileio import parse_beats_file
 from beatcover.matching import _BLOCK_ROWS
+from beatcover.variants import condition_taps
 from conftest import constant_beats
 
 
@@ -143,6 +150,73 @@ class TestPasses:
         small, large = peak(96), peak(384)
         assert 96 * 40 <= _BLOCK_ROWS < 384 * 40
         assert large - small < 1.5 * 2**20, (small, large)
+
+
+def oracle_dataset(rng, n_tracks, length, spans):
+    """``(stem, ref, est)`` per track, each sequence as lines of six-decimal text.
+
+    References hold 2 to 40 beats, a fifth of them exactly ``length``.
+    With ``spans`` they hold about 4300 beats in all, so that they take
+    more than one pass; then only one track in eight, and none over 100
+    beats, gets a whole estimate, and the others an empty one or a
+    fragment of a few beats, which keeps the quadratic oracles cheap.
+    An estimate is empty, a
+    condition's taps with 5 or 20 ms of jitter, those taps rounded to
+    10 ms, a fragment of them, or random times.
+    """
+    conditions = list(Condition)
+    tracks = []
+    for k in range(n_tracks):
+        if spans:
+            n = max(length, int(rng.integers(4300 // n_tracks, 4300 // n_tracks + 8)))
+        else:
+            n = length if rng.random() < 0.2 else int(rng.integers(max(length, 2), 41))
+        start = (0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 3.0))[k % 3]
+        ibis = rng.uniform(0.3, 0.9) * rng.uniform(0.85, 1.15, n - 1)
+        ref = start + np.concatenate([[0.0], np.cumsum(ibis)])
+        whole = not spans or (n <= 100 and rng.random() < 0.125)
+        kind = int(rng.integers(0, 5)) if whole else int(rng.choice([0, 3]))
+        taps = condition_taps(ref, conditions[int(rng.integers(len(conditions)))])
+        est = taps + rng.normal(0.0, rng.choice([0.005, 0.02]), len(taps))
+        if kind == 0:
+            est = est[:0]
+        elif kind == 2:
+            est = np.round(est, 2)
+        elif kind == 3:
+            first = int(rng.integers(0, len(est)))
+            est = est[first : first + int(rng.integers(1, 8))]
+        elif kind == 4:
+            est = rng.uniform(0.0, ref[-1] + 1.0, size=int(rng.integers(1, 2 * n)))
+        lines = [list(dict.fromkeys(f"{t:.6f}" for t in np.sort(x[x >= 0.0]))) for x in (ref, est)]
+        tracks.append((f"t{k:02d}", *lines))
+    return tracks
+
+
+class TestOracleReport:
+    """The whole report against one composed from ``tests/oracles.py``."""
+
+    @settings(max_examples=max(1, settings.default.max_examples // 5))
+    @given(
+        n_tracks=st.integers(1, 60),
+        length=st.integers(2, 5),
+        cap=st.sampled_from([0.070, 0.025]),
+        gamma=st.sampled_from([0.175, 0.6]),
+        spans=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_matches_the_oracle_report(self, n_tracks, length, cap, gamma, spans, seed):
+        tracks = oracle_dataset(np.random.default_rng(seed), n_tracks, length, spans)
+        with tempfile.TemporaryDirectory() as root:
+            for side, k in (("ref", 1), ("est", 2)):
+                (Path(root) / side).mkdir()
+                for track in tracks:
+                    (Path(root) / side / f"{track[0]}.beats").write_text("".join(f"{t}\n" for t in track[k]))
+            params = ToleranceParams(cap=cap, gamma=gamma, context=length)
+            text = serialize_report(evaluate_dataset(Path(root) / "ref", Path(root) / "est", params))
+        parsed = [(stem, list(map(float, ref)), list(map(float, est))) for stem, ref, est in tracks]
+        if spans:
+            assert sum(len(ref) for _, ref, _ in parsed) > _BLOCK_ROWS
+        assert text == oracles.oracle_report_text(parsed, length, cap, gamma)
 
 
 def test_stats_need_a_reference():
