@@ -16,11 +16,12 @@ each table in one matcher call, in which each track's rows search only
 that track's estimate.  L-correct matches the onbeat and half-offbeat
 tables a second time, with the fixed tolerance cap.
 :func:`coverage_matrix` and :func:`l_correct_detection` are the
-one-track case of that pass.  The matcher is one use of a band search,
+one-track case of that pass.  The matcher is a band search,
 :func:`_first_in_band`, that finds for every row the first candidate in
-a sorted band that passes a check; the continuity metrics
-(:func:`beatcover.metrics.continuity_correct` and AMLt, which checks all
-of its variants in one search) are the other.
+a sorted band that passes a check.  The continuity metrics search bands
+too (see :func:`beatcover.metrics.continuity_correct`): each reference
+tap checks every estimated beat in its phase band, widened by the same
+:func:`_slack`.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
 
 
-# Most rows that AMLt stacks into one band search, and most reference
-# beats in one pass of several tracks.  Stacking the rows of several
-# variants or tracks saves per-call overhead on short tracks; on long
-# tracks, where one table already has thousands of rows, bigger stacks
-# save nothing and only hold more memory.
+# Most reference beats in one pass of several tracks, and most taps that
+# the continuity search checks in one block.  Joining several tracks
+# saves per-call overhead on short tracks; on long tracks, where one
+# table already has thousands of rows, bigger blocks save nothing and
+# only hold more memory.
 _BLOCK_ROWS = 4096
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CONDITION_FACTORS,
     CONDITION_STEPS,
     BeatSequence,
     Condition,
@@ -25,7 +26,7 @@ from .core import (
 )
 from .matching import (
     _BLOCK_ROWS,
-    _first_in_band,
+    _concat,
     _pass,
     _slack,
     l_correct_detection,
@@ -85,52 +86,81 @@ def f1_score(
     return _prf(matched, len(r), matched, len(e))
 
 
-_NAN = np.array([np.nan])
+def _band(x, tol, keys, scale, s, t):
+    """Indices ``[lo, hi)`` of the estimated beats in each band ``x -/+ tol``.
 
-
-def _continuity(refs, e: np.ndarray, gamma: float) -> np.ndarray:
-    """Continuity flags of ``e`` against each of ``refs``, one row per reference.
-
-    Each reference is a strictly increasing array of at least two beats;
-    all of them are checked in one band search.
+    The band is widened by :func:`beatcover.matching._slack`, searched
+    by its keys ``v * scale + s`` (see :func:`_continuity`) and clipped
+    to its track's estimate ``[s, t)``.
     """
-    m = len(e)
-    # A NaN before each reference makes its first beat the start of a
-    # sequence: r[i - 1] and tol[i - 1] there fail every comparison.
-    r = np.concatenate([x for ref in refs for x in (_NAN, ref)])
-    sizes = np.array([len(ref) for ref in refs])
-    starts = np.cumsum(sizes + 1) - sizes
-    local = np.concatenate([_NAN, np.diff(r)])  # r[i] - r[i - 1]
-    local[starts] = local[starts + 1]  # the first beat borrows the following interval
-    tol = gamma * local
-    # Only reference beats whose phase edges r_i -/+ tol_i bracket e_j
-    # can pass, so each estimate gets a band [lo_j, hi_j) of candidates.
-    # The lower edges rise with i because gamma < 1; the upper edges
-    # fall where an interval shrinks by more than (1 + gamma) / gamma,
-    # so they are replaced by their running maximum (and the lower ones,
-    # against rounding, by their running minimum from the right), one
-    # reference at a time.
-    slack = _slack(tol, r)
-    upper, lower = r + tol + slack, r - tol - slack
-    lo, hi = [], []
-    for s, t in zip(starts, starts + sizes):
-        lo.append(s + np.searchsorted(np.maximum.accumulate(upper[s:t]), e, side="left"))
-        hi.append(s + np.searchsorted(np.minimum.accumulate(lower[s:t][::-1])[::-1], e, side="right"))
+    band = tol + _slack(tol, x)
+    lo = np.searchsorted(keys, (x - band) * scale + s, side="left")
+    hi = np.searchsorted(keys, (x + band) * scale + s, side="right")
+    return np.clip(lo, s, t), np.clip(hi, s, t)
 
-    def in_phase(rows, i):
-        j = rows % m
-        ok = np.abs(e[j] - r[i]) <= tol[i]
-        # past the first estimate, estimate j - 1 must be in phase with
-        # reference beat i - 1, and the two intervals must agree
-        later = j > 0
-        jl, il = j[later], i[later]
-        ok[later] &= (np.abs(e[jl - 1] - r[il - 1]) <= tol[il - 1]) & (
-            np.abs((e[jl] - e[jl - 1]) - local[il]) <= tol[il]
-        )
-        return ok
 
-    found = _first_in_band(np.concatenate(lo), np.concatenate(hi), in_phase)
-    return (found >= 0).reshape(len(refs), m)
+def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float) -> np.ndarray:
+    """Continuity flags of each run's estimate, joined in run order.
+
+    A run ``(a, b, s, t)`` checks the taps ``taps[a:b]``, strictly
+    increasing and at least two, against the estimate ``e[s:t]``, and
+    gets one flag per estimated beat of that slice.  Runs are sorted by
+    ``a`` and do not overlap; their estimate slices are those of tracks
+    that tile ``e`` in order, and several runs may share one.
+    """
+    a, b, s, t = runs.reshape(-1, 4).T
+    flags = np.zeros(int(np.sum(t - s)), dtype=bool)
+    if not len(flags):
+        return flags
+    # estimate j of run q has flag ``base[q] + j``
+    base = np.cumsum(t - s) - t
+    # Each tap searches its phase band in its own track's estimate.  The
+    # joined estimate is sorted within each track only, so it is searched
+    # by keys ``v * scale + s``, where ``s`` is where the track starts in
+    # ``e`` and ``scale`` a power of two no greater than 1: ``v * scale``
+    # lies in [0, 1] for every estimated beat, so the keys rise across
+    # tracks, and the map is monotone, so a key band holds every beat of
+    # the time band.  Clipped to its track, it is that track's band, plus
+    # any beats that round onto its edges.
+    scale = np.ldexp(1.0, -max(int(np.frexp(e.max())[1]), 0))
+    keys = np.zeros(len(e))
+    keys[s[s < t]] = s[s < t]  # then each beat gets its track's start
+    keys = np.maximum.accumulate(keys, out=keys) + e * scale
+    for start in range(0, len(taps), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(taps))
+        i = np.arange(start, stop)
+        q = np.searchsorted(a, i, side="right") - 1
+        inside = (a[q] <= i) & (i < b[q])
+        # the chunk's taps, from two before it, and their intervals:
+        # tap k is x[k], and local[k] is x[k] - x[k - 1]
+        off = max(start - 2, 0)
+        x = taps[off : stop + 1]
+        local = np.diff(x, prepend=np.nan)
+        first = a[(off <= a) & (a < stop)] - off
+        local[first] = local[first + 1]  # a run's first tap borrows the following interval
+        k, q = i[inside] - off, q[inside]
+        lo, hi = _band(x[k], gamma * local[k], keys, scale, s[q], t[q])
+        # Check the candidates in rounds: each round tries the next
+        # candidate of every tap that has one left.
+        live = lo < hi
+        k, q, j, hi = k[live], q[live], lo[live], hi[live]
+        while len(k):
+            ok = np.abs(e[j] - x[k]) <= gamma * local[k]
+            # past its track's first estimate, estimate j - 1 must be in
+            # phase with tap k - 1, and the two intervals must agree; a
+            # run's first tap has no predecessor
+            later = j > s[q]
+            jl, kl = j[later], k[later]
+            ok[later] &= (
+                (kl + off > a[q[later]])
+                & (np.abs(e[jl - 1] - x[kl - 1]) <= gamma * local[kl - 1])
+                & (np.abs((e[jl] - e[jl - 1]) - local[kl]) <= gamma * local[kl])
+            )
+            flags[base[q[ok]] + j[ok]] = True
+            j += 1
+            left = j < hi
+            k, q, j, hi = k[left], q[left], j[left], hi[left]
+    return flags
 
 
 def continuity_correct(
@@ -145,8 +175,9 @@ def continuity_correct(
     reference interval).  The first estimated beat has no predecessor
     and is judged on phase alone.
 
-    Only the few reference beats near each estimate are checked, so
-    memory grows linearly with the number of beats.
+    Each reference beat checks only the estimated beats in its phase
+    band, so memory grows linearly with the number of beats.  This is
+    the one-run case of the search that scores AMLt.
 
     Raises:
         ValueError: ``gamma`` outside (0, 1).
@@ -155,7 +186,7 @@ def continuity_correct(
     ToleranceParams(gamma=gamma)  # the band needs 0 < gamma < 1
     if len(ref) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    return _continuity([ref.times], est.times, gamma)[0]
+    return _continuity(ref.times, np.array([0, len(ref), 0, len(est)]), est.times, gamma)
 
 
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
@@ -172,20 +203,59 @@ def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     return float(np.count_nonzero(correct)) / max(len(ref), len(est))
 
 
-# The whole-track levels AMLt allows (Davies, Degara & Plumbley 2009),
-# each at every phase.
-_AMLT_VARIANTS = tuple(
-    (condition, phase)
-    for condition in (
-        Condition.ONBEAT,
-        Condition.OFFBEAT_HALF,
-        Condition.SUBHARMONIC_HALF,
-        Condition.SUBHARMONIC_THIRD,
-        Condition.HARMONIC_DOUBLE,
-        Condition.HARMONIC_TRIPLE,
-    )
-    for phase in range(CONDITION_STEPS.get(condition, 1))
-)
+def _variant_taps(r: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The taps of AMLt's variants of every track whose reference is ``r[a:b]``.
+
+    Returns ``(taps, u, w)``: a list of nine tap arrays, and per array
+    the slice ``[u, w)`` of each track, where the onbeat array comes
+    first.  Each array holds one variant of each track, with the same
+    doubles as :func:`beatcover.variants.condition_taps` of the track's
+    own reference: the onbeat taps, the half offbeats, each phase of
+    half and third tempo, and double and triple tempo.  A subharmonic
+    array taps every ``step``-th joined beat from beat ``q``, so it holds
+    the track's variant at phase ``(q - a) % step``; a harmonic track
+    ends on the first tap of the next interval, its own last beat.
+    """
+    taps = [condition_taps(r, Condition.ONBEAT), condition_taps(r, Condition.OFFBEAT_HALF)]
+    u, w = [a, a], [b, b - 1]
+    for condition in (Condition.SUBHARMONIC_HALF, Condition.SUBHARMONIC_THIRD):
+        step = CONDITION_STEPS[condition]
+        for q in range(step):
+            taps.append(condition_taps(r[q:], condition))
+            u.append((a - q + step - 1) // step)
+            w.append((b - q + step - 1) // step)
+    for condition in (Condition.HARMONIC_DOUBLE, Condition.HARMONIC_TRIPLE):
+        factor = CONDITION_FACTORS[condition]
+        taps.append(condition_taps(r, condition))
+        u.append(factor * a)
+        w.append(factor * (b - 1) + 1)
+    return taps, np.array(u), np.array(w)
+
+
+def _continuity_pass(pairs, gamma: float) -> list[tuple[float, float]]:
+    """CMLt and AMLt of each (reference, estimate) pair, in one continuity search.
+
+    Every variant of every track is a run of one :func:`_continuity`
+    search over the joined estimates.  Variants with fewer than two
+    taps are dropped, as are degenerate ones whose taps collapse onto
+    each other (sub-ulp reference gaps).  CMLt is the count of the
+    onbeat variant, the reference itself, over the same denominator.
+    """
+    r, e, bounds = _concat(pairs)
+    a, b, s, t = np.array(bounds).T
+    taps, u, w = _variant_taps(r, a, b)
+    offsets = np.cumsum([0] + [len(x) for x in taps[:-1]])[:, None]
+    taps = np.concatenate(taps)
+    u, w = u + offsets, w + offsets
+    # a variant is kept when it has two taps, each above the one before
+    collapsed = np.flatnonzero(taps[1:] <= taps[:-1])
+    kept = (w - u >= 2) & (np.searchsorted(collapsed, u) == np.searchsorted(collapsed, w - 1))
+    runs = np.stack([u, w, np.broadcast_to(s, u.shape), np.broadcast_to(t, u.shape)], axis=-1)[kept]
+    hits = np.flatnonzero(_continuity(taps, runs, e, gamma))
+    counts = np.zeros(u.shape, dtype=np.intp)
+    counts[kept] = np.diff(np.searchsorted(hits, np.cumsum(runs[:, 3] - runs[:, 2])), prepend=0)
+    scores = counts / np.maximum(np.maximum(w - u, t - s), 1)
+    return list(zip(scores[0].tolist(), scores.max(axis=0).tolist()))
 
 
 def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
@@ -197,7 +267,8 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
     taps collapse onto each other (sub-ulp reference gaps); a reference
     with fewer than two beats therefore scores 0.  Each variant is
     scored as :func:`cmlt` would score it; all of them are checked in
-    one band search, or on long tracks in a few blocks of rows.
+    one search, in which each tap checks the estimated beats in its
+    phase band, in blocks of at most 4096 taps.
 
     One variant is chosen for the entire piece; a tracker that switches
     level mid-track cannot score well here, which is exactly the blind
@@ -207,14 +278,7 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
         ValueError: ``gamma`` outside (0, 1).
     """
     ToleranceParams(gamma=gamma)  # checked even if no variant gets scored
-    taps = (condition_taps(ref.times[phase:], condition) for condition, phase in _AMLT_VARIANTS)
-    variants = [t for t in taps if len(t) >= 2 and bool(np.all(np.diff(t) > 0.0))]
-    if not variants:
-        return 0.0
-    per_search = max(1, _BLOCK_ROWS // max(len(est), 1))  # variants, one row per estimate each
-    blocks = [variants[k : k + per_search] for k in range(0, len(variants), per_search)]
-    correct = np.concatenate([np.count_nonzero(_continuity(b, est.times, gamma), axis=1) for b in blocks])
-    return float(np.max(correct / np.maximum([len(t) for t in variants], len(est))))
+    return _continuity_pass([(ref, est)], gamma)[0][1]
 
 
 def l_correct_fmeasure(
@@ -383,13 +447,15 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     """Run every metric on each ``(track_id, ref, est)`` item, in order.
 
     Coverage and L-correct match the windows of each pass of tracks (see
-    :func:`_passes`) in one :func:`beatcover.matching._pass`; CMLt and
-    AMLt then run per track.
+    :func:`_passes`) in one :func:`beatcover.matching._pass`, and CMLt
+    and AMLt of the pass come from one :func:`_continuity_pass`.
     """
     reports = []
     for batch in _passes(items, params):
         pairs = [(ref, est) for _, ref, est, _ in batch]
-        for track, (cm, *flags) in zip(batch, _pass(pairs, params)):
+        matched = _pass(pairs, params)
+        continuity = _continuity_pass(pairs, params.gamma)
+        for track, (cm, *flags), (cmlt_score, amlt_score) in zip(batch, matched, continuity):
             track_id, ref, est, (precision, recall, f1) = track
             lr, lp, lf = _l_correct_scores(*flags)
             acr = acr_scores(cm)
@@ -399,8 +465,8 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
                     f1=_r6(f1),
                     precision=_r6(precision),
                     recall=_r6(recall),
-                    cmlt=_r6(cmlt(ref, est, params.gamma)),
-                    amlt=_r6(amlt(ref, est, params.gamma)),
+                    cmlt=_r6(cmlt_score),
+                    amlt=_r6(amlt_score),
                     l_correct_f=_r6(lf),
                     l_correct_p=_r6(lp),
                     l_correct_r=_r6(lr),

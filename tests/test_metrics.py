@@ -33,7 +33,7 @@ from beatcover import (
     stable_tempi_percentage,
 )
 from beatcover.matching import _BLOCK_ROWS
-from beatcover.metrics import _AMLT_VARIANTS
+from beatcover.metrics import _continuity_pass, _evaluate_tracks
 from beatcover.variants import condition_taps
 from conftest import constant_beats, random_times
 
@@ -125,6 +125,21 @@ def continuity_case(rng, case):
     extra = rng.uniform(0.0, ref[-1] + 1.0, size=int(rng.integers(0, 5)))
     est = np.unique(np.concatenate([est[rng.random(n) < 0.85], extra]))
     return BeatSequence(ref), BeatSequence(est[est >= 0.0]), gamma
+
+
+# AMLt's variants as (condition, phase): the levels that Davies, Degara &
+# Plumbley (2009) allow, each at every phase
+AMLT_VARIANTS = [
+    (Condition.ONBEAT, 0),
+    (Condition.OFFBEAT_HALF, 0),
+    (Condition.SUBHARMONIC_HALF, 0),
+    (Condition.SUBHARMONIC_HALF, 1),
+    (Condition.SUBHARMONIC_THIRD, 0),
+    (Condition.SUBHARMONIC_THIRD, 1),
+    (Condition.SUBHARMONIC_THIRD, 2),
+    (Condition.HARMONIC_DOUBLE, 0),
+    (Condition.HARMONIC_TRIPLE, 0),
+]
 
 
 class TestContinuity:
@@ -312,7 +327,13 @@ class TestCmltAmlt:
         assert amlt(BeatSequence(ref[1:3]), BeatSequence(est)) == oracles.oracle_amlt(ref[1:3], est)
 
     def test_amlt_over_several_blocks_is_best_cmlt(self):
-        """A track whose variants fill several band searches."""
+        """A track whose variants fill several band searches.
+
+        AMLt searches the taps of all of a track's variants in chunks of
+        at most ``_BLOCK_ROWS`` taps.  Here they fill two, and the first
+        chunk ends inside a variant, so a variant's score must not depend
+        on where its taps are cut.
+        """
         duration = 240.0
         curve = [(0.0, 140.0), (duration, 110.0)]
         ref = gen_reference(curve, duration)
@@ -322,8 +343,9 @@ class TestCmltAmlt:
             Segment(2 * len(ref) // 3, Condition.OFFBEAT_HALF, 0.003),
         )
         est = gen_estimate(ref, Scenario(curve, duration, segments), seed=5)
-        variants = [condition_taps(ref.times[phase:], c) for c, phase in _AMLT_VARIANTS]
+        variants = [condition_taps(ref.times[phase:], c) for c, phase in AMLT_VARIANTS]
         assert len(variants) * len(est) > 2 * _BLOCK_ROWS
+        assert sum(map(len, variants)) > _BLOCK_ROWS
         for gamma in (0.1, 0.175, 0.6):
             expected = max(cmlt(BeatSequence(taps), est, gamma) for taps in variants)
             assert amlt(ref, est, gamma) == expected
@@ -334,6 +356,103 @@ class TestCmltAmlt:
         ref_raw, est_raw = pair
         ref, est = BeatSequence(ref_raw), BeatSequence(est_raw)
         assert amlt(ref, est) >= cmlt(ref, est) - 1e-12
+
+
+def continuity_pass_case(rng, case):
+    """(pairs, gamma) for one seeded pass of one to four tracks.
+
+    A track is a :func:`continuity_case`, whose beats may start near 0 s
+    and whose estimates sit within 2 ulps of a phase edge; or a reference
+    that starts anywhere from 0 to 40 s, with a gap of one ulp, which
+    collapses its double- and triple-tempo taps, under a condition's
+    taps.  So an estimate may end before its neighbour's starts or start
+    after it ends.  One estimate in five is empty.
+    """
+    gamma = CONTINUITY_GAMMAS[case % len(CONTINUITY_GAMMAS)]
+    pairs = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.5:
+            ref, est, _ = continuity_case(rng, int(rng.integers(0, 12)))
+            r, e = ref.times, est.times
+        else:
+            n = int(rng.integers(3, 16))
+            r = rng.uniform(0.0, 40.0) + np.cumsum(rng.uniform(0.2, 0.9, n))
+            gap = int(rng.integers(1, n))
+            r[gap] = np.nextafter(r[gap - 1], np.inf)
+            taps = condition_taps(r, list(Condition)[int(rng.integers(len(Condition)))])
+            e = np.unique(taps + rng.choice([0.0, 0.01]) * rng.standard_normal(len(taps)))
+        if rng.random() < 0.2:
+            e = e[:0]
+        pairs.append((BeatSequence(r), BeatSequence(e[e >= 0.0])))
+    return pairs, gamma
+
+
+def assert_continuity_pass_matches_oracles(pairs, gamma):
+    """Every track's CMLt and AMLt of one continuity pass against the oracles."""
+    for k, ((ref, est), (cmlt_score, amlt_score)) in enumerate(zip(pairs, _continuity_pass(pairs, gamma))):
+        r, e = ref.times.tolist(), est.times.tolist()
+        assert cmlt_score == sum(oracles.oracle_continuity(r, e, gamma)) / max(len(r), len(e)), (k, r, e)
+        assert amlt_score == oracles.oracle_amlt(r, e, gamma), (k, r, e)
+
+
+class TestContinuityPass:
+    """CMLt and AMLt of several tracks from one continuity search."""
+
+    def test_every_track_agrees_with_the_oracles(self, rng):
+        collapsed = 0
+        for case in range(300):
+            pairs, gamma = continuity_pass_case(rng, case)
+            assert_continuity_pass_matches_oracles(pairs, gamma)
+            for ref, _ in pairs:
+                double = condition_taps(ref.times, Condition.HARMONIC_DOUBLE)
+                collapsed += bool(np.any(np.diff(double) <= 0.0))
+        assert collapsed > 50  # degenerate variants were dropped in many passes
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(0.0, 12.0), min_size=2, max_size=12, unique=True).map(sorted),
+                st.lists(st.floats(0.0, 12.0), max_size=12, unique=True).map(sorted),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(CONTINUITY_GAMMAS),
+    )
+    def test_agrees_with_the_oracles(self, tracks, gamma):
+        assert_continuity_pass_matches_oracles([(BeatSequence(r), BeatSequence(e)) for r, e in tracks], gamma)
+
+    def test_a_tap_takes_no_beat_of_the_next_track(self):
+        # Joined, the first two estimates read as one on-beat sequence
+        # that continues the first track.  Searching the joined estimate
+        # would give the first track's taps at 1.5 to 3 s the second
+        # track's beats, and so flags that are not the second track's.
+        ref = BeatSequence([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        far = BeatSequence([30.0, 30.5, 31.0])
+        pairs = [(ref, BeatSequence([0.5, 1.0])), (far, BeatSequence([1.5, 2.0, 2.5, 3.0]))]
+        assert [c for c, _ in _continuity_pass(pairs, 0.175)] == [2 / 6, 0.0]
+        assert_continuity_pass_matches_oracles(pairs, 0.175)
+        # Every estimated beat is under 4 s, so the keys scale times by a
+        # quarter and the second track's start at index 1 shifts its keys
+        # by 1, to where the first track's tap at 6 s searches.  With
+        # gamma = 0.9 that tap's band reaches 0.6 s, so a key band left
+        # unclipped would let it pass the second track's beat at 2 s.
+        pairs = [(BeatSequence([0.0, 6.0]), BeatSequence([3.5])), (far, BeatSequence([1.0, 2.0, 3.0]))]
+        assert [c for c, _ in _continuity_pass(pairs, 0.9)] == [1 / 2, 0.0]
+        assert_continuity_pass_matches_oracles(pairs, 0.9)
+
+    def test_cmlt_of_the_evaluation_is_cmlt(self, rng):
+        # CMLt comes from the onbeat variant of AMLt's search, over the
+        # same denominator: bit for bit what cmlt gives
+        for case in range(120):
+            pairs, gamma = continuity_pass_case(rng, case)
+            params = ToleranceParams(gamma=gamma)
+            items = [(f"t{k}", ref, est) for k, (ref, est) in enumerate(pairs)]
+            for report, (ref, est) in zip(_evaluate_tracks(items, params), pairs):
+                assert report.cmlt == round(cmlt(ref, est, gamma), 6)
+            for (ref, est), (cmlt_score, amlt_score) in zip(pairs, _continuity_pass(pairs, gamma)):
+                assert cmlt_score == cmlt(ref, est, gamma)
+                assert amlt_score == amlt(ref, est, gamma)
 
 
 class TestLCorrectFMeasure:
