@@ -138,11 +138,15 @@ def _runs(bounds, rows: int) -> list:
     return [(a, b - reach, s, t) for a, b, s, t in bounds if b - reach > a]
 
 
-def _pass(pairs, params: ToleranceParams) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
+def _pass(
+    pairs, params: ToleranceParams, conditions=tuple(Condition), l_correct: bool = True
+) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
     """The coverage and the L-correct flags of each (reference, estimate) pair, in one pass.
 
     Each pair gets ``(coverage, ref_flags, est_flags)``: what
     :func:`coverage_matrix` and :func:`l_correct_detection` return.
+    Only the tables of ``conditions`` are matched for coverage, and
+    L-correct only with ``l_correct``; what is not matched stays False.
     """
     r, e, bounds = _concat(pairs)
     length = params.context
@@ -150,14 +154,20 @@ def _pass(pairs, params: ToleranceParams) -> list[tuple[CoverageMatrix, np.ndarr
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
     est_flags = np.zeros(len(e), dtype=bool)
     for c, condition in enumerate(Condition):
+        cover = condition in conditions
+        # L-correct matches the onbeat and half-offbeat tables a second time
+        check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
+        if not (cover or check):
+            continue
         windows, eps, stride = window_table(r, condition, length, params)
         if not len(windows):
             continue
         runs = _runs(bounds, len(windows))
-        # row g covers beats g + stride * arange(length) of flag row c
-        first = _first_match(windows, eps, e, runs)
-        _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
-        if condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF):
+        if cover:
+            # row g covers beats g + stride * arange(length) of flag row c
+            first = _first_match(windows, eps, e, runs)
+            _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
+        if check:
             # L-correct: the same rows and runs under the fixed tolerance
             first = _first_match(windows, np.full(len(windows), params.cap), e, runs)
             hit = np.flatnonzero(first >= 0)
@@ -186,7 +196,7 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    return _pass([(ref, est)], params)[0][0]
+    return _pass([(ref, est)], params, l_correct=False)[0][0]
 
 
 def l_correct_detection(
@@ -200,4 +210,4 @@ def l_correct_detection(
     flags over the reference beats and over the estimated beats; an
     estimated beat is flagged when it takes part in any matched window.
     """
-    return _pass([(ref, est)], params)[0][1:]
+    return _pass([(ref, est)], params, conditions=())[0][1:]

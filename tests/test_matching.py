@@ -251,6 +251,22 @@ class TestPass:
         assert ref_flags.tolist() == [True, True, False] and est_flags.tolist() == [True, True]
         assert_pass_matches_oracles(pairs, ToleranceParams())
 
+    def test_a_pass_matches_only_what_is_asked(self, rng):
+        # coverage of some conditions without L-correct, and L-correct
+        # alone, are those parts of the whole pass; the rest stays False
+        params = ToleranceParams(context=3)
+        for _ in range(20):
+            pairs = self.seeded_pairs(rng, 3)
+            whole = _pass(pairs, params)
+            conditions = tuple(c for c in Condition if rng.random() < 0.5)
+            for (cm, *flags), (cm_whole, _, _) in zip(_pass(pairs, params, conditions, l_correct=False), whole):
+                for c in Condition:
+                    assert np.array_equal(cm.covered[c], cm_whole.covered[c] & (c in conditions))
+                assert not any(f.any() for f in flags)
+            for (cm, *flags), (_, *flags_whole) in zip(_pass(pairs, params, conditions=()), whole):
+                assert not cm.rows.any()
+                assert all(np.array_equal(f, g) for f, g in zip(flags, flags_whole))
+
     def test_window_longer_than_every_track_builds_nothing(self):
         pairs = [(constant_beats(120, 20), constant_beats(120, 20))] * 3
         for length in (21, 10**15, 3 * 10**18):
