@@ -107,11 +107,11 @@ def _format_each(values: np.ndarray) -> list[str]:
     return _format_points(values).replace(",", " ").split()
 
 
-def _runs(row: np.ndarray):
-    """Maximal runs of True as (first, last) index pairs."""
+def _runs(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of True: the arrays of their first and last indices."""
     # a run starts where the row rises and ends one before it falls
     edges = np.flatnonzero(np.diff(row, prepend=False, append=False))
-    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+    return edges[::2], edges[1::2] - 1
 
 
 def _tick_step(t_max: float) -> float:
@@ -194,7 +194,15 @@ def render_coverage_svg(
         )
         parts.append("</g>")
 
-    for k, (key, row, color) in enumerate(rows):
+    # the x and width of every row's bars, formatted at once: bar n is
+    # bars[2 * n] and bars[2 * n + 1]
+    runs = [_runs(row) for _, row, _ in rows]
+    first, last = (np.concatenate(edges) for edges in zip(*runs))
+    x1 = np.maximum(x(t[first] - pad), _MARGIN_LEFT)
+    x2 = np.minimum(x(t[last] + pad), _MARGIN_LEFT + _PLOT_WIDTH)
+    bars = _format_each(np.column_stack((x1, x2 - x1)).ravel())
+    ends = np.cumsum([2 * len(starts) for starts, _ in runs]).tolist()
+    for k, ((key, row, color), start, end) in enumerate(zip(rows, [0, *ends], ends)):
         y = rows_top + k * (_ROW_HEIGHT + _ROW_GAP)
         parts.append(f'<g id="row-{key}">')
         parts.append(
@@ -206,13 +214,12 @@ def render_coverage_svg(
             f'<text x="{_fmt(_MARGIN_LEFT - 8.0)}" y="{_fmt(y + _ROW_HEIGHT - 5.0)}" '
             f'text-anchor="end">{label}</text>'
         )
-        for first, last in _runs(row):
-            x1 = max(x(float(t[first]) - pad), _MARGIN_LEFT)
-            x2 = min(x(float(t[last]) + pad), _MARGIN_LEFT + _PLOT_WIDTH)
-            parts.append(
-                f'<rect class="cover" x="{_fmt(x1)}" y="{_fmt(y + 3.0)}" '
-                f'width="{_fmt(x2 - x1)}" height="{_fmt(_ROW_HEIGHT - 6.0)}" fill="{color}"/>'
-            )
+        parts += map(
+            f'<rect class="cover" x="{{0}}" y="{_fmt(y + 3.0)}" '
+            f'width="{{1}}" height="{_fmt(_ROW_HEIGHT - 6.0)}" fill="{color}"/>'.format,
+            bars[start:end:2],
+            bars[start + 1 : end : 2],
+        )
         parts.append("</g>")
 
     axis_y = rows_top + len(rows) * (_ROW_HEIGHT + _ROW_GAP) + 6.0

@@ -231,3 +231,32 @@ def test_tick_x_match_per_beat_formatting():
         want = [f"{170.0 + t / t_max * 720.0:.2f}" for t in seq.times.tolist()]
         assert [e.get("x1") for e in lines] == want
         assert [e.get("x2") for e in lines] == want
+
+
+def test_cover_bars_match_per_bar_formatting():
+    """An estimate on every other beat covers every other beat at half
+    tempo, so that row and the any row alternate, one bar per covered
+    beat; every bar's x and width equal per-bar f-strings."""
+    ref = BeatSequence(0.25 + 0.5 * np.arange(600))
+    cm = coverage_matrix(ref, BeatSequence(ref.times[::2]))
+    root = ET.fromstring(render_coverage_svg(cm, ref))
+    t, t_max, pad = ref.times.tolist(), ref.times[-1], 0.25
+    counts = {}
+    for g in root.iter(f"{SVG}g"):
+        key = (g.get("id") or "").removeprefix("row-")
+        if key == g.get("id"):
+            continue
+        row = cm.any_row if key == "any" else cm.offbeat_row if key == "offbeat_union" else cm.covered[Condition(key)]
+        want = []
+        for first in range(len(t)):
+            if row[first] and (first == 0 or not row[first - 1]):
+                last = first
+                while last + 1 < len(t) and row[last + 1]:
+                    last += 1
+                x1 = max(170.0 + (t[first] - pad) / t_max * 720.0, 170.0)
+                x2 = min(170.0 + (t[last] + pad) / t_max * 720.0, 890.0)
+                want.append((f"{x1:.2f}", f"{x2 - x1:.2f}"))
+        bars = [r for r in g.iter(f"{SVG}rect") if r.get("class") == "cover"]
+        assert [(r.get("x"), r.get("width")) for r in bars] == want, key
+        counts[key] = len(bars)
+    assert counts["subharmonic_half"] == counts["any"] == 300
