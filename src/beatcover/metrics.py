@@ -86,17 +86,27 @@ def f1_score(
     return _prf(matched, len(r), matched, len(e))
 
 
-def _band(x, tol, keys, scale, s, t):
-    """Indices ``[lo, hi)`` of the estimated beats in each band ``x -/+ tol``.
+def _band(x, tol, keys, scale, s):
+    """Each band ``x -/+ tol`` as its first candidate and the key of its upper edge.
 
-    The band is widened by :func:`beatcover.matching._slack`, searched
-    by its keys ``v * scale + s`` (see :func:`_continuity`) and clipped
-    to its track's estimate ``[s, t)``.
+    The band is searched by its keys ``v * scale + s`` (see
+    :func:`_continuity`) and widened by one :func:`beatcover.matching._slack`
+    for all of them, the one that the largest tap and tolerance need:
+    slack grows with both, so it is wide enough for every band.  The first
+    candidate is the track's first estimated beat at or above the lower
+    edge; the band holds every beat of the track from there whose key is
+    no greater than the upper edge's.  ``x`` and ``tol`` are overwritten:
+    the edges are computed in place, so that a block of bands holds few
+    temporaries at a time.
     """
-    band = tol + _slack(tol, x)
-    lo = np.searchsorted(keys, (x - band) * scale + s, side="left")
-    hi = np.searchsorted(keys, (x + band) * scale + s, side="right")
-    return np.clip(lo, s, t), np.clip(hi, s, t)
+    tol += _slack(tol.max(), x.max())
+    lo = np.subtract(x, tol)
+    up = np.add(x, tol, out=x)
+    for edge in (lo, up):
+        edge *= scale
+        edge += s
+    lo = np.searchsorted(keys, lo, side="left")
+    return np.maximum(lo, s, out=lo), up
 
 
 def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float) -> np.ndarray:
@@ -120,46 +130,51 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
     # ``e`` and ``scale`` a power of two no greater than 1: ``v * scale``
     # lies in [0, 1] for every estimated beat, so the keys rise across
     # tracks, and the map is monotone, so a key band holds every beat of
-    # the time band.  Clipped to its track, it is that track's band, plus
-    # any beats that round onto its edges.
+    # the time band.  Within its track, it is that track's band, plus any
+    # beats that round onto its edges.  A last key of infinity ends the
+    # last track's bands.
     scale = np.ldexp(1.0, -max(int(np.frexp(e.max())[1]), 0))
-    keys = np.zeros(len(e))
+    keys = np.zeros(len(e) + 1)
     keys[s[s < t]] = s[s < t]  # then each beat gets its track's start
-    keys = np.maximum.accumulate(keys, out=keys) + e * scale
+    keys = np.maximum.accumulate(keys, out=keys)
+    keys[:-1] += e * scale
+    keys[-1] = np.inf
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
         i = np.arange(start, stop)
         q = np.searchsorted(a, i, side="right") - 1
-        inside = (a[q] <= i) & (i < b[q])
         # the chunk's taps, from two before it, and their intervals:
         # tap k is x[k], and local[k] is x[k] - x[k - 1]
         off = max(start - 2, 0)
         x = taps[off : stop + 1]
-        local = np.diff(x, prepend=np.nan)
+        local = np.empty(len(x))
+        local[0] = np.nan
+        np.subtract(x[1:], x[:-1], out=local[1:])
         first = a[(off <= a) & (a < stop)] - off
         local[first] = local[first + 1]  # a run's first tap borrows the following interval
+        inside = np.flatnonzero((a[q] <= i) & (i < b[q]))
         k, q = i[inside] - off, q[inside]
-        lo, hi = _band(x[k], gamma * local[k], keys, scale, s[q], t[q])
+        j, up = _band(x[k], gamma * local[k], keys, scale, s[q])
         # Check the candidates in rounds: each round tries the next
         # candidate of every tap that has one left.
-        live = lo < hi
-        k, q, j, hi = k[live], q[live], lo[live], hi[live]
-        while len(k):
-            ok = np.abs(e[j] - x[k]) <= gamma * local[k]
+        live = np.flatnonzero((j < t[q]) & (keys[j] <= up))
+        while len(live):
+            k, q, j, up = k[live], q[live], j[live], up[live]
+            now, before, tol = e[j], e[j - 1], gamma * local[k]
             # past its track's first estimate, estimate j - 1 must be in
             # phase with tap k - 1, and the two intervals must agree; a
             # run's first tap has no predecessor
-            later = j > s[q]
-            jl, kl = j[later], k[later]
-            ok[later] &= (
-                (kl + off > a[q[later]])
-                & (np.abs(e[jl - 1] - x[kl - 1]) <= gamma * local[kl - 1])
-                & (np.abs((e[jl] - e[jl - 1]) - local[kl]) <= gamma * local[kl])
+            ok = (np.abs(now - x[k]) <= tol) & (
+                (j == s[q])
+                | (
+                    (k + off > a[q])
+                    & (np.abs(before - x[k - 1]) <= gamma * local[k - 1])
+                    & (np.abs((now - before) - local[k]) <= tol)
+                )
             )
             flags[base[q[ok]] + j[ok]] = True
             j += 1
-            left = j < hi
-            k, q, j, hi = k[left], q[left], j[left], hi[left]
+            live = np.flatnonzero((j < t[q]) & (keys[j] <= up))
     return flags
 
 
