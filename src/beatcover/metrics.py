@@ -92,14 +92,15 @@ def _band(x, tol, keys, scale, s):
     The band is searched by its keys ``v * scale + s`` (see
     :func:`_continuity`) and widened by one :func:`beatcover.matching._slack`
     for all of them, the one that the largest tap and tolerance need:
-    slack grows with both, so it is wide enough for every band.  The first
+    slack grows with both, and taps are at or after 0 s, so it is wide
+    enough for every band.  A block may have no band at all.  The first
     candidate is the track's first estimated beat at or above the lower
     edge; the band holds every beat of the track from there whose key is
     no greater than the upper edge's.  ``x`` and ``tol`` are overwritten:
     the edges are computed in place, so that a block of bands holds few
     temporaries at a time.
     """
-    tol += _slack(tol.max(), x.max())
+    tol += _slack(tol.max(initial=0.0), x.max(initial=0.0))
     lo = np.subtract(x, tol)
     up = np.add(x, tol, out=x)
     for edge in (lo, up):

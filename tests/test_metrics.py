@@ -441,6 +441,20 @@ class TestContinuityPass:
         assert [c for c, _ in _continuity_pass(pairs, 0.9)] == [1 / 2, 0.0]
         assert_continuity_pass_matches_oracles(pairs, 0.9)
 
+    def test_a_block_of_dropped_taps_searches_nothing(self):
+        # A gap of one ulp collapses the double- and triple-tempo taps of
+        # a 2000-beat reference, so both variants are dropped.  The
+        # triple-tempo taps come last, after 6n - 2 others, and fill a
+        # whole block of _BLOCK_ROWS taps on their own.
+        r = 0.5 * np.arange(1, 2001)
+        r[1000] = np.nextafter(r[999], np.inf)
+        first = 6 * len(r) - 2
+        assert -(-first // _BLOCK_ROWS) * _BLOCK_ROWS + _BLOCK_ROWS <= first + 3 * len(r) - 2
+        ref, est = BeatSequence(r), BeatSequence(r[::2] + 0.01)
+        assert amlt(ref, est) == 1.0
+        expected = max(cmlt(BeatSequence(taps), est) for taps in (r[::2], r[1::2], r, r[::3]))
+        assert _continuity_pass([(ref, est)], 0.175) == [(cmlt(ref, est), expected)]
+
     def test_cmlt_of_the_evaluation_is_cmlt(self, rng):
         # CMLt comes from the onbeat variant of AMLt's search, over the
         # same denominator: bit for bit what cmlt gives
