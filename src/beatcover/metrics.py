@@ -135,11 +135,8 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
     # beats that round onto its edges.  A last key of infinity ends the
     # last track's bands.
     scale = np.ldexp(1.0, -max(int(np.frexp(e.max())[1]), 0))
-    keys = np.zeros(len(e) + 1)
-    keys[s[s < t]] = s[s < t]  # then each beat gets its track's start
-    keys = np.maximum.accumulate(keys, out=keys)
-    keys[:-1] += e * scale
-    keys[-1] = np.inf
+    starts = np.unique(s[s < t])  # of the tracks that have an estimated beat
+    keys = np.append(np.repeat(starts, np.diff(starts, append=len(e))) + e * scale, np.inf)
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
         i = np.arange(start, stop)

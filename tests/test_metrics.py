@@ -458,7 +458,7 @@ class TestContinuityPass:
     def test_cmlt_of_the_evaluation_is_cmlt(self, rng):
         # CMLt comes from the onbeat variant of AMLt's search, over the
         # same denominator: bit for bit what cmlt gives
-        for case in range(120):
+        for case in range(60):
             pairs, gamma = continuity_pass_case(rng, case)
             params = ToleranceParams(gamma=gamma)
             items = [(f"t{k}", ref, est) for k, (ref, est) in enumerate(pairs)]

@@ -195,7 +195,7 @@ def oracle_dataset(rng, n_tracks, length, spans):
 class TestOracleReport:
     """The whole report against one composed from ``tests/oracles.py``."""
 
-    @settings(max_examples=max(1, settings.default.max_examples // 5))
+    @settings(max_examples=max(1, settings.default.max_examples // 6))
     @given(
         n_tracks=st.integers(1, 60),
         length=st.integers(2, 5),
