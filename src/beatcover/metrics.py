@@ -116,8 +116,10 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
     A run ``(a, b, s, t)`` checks the taps ``taps[a:b]``, strictly
     increasing and at least two, against the estimate ``e[s:t]``, and
     gets one flag per estimated beat of that slice.  Runs are sorted by
-    ``a`` and do not overlap; their estimate slices are those of tracks
-    that tile ``e`` in order, and several runs may share one.
+    ``a`` and do not overlap.  Their estimate slices are those of tracks
+    that tile ``e`` in order: several runs may share one, and every
+    estimated beat is in some run's slice, since the search keys of a
+    track's beats come from its runs.
     """
     a, b, s, t = runs.reshape(-1, 4).T
     flags = np.zeros(int(np.sum(t - s)), dtype=bool)
@@ -253,6 +255,10 @@ def _continuity_pass(pairs, gamma: float) -> list[tuple[float, float]]:
     taps are dropped, as are degenerate ones whose taps collapse onto
     each other (sub-ulp reference gaps).  CMLt is the count of the
     onbeat variant, the reference itself, over the same denominator.
+    In a pass of several tracks every reference has at least two beats
+    (:func:`_passes` checks ``L >= 2`` of them), so that every track
+    keeps its onbeat variant, and :func:`_continuity` a run on its
+    estimate.
     """
     r, e, bounds = _concat(pairs)
     a, b, s, t = np.array(bounds).T
