@@ -137,7 +137,9 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
     # beats that round onto its edges.  A last key of infinity ends the
     # last track's bands.
     scale = np.ldexp(1.0, -max(int(np.frexp(e.max())[1]), 0))
-    starts = np.unique(s[s < t])  # of the tracks that have an estimated beat
+    opens = np.zeros(len(e), dtype=bool)
+    opens[s[s < t]] = True  # each track's first estimated beat
+    starts = np.flatnonzero(opens)
     keys = np.append(np.repeat(starts, np.diff(starts, append=len(e))) + e * scale, np.inf)
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
