@@ -16,16 +16,22 @@ each table in one matcher call, in which each track's rows search only
 that track's estimate.  L-correct matches the onbeat and half-offbeat
 tables a second time, with the fixed tolerance cap.
 :func:`coverage_matrix` and :func:`l_correct_detection` are the
-one-track case of that pass.  The matcher is a band search,
-:func:`_first_in_band`, that finds for every row the first candidate in
-a sorted band that passes a check.  The continuity metrics search bands
-too (see :func:`beatcover.metrics.continuity_correct`): each reference
-tap checks every estimated beat in its phase band, widened by the same
-:func:`_slack`.
+one-track case of that pass.
+
+The matcher and the continuity metrics (see
+:func:`beatcover.metrics.continuity_correct`) share one band search,
+:func:`_bands`.  Each band, the estimated beats within a tolerance of a
+centre, lies in one track of the joined estimate, which is searched by
+the keys of :func:`_keys`; every band is widened by the same
+:func:`_slack`, and gives its candidates one per round, in order.  The
+matcher keeps each row's first candidate that aligns every tap; the
+continuity search flags each candidate that passes its phase and
+interval checks.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -55,52 +61,102 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 4096
 
 
-def _first_in_band(lo: np.ndarray, hi: np.ndarray, passes) -> np.ndarray:
-    """Smallest ``k`` in ``[lo[r], hi[r])`` per row ``r`` with a pass, or -1.
+def _keys(e: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """The search keys of the joined estimate ``e``, whose tracks are the slices ``e[s:t]``.
 
-    ``passes(rows, k)`` checks candidate ``k[n]`` of row ``rows[n]`` and
-    returns a Boolean array.  Each round tries the next candidate of the
-    rows that have neither passed nor run out of band, and drops the rest.
+    Returns ``(keys, scale)``.  The joined estimate is sorted within each
+    track only, so a band is searched by keys ``v * scale + s``, where
+    ``s`` is where the track starts in ``e`` and ``scale`` a power of two
+    no greater than 1: ``v * scale`` lies in [0, 1) for every estimated
+    beat, so the keys rise across tracks, and the map is monotone, so a
+    key band holds every beat of the time band.  Within its track, it is
+    that track's band, plus any beats that round onto its edges.  The
+    slices tile ``e`` in order; several may be the same track.  A last
+    key of infinity ends the last track's bands.
     """
-    first = np.full(len(lo), -1, dtype=np.intp)
-    rows = np.flatnonzero(lo < hi)
-    k = lo[rows]
-    while len(rows):
-        ok = passes(rows, k)
-        first[rows[ok]] = k[ok]
-        k = k + 1
-        left = ~ok & (k < hi[rows])
-        rows, k = rows[left], k[left]
-    return first
+    scale = math.ldexp(1.0, -max(math.frexp(e.max(initial=0.0))[1], 0))
+    starts = np.zeros(len(e), dtype=np.intp)
+    opens = s[s < t]
+    starts[opens] = opens  # the running maximum carries each track's start over its beats
+    return np.append(np.maximum.accumulate(starts) + e * scale, np.inf), scale
 
 
-def _first_match(windows: np.ndarray, eps: np.ndarray, est: np.ndarray, runs) -> np.ndarray:
-    """Smallest matching index of ``est`` per window row, or -1.
+def _bands(key, x: np.ndarray, tol: np.ndarray, s: np.ndarray, stop: np.ndarray):
+    """Every candidate of each band ``x -/+ tol`` in its own track, in rounds.
 
-    ``runs`` holds ``(a, b, s, t)``: rows ``a`` to ``b - 1`` belong to
-    the track whose estimate is ``est[s:t]``, and only that slice holds
-    their candidates.  A row in no run has none.
+    ``key`` is the :func:`_keys` map of the joined estimate, and band
+    ``n`` searches only its track's beats ``s[n]`` to ``stop[n] - 1``.
+    Yields ``(n, j)`` per round: the bands that have a candidate left,
+    and the next candidate of each, in increasing order per band.  All
+    bands are widened by one :func:`_slack`, the one that the largest
+    centre and tolerance need: slack grows with both, and centres are at
+    or after 0 s, so it is wide enough for every band.  A band's first
+    candidate is the track's first beat at or above its lower key edge;
+    its candidates go on while their keys are no greater than its upper
+    edge's.
     """
-    span = windows.shape[1]
+    keys, scale = key
+    tol = tol + _slack(tol.max(initial=0.0), x.max(initial=0.0))
+    lo, up = x - tol, np.add(x, tol, out=tol)
+    for edge in (lo, up):
+        edge *= scale
+        edge += s
+    j = np.maximum(np.searchsorted(keys, lo, side="left"), s)
+    n = np.flatnonzero((j < stop) & (keys[j] <= up))
+    j, up, stop = j[n], up[n], stop[n]
+    while len(n):
+        yield n, j
+        j = j + 1
+        live = np.flatnonzero((j < stop) & (keys[j] <= up))
+        n, j, up, stop = n[live], j[live], up[live], stop[live]
+
+
+def _beat_tracks(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the track of each joined reference beat lies: ``(s, t, left)`` per beat.
+
+    ``bounds`` holds ``(a, b, s, t)`` per track (see :func:`_concat`).
+    The track of beat ``g`` has the estimate ``e[s[g]:t[g]]``, and
+    ``left[g]`` of its beats are at or after ``g``.
+    """
+    a, b, s, t = bounds.T
+    return np.repeat(s, b - a), np.repeat(t, b - a), np.repeat(b, b - a) - np.arange(b[-1])
+
+
+def _row_slices(tracks, rows: int, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The estimate slice ``[s, stop)`` where each row of a table may start a match.
+
+    The table has ``rows`` rows of ``span`` taps, cut from the joined
+    references whose :func:`_beat_tracks` are ``tracks``.  It has a row
+    for each anchor whose window reads no beat past the last joined one,
+    so the row anchored at beat ``g`` reads beats ``g`` to ``g + reach``,
+    where ``reach`` is the number of beats less the number of rows.  A
+    row that reads past its own track's last beat exists only in the
+    joined table and gets the empty slice ``[s, 0)``; each other row
+    holds the same taps and tolerance as in its track's own table.  A
+    match may start no later than ``t - span``, so an estimate shorter
+    than a window gives no row a candidate.
+    """
+    s, t, left = tracks
+    return s[:rows], np.where(left[:rows] > len(left) - rows, t[:rows] - span + 1, 0)
+
+
+def _first_match(windows: np.ndarray, eps: np.ndarray, e: np.ndarray, key, tracks) -> np.ndarray:
+    """Smallest matching index of ``e`` per window row, or -1.
+
+    ``key`` is the :func:`_keys` map of ``e``, and ``tracks`` the
+    :func:`_beat_tracks` of the joined references that the rows are cut
+    from: each row searches only its own track's estimate (see
+    :func:`_row_slices`).
+    """
+    rows, span = windows.shape
     # Any match must align the first expected tap, so only candidates
-    # within epsilon of the row's first tap need the full check.  A run
-    # may start no later than ``t - span``, so an estimate shorter than
-    # a window has no candidates.
-    w0 = windows[:, 0]
-    band = eps + _slack(eps, w0)
-    below, above = w0 - band, w0 + band
-    lo = np.zeros(len(windows), dtype=np.intp)
-    hi = np.zeros(len(windows), dtype=np.intp)
-    for a, b, s, t in runs:
-        track = est[s:t]
-        np.add(np.searchsorted(track, below[a:b], side="left"), s, out=lo[a:b])
-        np.add(np.minimum(np.searchsorted(track, above[a:b], side="right"), t - s - span + 1), s, out=hi[a:b])
-
-    def aligned(rows, j):
-        taps = est[j[:, None] + np.arange(span)]
-        return np.all(np.abs(windows[rows] - taps) <= eps[rows, None], axis=1)
-
-    return _first_in_band(lo, hi, aligned)
+    # within epsilon of the row's first tap need the full check.
+    first = np.full(rows, -1, dtype=np.intp)
+    for n, j in _bands(key, windows[:, 0], eps, *_row_slices(tracks, rows, span)):
+        taps = e[j[:, None] + np.arange(span)]
+        ok = np.all(np.abs(windows[n] - taps) <= eps[n, None], axis=1) & (first[n] < 0)
+        first[n[ok]] = j[ok]
+    return first
 
 
 def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> None:
@@ -110,32 +166,18 @@ def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> Non
 def _concat(pairs):
     """The references and the estimates of ``pairs``, joined, and each track's slices.
 
-    Returns ``(r, e, bounds)``; ``bounds`` holds ``(a, b, s, t)`` per
-    track, whose reference is ``r[a:b]`` and whose estimate is ``e[s:t]``.
-    One track's arrays are used as they are.
+    Returns ``(r, e, bounds)``; ``bounds`` is an array that holds
+    ``(a, b, s, t)`` per track, whose reference is ``r[a:b]`` and whose
+    estimate is ``e[s:t]``.  One track's arrays are used as they are.
     """
     refs = [ref.times for ref, _ in pairs]
     ests = [est.times for _, est in pairs]
     ref_ends = list(accumulate(map(len, refs), initial=0))
     est_ends = list(accumulate(map(len, ests), initial=0))
-    bounds = list(zip(ref_ends, ref_ends[1:], est_ends, est_ends[1:]))
+    bounds = np.array(list(zip(ref_ends, ref_ends[1:], est_ends, est_ends[1:])))
     if len(pairs) == 1:
         return refs[0], ests[0], bounds
     return np.concatenate(refs), np.concatenate(ests), bounds
-
-
-def _runs(bounds, rows: int) -> list:
-    """The matcher runs of a table with ``rows`` rows cut from the joined references.
-
-    The table has a row for each anchor whose window reads no beat past
-    the last joined one, so the row anchored at beat ``g`` reads beats
-    ``g`` to ``g + reach``, where ``reach`` is the number of beats less
-    the number of rows.  A row that reads past its own track's last beat
-    exists only in the joined table and is in no run; each other row
-    holds the same taps and tolerance as in its track's own table.
-    """
-    reach = bounds[-1][1] - rows
-    return [(a, b - reach, s, t) for a, b, s, t in bounds if b - reach > a]
 
 
 def _pass(
@@ -149,6 +191,7 @@ def _pass(
     L-correct only with ``l_correct``; what is not matched stays False.
     """
     r, e, bounds = _concat(pairs)
+    key, tracks = _keys(e, *bounds[:, 2:].T), _beat_tracks(bounds)
     length = params.context
     # a row per condition, then L-correct's reference flags
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
@@ -162,18 +205,17 @@ def _pass(
         windows, eps, stride = window_table(r, condition, length, params)
         if not len(windows):
             continue
-        runs = _runs(bounds, len(windows))
         if cover:
             # row g covers beats g + stride * arange(length) of flag row c
-            first = _first_match(windows, eps, e, runs)
+            first = _first_match(windows, eps, e, key, tracks)
             _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
         if check:
-            # L-correct: the same rows and runs under the fixed tolerance
-            first = _first_match(windows, np.full(len(windows), params.cap), e, runs)
+            # L-correct: the same rows under the fixed tolerance
+            first = _first_match(windows, np.full(len(windows), params.cap), e, key, tracks)
             hit = np.flatnonzero(first >= 0)
             _mark(flags[-1], hit, stride, length)
             _mark(est_flags, first[hit], 1, windows.shape[1])
-    return [(CoverageMatrix(flags[:-1, a:b]), flags[-1, a:b], est_flags[s:t]) for a, b, s, t in bounds]
+    return [(CoverageMatrix(flags[:-1, a:b]), flags[-1, a:b], est_flags[s:t]) for a, b, s, t in bounds.tolist()]
 
 
 def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
@@ -183,8 +225,9 @@ def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
     window.epsilon`` for every position ``t`` of the window (closed
     comparison, so a distance of exactly epsilon still matches).
     """
-    runs = [(0, 1, 0, len(est))]
-    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), est.times, runs)[0])
+    bounds = np.array([[0, 1, 0, len(est)]])
+    key, tracks = _keys(est.times, *bounds[:, 2:].T), _beat_tracks(bounds)
+    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), est.times, key, tracks)[0])
     return None if j < 0 else j
 
 

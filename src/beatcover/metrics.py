@@ -26,9 +26,10 @@ from .core import (
 )
 from .matching import (
     _BLOCK_ROWS,
+    _bands,
     _concat,
+    _keys,
     _pass,
-    _slack,
     l_correct_detection,
 )
 from .variants import condition_taps
@@ -86,30 +87,6 @@ def f1_score(
     return _prf(matched, len(r), matched, len(e))
 
 
-def _band(x, tol, keys, scale, s):
-    """Each band ``x -/+ tol`` as its first candidate and the key of its upper edge.
-
-    The band is searched by its keys ``v * scale + s`` (see
-    :func:`_continuity`) and widened by one :func:`beatcover.matching._slack`
-    for all of them, the one that the largest tap and tolerance need:
-    slack grows with both, and taps are at or after 0 s, so it is wide
-    enough for every band.  A block may have no band at all.  The first
-    candidate is the track's first estimated beat at or above the lower
-    edge; the band holds every beat of the track from there whose key is
-    no greater than the upper edge's.  ``x`` and ``tol`` are overwritten:
-    the edges are computed in place, so that a block of bands holds few
-    temporaries at a time.
-    """
-    tol += _slack(tol.max(initial=0.0), x.max(initial=0.0))
-    lo = np.subtract(x, tol)
-    up = np.add(x, tol, out=x)
-    for edge in (lo, up):
-        edge *= scale
-        edge += s
-    lo = np.searchsorted(keys, lo, side="left")
-    return np.maximum(lo, s, out=lo), up
-
-
 def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float) -> np.ndarray:
     """Continuity flags of each run's estimate, joined in run order.
 
@@ -127,56 +104,39 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
         return flags
     # estimate j of run q has flag ``base[q] + j``
     base = np.cumsum(t - s) - t
-    # Each tap searches its phase band in its own track's estimate.  The
-    # joined estimate is sorted within each track only, so it is searched
-    # by keys ``v * scale + s``, where ``s`` is where the track starts in
-    # ``e`` and ``scale`` a power of two no greater than 1: ``v * scale``
-    # lies in [0, 1] for every estimated beat, so the keys rise across
-    # tracks, and the map is monotone, so a key band holds every beat of
-    # the time band.  Within its track, it is that track's band, plus any
-    # beats that round onto its edges.  A last key of infinity ends the
-    # last track's bands.
-    scale = np.ldexp(1.0, -max(int(np.frexp(e.max())[1]), 0))
-    opens = np.zeros(len(e), dtype=bool)
-    opens[s[s < t]] = True  # each track's first estimated beat
-    starts = np.flatnonzero(opens)
-    keys = np.append(np.repeat(starts, np.diff(starts, append=len(e))) + e * scale, np.inf)
+    # each tap searches its phase band in its own track's estimate
+    key = _keys(e, s, t)
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
-        i = np.arange(start, stop)
-        q = np.searchsorted(a, i, side="right") - 1
         # the chunk's taps, from two before it, and their intervals:
         # tap k is x[k], and local[k] is x[k] - x[k - 1]
         off = max(start - 2, 0)
         x = taps[off : stop + 1]
         local = np.empty(len(x))
-        local[0] = np.nan
+        local[0] = 0.0  # x[0] is searched only as a run's first tap, which borrows
         np.subtract(x[1:], x[:-1], out=local[1:])
         first = a[(off <= a) & (a < stop)] - off
         local[first] = local[first + 1]  # a run's first tap borrows the following interval
-        inside = np.flatnonzero((a[q] <= i) & (i < b[q]))
-        k, q = i[inside] - off, q[inside]
-        j, up = _band(x[k], gamma * local[k], keys, scale, s[q])
-        # Check the candidates in rounds: each round tries the next
-        # candidate of every tap that has one left.
-        live = np.flatnonzero((j < t[q]) & (keys[j] <= up))
-        while len(live):
-            k, q, j, up = k[live], q[live], j[live], up[live]
+        # tap k of the chunk searches its run's estimate; a tap outside
+        # the chunk or in no run searches the empty slice [0, 0)
+        i = np.arange(off, off + len(x))
+        q = np.searchsorted(a, i, side="right") - 1
+        inside = (a[q] <= i) & (i < b[q]) & (start <= i) & (i < stop)
+        for k, j in _bands(key, x, gamma * local, s[q] * inside, t[q] * inside):
+            q_k = q[k]
             now, before, tol = e[j], e[j - 1], gamma * local[k]
             # past its track's first estimate, estimate j - 1 must be in
             # phase with tap k - 1, and the two intervals must agree; a
             # run's first tap has no predecessor
             ok = (np.abs(now - x[k]) <= tol) & (
-                (j == s[q])
+                (j == s[q_k])
                 | (
-                    (k + off > a[q])
+                    (k + off > a[q_k])
                     & (np.abs(before - x[k - 1]) <= gamma * local[k - 1])
                     & (np.abs((now - before) - local[k]) <= tol)
                 )
             )
-            flags[base[q[ok]] + j[ok]] = True
-            j += 1
-            live = np.flatnonzero((j < t[q]) & (keys[j] <= up))
+            flags[base[q_k[ok]] + j[ok]] = True
     return flags
 
 
@@ -193,8 +153,11 @@ def continuity_correct(
     and is judged on phase alone.
 
     Each reference beat checks only the estimated beats in its phase
-    band, so memory grows linearly with the number of beats.  This is
-    the one-run case of the search that scores AMLt.
+    band, so memory grows linearly with the number of beats.  The bands
+    come from the one band search that window matching uses too: each
+    band is cut from the estimate by sorted keys, widened by a few ulps
+    so that rounding drops no beat, and gives its beats one per round.
+    This is the one-run case of the search that scores AMLt.
 
     Raises:
         ValueError: ``gamma`` outside (0, 1).
@@ -263,7 +226,7 @@ def _continuity_pass(pairs, gamma: float) -> list[tuple[float, float]]:
     estimate.
     """
     r, e, bounds = _concat(pairs)
-    a, b, s, t = np.array(bounds).T
+    a, b, s, t = bounds.T
     taps, u, w = _variant_taps(r, a, b)
     offsets = np.cumsum([0] + [len(x) for x in taps[:-1]])[:, None]
     taps = np.concatenate(taps)

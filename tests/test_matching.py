@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _first_in_band, _pass, _runs
+from beatcover.matching import _BLOCK_ROWS, _bands, _beat_tracks, _keys, _pass, _row_slices
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -207,14 +207,17 @@ class TestPass:
             if kind == 2:  # the tracker found nothing
                 offsets = [None]
             condition = list(Condition)[int(rng.integers(0, len(Condition)))]
-            pairs.append(grid_track(rng.integers(16, 48, n - 1), offsets, start, condition))
+            ref, est = grid_track(rng.integers(16, 48, n - 1), offsets, start, condition)
+            if kind == 3 and len(est):  # the tracker found one beat
+                est = BeatSequence(est.times[int(rng.integers(0, len(est))) :][:1])
+            pairs.append((ref, est))
         if rng.random() < 0.3:
             pairs.insert(int(rng.integers(0, len(pairs))), (BeatSequence([]), pairs[0][1]))
         return pairs
 
     def test_every_track_agrees_with_the_oracles(self, rng):
-        # tracks shorter than L, one-beat and empty references, empty
-        # estimates, and estimates on the tolerance boundary
+        # tracks shorter than L, one-beat and empty references, empty and
+        # one-beat estimates, and estimates on the tolerance boundary
         for length in range(2, 9):
             for cap in (GRID_CAP, 0.070):
                 params = ToleranceParams(cap=cap, context=length)
@@ -229,14 +232,28 @@ class TestPass:
         for length in range(2, 9):
             params = ToleranceParams(context=length)
             refs = [random_times(rng, int(rng.integers(0, 30))) for _ in range(5)]
-            starts = np.cumsum([0, *map(len, refs)]).tolist()
-            bounds = [(a, b, 0, 0) for a, b in zip(starts, starts[1:])]
+            starts = np.cumsum([0, *map(len, refs)])
+            # track k searches the estimate slice [100 k, 100 k + 100)
+            ends = 100 * np.arange(len(refs) + 1)
+            beat_tracks = _beat_tracks(np.stack([starts[:-1], starts[1:], ends[:-1], ends[1:]], axis=-1))
             for condition in Condition:
                 windows, eps, _ = window_table(np.concatenate(refs), condition, length, params)
-                own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts, refs)]
+                own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts.tolist(), refs)]
+                tracks = [k for k, (_, table) in enumerate(own) if len(table[0])]
                 own = [(a, table) for a, table in own if len(table[0])]
-                runs = _runs(bounds, len(windows)) if len(windows) else []
+                s, stop = _row_slices(beat_tracks, *windows.shape)
+                # a row in no track has no candidate; every other row may
+                # start a match anywhere in its track's slice but the last
+                # span - 1 beats
+                q = np.where(stop > s, s // 100, -1)
+                assert (stop[q >= 0] == s[q >= 0] + 101 - windows.shape[1]).all()
+                runs = [(rows[0], rows[-1] + 1) for rows in (np.flatnonzero(q == k).tolist() for k in tracks)]
                 assert [run[:2] for run in runs] == [(a, a + len(table[0])) for a, table in own]
+                # each track's rows are one run, and every other row is in no track
+                expected = np.full(len(windows), -1)
+                for k, (a, table) in zip(tracks, own):
+                    expected[a : a + len(table[0])] = k
+                assert q.tolist() == expected.tolist(), (length, condition)
                 for a, (own_windows, own_eps, _) in own:
                     assert np.array_equal(windows[a : a + len(own_windows)], own_windows), (length, condition)
                     assert eps[a : a + len(own_eps)].tobytes() == own_eps.tobytes(), (length, condition)
@@ -299,27 +316,67 @@ def brute_first_in_band(lo, hi, table):
     return [next((k for k in range(lo[r], hi[r]) if table[r, k]), -1) for r in range(len(lo))]
 
 
-class TestFirstInBand:
+def search_bands(tracks, x, tol, q, stop):
+    """Run the band search of bands ``x -/+ tol`` in tracks ``q`` of the joined ``tracks``.
+
+    Band ``n`` searches its track's beats up to, not including, local
+    index ``stop[n]``.  Returns ``(e, s, got, seen)``: the joined
+    estimate, each band's track start in it, the candidates yielded to
+    each band in order, and the number of bands in each round; checks
+    that a round gives each band at most one candidate.
+    """
+    e = np.concatenate([np.asarray(track, dtype=float) for track in tracks] + [np.empty(0)])
+    ends = np.cumsum([0, *map(len, tracks)])
+    s = ends[:-1][q]
+    got, seen = [[] for _ in x], []
+    for n, j in _bands(_keys(e, ends[:-1], ends[1:]), np.asarray(x), np.asarray(tol), s, s + stop):
+        assert len(set(n.tolist())) == len(n)
+        seen.append(len(n))
+        for band, k in zip(n.tolist(), j.tolist()):
+            got[band].append(k)
+    return e, s, got, seen
+
+
+def assert_bands_match_brute_force(tracks, x, tol, q, stop):
+    """Each candidate of each exact band is yielded once, in order, and only from ``[s, s + stop)``."""
+    e, s, got, _ = search_bands(tracks, x, tol, q, stop)
+    for n in range(len(x)):
+        exact = [j for j in range(s[n], s[n] + stop[n]) if abs(e[j] - x[n]) <= tol[n]]
+        assert set(exact) <= set(got[n]), (n, exact, got[n])
+        assert got[n] == sorted(set(got[n])), (n, got[n])
+        assert all(s[n] <= j < s[n] + stop[n] for j in got[n]), (n, got[n])
+        # the rest round onto a band edge: within a few ulps of it
+        assert all(abs(e[j] - x[n]) <= tol[n] + 1e-9 for j in got[n]), (n, got[n])
+
+
+class TestBands:
+    """The one band search of window matching and continuity."""
+
     def test_matches_brute_force_scan(self, rng):
+        # Every track's beats are at 0, 1, 2, ... s, so a band that
+        # reaches from beat lo past the track's last beat, cut at local
+        # index hi, holds the candidates [lo, hi), as a scan over indices
+        # does; the tracks share their times, so only the keys keep a
+        # band in its own track
         for case in range(200):
             n_rows, n_cand = int(rng.integers(0, 40)), int(rng.integers(1, 12))
+            n_tracks = int(rng.integers(1, 4))
+            q = rng.integers(0, n_tracks, size=n_rows)
             lo = rng.integers(0, n_cand, size=n_rows)
             # widths from -2 (an empty band with hi < lo) up to the whole range
             hi = np.clip(lo + rng.integers(-2, n_cand + 1, size=n_rows), 0, n_cand)
             table = rng.random((n_rows, n_cand)) < rng.choice([0.05, 0.3, 0.8])
-            seen = []
-
-            def passes(rows, k):
-                assert np.all((lo[rows] <= k) & (k < hi[rows]))
-                seen.append(len(rows))
-                return table[rows, k]
-
-            got = _first_in_band(lo, hi, passes)
-            assert got.tolist() == brute_first_in_band(lo, hi, table), case
-            # each row is tried at most once per candidate, and only until it passes
-            assert sum(seen) == sum(
-                (f - l + 1) if f >= 0 else max(h - l, 0) for l, h, f in zip(lo, hi, got)
-            )
+            tracks = [np.arange(n_cand)] * n_tracks
+            x, tol = lo + 0.5 * n_cand, np.full(n_rows, 0.5 * n_cand + 0.25)
+            _, s, got, seen = search_bands(tracks, x, tol, q, hi)
+            first = [next((k - s[r] for k in got[r] if table[r, k - s[r]]), -1) for r in range(n_rows)]
+            assert first == brute_first_in_band(lo, hi, table), case
+            assert [[k - s[r] for k in got[r]] for r in range(n_rows)] == [
+                list(range(l, h)) for l, h in zip(lo, hi)
+            ], case
+            # each band gets each candidate once, and all of them: a row
+            # no longer stops at its first pass
+            assert sum(seen) == sum(max(h - l, 0) for l, h in zip(lo, hi))
 
     def test_edge_rows(self):
         lo = np.array([0, 2, 4, 1, 0, 3])
@@ -329,9 +386,52 @@ class TestFirstInBand:
         table[2, 7] = True  # passes only at its last candidate
         table[4, [1, 2, 3]] = True  # several passes: the first counts
         table[5, 2] = True  # row 5 passes only before its band: no pass
-        got = _first_in_band(lo, hi, lambda rows, k: table[rows, k])
-        assert got.tolist() == [-1, -1, 7, -1, 1, -1]
-        assert got.tolist() == brute_first_in_band(lo, hi, table)
+        _, _, got, _ = search_bands([np.arange(8)], lo + 4.0, np.full(6, 4.25), np.zeros(6, dtype=int), hi)
+        first = [next((k for k in got[r] if table[r, k]), -1) for r in range(6)]
+        assert first == [-1, -1, 7, -1, 1, -1]
+        assert first == brute_first_in_band(lo, hi, table)
+
+    def test_multi_track_bands_match_brute_force(self, rng):
+        # empty and one-beat tracks, stop at or before the track's start,
+        # bands that reach below 0 s or past a track's last beat, and
+        # band edges within 2 ulps of a beat
+        for _ in range(300):
+            # tracks may share times: only the keys keep them apart; on
+            # tracks under 1 s, a band's lower key edge reaches back over
+            # whole tracks
+            pool = rng.uniform(0.0, rng.choice([0.5, 10.0]), 12)
+            sizes = rng.choice([0, 1, 2, 5, 12], size=int(rng.integers(1, 6)))
+            tracks = [np.sort(rng.choice(pool, size, replace=False)) for size in sizes]
+            n_rows = int(rng.integers(0, 30))
+            q = rng.integers(0, len(tracks), size=n_rows)
+            tol = rng.uniform(0.0, 2.0, n_rows)
+            x = rng.uniform(0.0, 12.0, n_rows)
+            for n in range(n_rows):
+                track = tracks[q[n]]
+                if len(track) and rng.random() < 0.5:
+                    edge = rng.choice(track) + rng.choice([-1.0, 1.0]) * tol[n]
+                    x[n] = max(nudge(edge, int(rng.integers(-2, 3))), 0.0)
+            stop = np.array([rng.integers(-2, len(tracks[k]) + 1) for k in q], dtype=int)
+            assert_bands_match_brute_force(tracks, x, tol, q, stop)
+
+    @given(
+        st.lists(times_strategy(max_size=8, span=10.0), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 12.0),
+                st.floats(0.0, 3.0),
+                st.integers(0, 3),
+                st.integers(-2, 8),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_bands_match_brute_force(self, tracks, bands):
+        bands = np.array(bands, dtype=float).reshape(-1, 4)
+        x, tol = bands[:, 0], bands[:, 1]
+        q = bands[:, 2].astype(int) % len(tracks)
+        stop = np.minimum(bands[:, 3].astype(int), [len(tracks[k]) for k in q])
+        assert_bands_match_brute_force(tracks, x, tol, q, stop)
 
 
 # A first reference beat under 2 * eps: ``w0 - e`` then rounds, and an
