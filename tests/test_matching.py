@@ -325,7 +325,7 @@ def search_bands(tracks, x, tol, q, stop):
     each band in order, and the number of bands in each round; checks
     that a round gives each band at most one candidate.
     """
-    e = np.concatenate([np.asarray(track, dtype=float) for track in tracks] + [np.empty(0)])
+    e = np.concatenate([np.asarray(track, dtype=float) for track in tracks])
     ends = np.cumsum([0, *map(len, tracks)])
     s = ends[:-1][q]
     got, seen = [[] for _ in x], []
