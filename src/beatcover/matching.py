@@ -10,19 +10,20 @@ Matching works on whole window tables (see
 for every row at once, the first estimated beat where the row matches.
 Coverage, L-correct detection and the single-window
 :func:`window_match` all go through it.  Coverage and L-correct are one
-pass over the windows of several tracks: the pass concatenates their
-references, cuts each condition's table once from them, and matches
-each table in one matcher call, in which each track's rows search only
-that track's estimate.  L-correct matches the onbeat and half-offbeat
-tables a second time, with the fixed tolerance cap.
+pass over the windows of several tracks, joined once by :func:`_join`:
+the pass cuts each condition's table once from the joined references
+and matches each table in one matcher call, in which each track's rows
+search only that track's estimate.  L-correct matches the onbeat and
+half-offbeat tables a second time, with the fixed tolerance cap.
 :func:`coverage_matrix` and :func:`l_correct_detection` are the
 one-track case of that pass.
 
 The matcher and the continuity metrics (see
 :func:`beatcover.metrics.continuity_correct`) share one band search,
-:func:`_bands`.  Each band, the estimated beats within a tolerance of a
-centre, lies in one track of the joined estimate, which is searched by
-the keys of :func:`_keys`; every band is widened by the same
+:func:`_bands`, and one join per pass: the joined estimate is searched
+by one set of keys (:func:`_keys`), built once per pass.  Each band,
+the estimated beats within a tolerance of a centre, lies in one track
+of the joined estimate; every band is widened by the same
 :func:`_slack`, and gives its candidates one per round, in order.  The
 matcher keeps each row's first candidate that aligns every tap; the
 continuity search flags each candidate that passes its phase and
@@ -71,8 +72,8 @@ def _keys(e: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, floa
     beat, so the keys rise across tracks, and the map is monotone, so a
     key band holds every beat of the time band.  Within its track, it is
     that track's band, plus any beats that round onto its edges.  The
-    slices tile ``e`` in order; several may be the same track.  A last
-    key of infinity ends the last track's bands.
+    slices tile ``e`` in order.  A last key of infinity ends the last
+    track's bands.
     """
     scale = math.ldexp(1.0, -max(math.frexp(e.max(initial=0.0))[1], 0))
     starts = np.zeros(len(e), dtype=np.intp)
@@ -114,7 +115,7 @@ def _bands(key, x: np.ndarray, tol: np.ndarray, s: np.ndarray, stop: np.ndarray)
 def _beat_tracks(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the track of each joined reference beat lies: ``(s, t, left)`` per beat.
 
-    ``bounds`` holds ``(a, b, s, t)`` per track (see :func:`_concat`).
+    ``bounds`` holds ``(a, b, s, t)`` per track (see :func:`_join`).
     The track of beat ``g`` has the estimate ``e[s[g]:t[g]]``, and
     ``left[g]`` of its beats are at or after ``g``.
     """
@@ -163,49 +164,51 @@ def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> Non
     flags[starts[:, None] + stride * np.arange(count)] = True
 
 
-def _concat(pairs):
-    """The references and the estimates of ``pairs``, joined, and each track's slices.
+def _join(pairs):
+    """The references and the estimates of ``pairs``, joined, with what a band search needs.
 
-    Returns ``(r, e, bounds)``; ``bounds`` is an array that holds
-    ``(a, b, s, t)`` per track, whose reference is ``r[a:b]`` and whose
-    estimate is ``e[s:t]``.  One track's arrays are used as they are.
+    Returns ``(r, e, bounds, key, tracks)``: ``bounds`` is an array that
+    holds ``(a, b, s, t)`` per track, whose reference is ``r[a:b]`` and
+    whose estimate is ``e[s:t]``; ``key`` is the :func:`_keys` map of
+    ``e``, and ``tracks`` the :func:`_beat_tracks` of ``r``.  One track's
+    arrays are used as they are.  Only the ``times`` of each side are
+    read: a window may stand in for a reference, whose table of the
+    window's span then has one row, the window itself.
     """
     refs = [ref.times for ref, _ in pairs]
     ests = [est.times for _, est in pairs]
     ref_ends = list(accumulate(map(len, refs), initial=0))
     est_ends = list(accumulate(map(len, ests), initial=0))
     bounds = np.array(list(zip(ref_ends, ref_ends[1:], est_ends, est_ends[1:])))
-    if len(pairs) == 1:
-        return refs[0], ests[0], bounds
-    return np.concatenate(refs), np.concatenate(ests), bounds
+    r, e = (refs[0], ests[0]) if len(pairs) == 1 else (np.concatenate(refs), np.concatenate(ests))
+    return r, e, bounds, _keys(e, *bounds[:, 2:].T), _beat_tracks(bounds)
 
 
 def _pass(
-    pairs, params: ToleranceParams, conditions=tuple(Condition), l_correct: bool = True
+    joined, params: ToleranceParams, coverage: bool = True, l_correct: bool = True
 ) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
-    """The coverage and the L-correct flags of each (reference, estimate) pair, in one pass.
+    """The coverage and the L-correct flags of each track of ``joined``, in one pass.
 
-    Each pair gets ``(coverage, ref_flags, est_flags)``: what
-    :func:`coverage_matrix` and :func:`l_correct_detection` return.
-    Only the tables of ``conditions`` are matched for coverage, and
-    L-correct only with ``l_correct``; what is not matched stays False.
+    ``joined`` is a :func:`_join` of the tracks.  Each track gets
+    ``(coverage, ref_flags, est_flags)``: what :func:`coverage_matrix`
+    and :func:`l_correct_detection` return.  Coverage is matched only
+    with ``coverage``, and L-correct only with ``l_correct``; what is
+    not matched stays False.
     """
-    r, e, bounds = _concat(pairs)
-    key, tracks = _keys(e, *bounds[:, 2:].T), _beat_tracks(bounds)
+    r, e, bounds, key, tracks = joined
     length = params.context
     # a row per condition, then L-correct's reference flags
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
     est_flags = np.zeros(len(e), dtype=bool)
     for c, condition in enumerate(Condition):
-        cover = condition in conditions
         # L-correct matches the onbeat and half-offbeat tables a second time
         check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
-        if not (cover or check):
+        if not (coverage or check):
             continue
         windows, eps, stride = window_table(r, condition, length, params)
         if not len(windows):
             continue
-        if cover:
+        if coverage:
             # row g covers beats g + stride * arange(length) of flag row c
             first = _first_match(windows, eps, e, key, tracks)
             _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
@@ -225,9 +228,8 @@ def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
     window.epsilon`` for every position ``t`` of the window (closed
     comparison, so a distance of exactly epsilon still matches).
     """
-    bounds = np.array([[0, 1, 0, len(est)]])
-    key, tracks = _keys(est.times, *bounds[:, 2:].T), _beat_tracks(bounds)
-    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), est.times, key, tracks)[0])
+    _, e, _, key, tracks = _join([(window, est)])
+    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), e, key, tracks)[0])
     return None if j < 0 else j
 
 
@@ -239,7 +241,7 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    return _pass([(ref, est)], params, l_correct=False)[0][0]
+    return _pass(_join([(ref, est)]), params, l_correct=False)[0][0]
 
 
 def l_correct_detection(
@@ -253,4 +255,4 @@ def l_correct_detection(
     flags over the reference beats and over the estimated beats; an
     estimated beat is flagged when it takes part in any matched window.
     """
-    return _pass([(ref, est)], params, conditions=())[0][1:]
+    return _pass(_join([(ref, est)]), params, coverage=False)[0][1:]

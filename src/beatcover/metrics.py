@@ -24,14 +24,7 @@ from .core import (
     ToleranceParams,
     _finite_positive,
 )
-from .matching import (
-    _BLOCK_ROWS,
-    _bands,
-    _concat,
-    _keys,
-    _pass,
-    l_correct_detection,
-)
+from .matching import _BLOCK_ROWS, _bands, _join, _pass, l_correct_detection
 from .variants import condition_taps
 
 __all__ = [
@@ -87,25 +80,22 @@ def f1_score(
     return _prf(matched, len(r), matched, len(e))
 
 
-def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float) -> np.ndarray:
+def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: float) -> np.ndarray:
     """Continuity flags of each run's estimate, joined in run order.
 
     A run ``(a, b, s, t)`` checks the taps ``taps[a:b]``, strictly
     increasing and at least two, against the estimate ``e[s:t]``, and
     gets one flag per estimated beat of that slice.  Runs are sorted by
-    ``a`` and do not overlap.  Their estimate slices are those of tracks
-    that tile ``e`` in order: several runs may share one, and every
-    estimated beat is in some run's slice, since the search keys of a
-    track's beats come from its runs.
+    ``a`` and do not overlap.  ``key`` is the key map of ``e`` from
+    :func:`beatcover.matching._join`; each run's estimate slice is one of
+    its tracks, and several runs may share one.
     """
-    a, b, s, t = runs.reshape(-1, 4).T
+    a, b, s, t = runs.T
     flags = np.zeros(int(np.sum(t - s)), dtype=bool)
     if not len(flags):
         return flags
     # estimate j of run q has flag ``base[q] + j``
     base = np.cumsum(t - s) - t
-    # each tap searches its phase band in its own track's estimate
-    key = _keys(e, s, t)
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
         # the chunk's taps, from two before it, and their intervals:
@@ -117,8 +107,9 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, gamma: float)
         np.subtract(x[1:], x[:-1], out=local[1:])
         first = a[(off <= a) & (a < stop)] - off
         local[first] = local[first + 1]  # a run's first tap borrows the following interval
-        # tap k of the chunk searches its run's estimate; a tap outside
-        # the chunk or in no run searches the empty slice [0, 0)
+        # tap k of the chunk searches its phase band in its run's
+        # estimate; a tap outside the chunk or in no run searches the
+        # empty slice [0, 0)
         i = np.arange(off, off + len(x))
         q = np.searchsorted(a, i, side="right") - 1
         inside = (a[q] <= i) & (i < b[q]) & (start <= i) & (i < stop)
@@ -166,7 +157,8 @@ def continuity_correct(
     ToleranceParams(gamma=gamma)  # the band needs 0 < gamma < 1
     if len(ref) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    return _continuity(ref.times, np.array([0, len(ref), 0, len(est)]), est.times, gamma)
+    r, e, bounds, key, _ = _join([(ref, est)])
+    return _continuity(r, bounds, e, key, gamma)
 
 
 def cmlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.gamma) -> float:
@@ -212,20 +204,17 @@ def _variant_taps(r: np.ndarray, a: np.ndarray, b: np.ndarray):
     return taps, np.array(u), np.array(w)
 
 
-def _continuity_pass(pairs, gamma: float) -> list[tuple[float, float]]:
-    """CMLt and AMLt of each (reference, estimate) pair, in one continuity search.
+def _continuity_pass(joined, gamma: float) -> list[tuple[float, float]]:
+    """CMLt and AMLt of each track of ``joined``, in one continuity search.
 
+    ``joined`` is a :func:`beatcover.matching._join` of the tracks.
     Every variant of every track is a run of one :func:`_continuity`
     search over the joined estimates.  Variants with fewer than two
     taps are dropped, as are degenerate ones whose taps collapse onto
     each other (sub-ulp reference gaps).  CMLt is the count of the
     onbeat variant, the reference itself, over the same denominator.
-    In a pass of several tracks every reference has at least two beats
-    (:func:`_passes` checks ``L >= 2`` of them), so that every track
-    keeps its onbeat variant, and :func:`_continuity` a run on its
-    estimate.
     """
-    r, e, bounds = _concat(pairs)
+    r, e, bounds, key, _ = joined
     a, b, s, t = bounds.T
     taps, u, w = _variant_taps(r, a, b)
     offsets = np.cumsum([0] + [len(x) for x in taps[:-1]])[:, None]
@@ -235,7 +224,7 @@ def _continuity_pass(pairs, gamma: float) -> list[tuple[float, float]]:
     collapsed = np.flatnonzero(taps[1:] <= taps[:-1])
     kept = (w - u >= 2) & (np.searchsorted(collapsed, u) == np.searchsorted(collapsed, w - 1))
     runs = np.stack([u, w, np.broadcast_to(s, u.shape), np.broadcast_to(t, u.shape)], axis=-1)[kept]
-    hits = np.flatnonzero(_continuity(taps, runs, e, gamma))
+    hits = np.flatnonzero(_continuity(taps, runs, e, key, gamma))
     counts = np.zeros(u.shape, dtype=np.intp)
     counts[kept] = np.diff(np.searchsorted(hits, np.cumsum(runs[:, 3] - runs[:, 2])), prepend=0)
     scores = counts / np.maximum(np.maximum(w - u, t - s), 1)
@@ -262,7 +251,7 @@ def amlt(ref: BeatSequence, est: BeatSequence, gamma: float = ToleranceParams.ga
         ValueError: ``gamma`` outside (0, 1).
     """
     ToleranceParams(gamma=gamma)  # checked even if no variant gets scored
-    return _continuity_pass([(ref, est)], gamma)[0][1]
+    return _continuity_pass(_join([(ref, est)]), gamma)[0][1]
 
 
 def l_correct_fmeasure(
@@ -430,15 +419,16 @@ def _passes(items, params: ToleranceParams):
 def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     """Run every metric on each ``(track_id, ref, est)`` item, in order.
 
-    Coverage and L-correct match the windows of each pass of tracks (see
-    :func:`_passes`) in one :func:`beatcover.matching._pass`, and CMLt
-    and AMLt of the pass come from one :func:`_continuity_pass`.
+    Each pass of tracks (see :func:`_passes`) is joined and keyed once,
+    by :func:`beatcover.matching._join`: coverage and L-correct match
+    its windows in one :func:`beatcover.matching._pass`, and CMLt and
+    AMLt come from one :func:`_continuity_pass`.
     """
     reports = []
     for batch in _passes(items, params):
-        pairs = [(ref, est) for _, ref, est, _ in batch]
-        matched = _pass(pairs, params)
-        continuity = _continuity_pass(pairs, params.gamma)
+        joined = _join([(ref, est) for _, ref, est, _ in batch])
+        matched = _pass(joined, params)
+        continuity = _continuity_pass(joined, params.gamma)
         for track, (cm, *flags), (cmlt_score, amlt_score) in zip(batch, matched, continuity):
             track_id, ref, est, (precision, recall, f1) = track
             lr, lp, lf = _l_correct_scores(*flags)

@@ -115,10 +115,18 @@ def _runs(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tick_step(t_max: float) -> float:
+    """Tick spacing of a time axis of ``t_max`` seconds: at most 13 ticks from 0 s.
+
+    Past two hours the ten-minute step doubles until the ticks fit, so
+    an axis of any finite length gets a bounded number of ticks.
+    """
     for step in (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0):
         if t_max / step <= 12.0:
             return step
-    return 600.0
+    step = 600.0
+    while t_max / step > 12.0:
+        step *= 2.0
+    return step
 
 
 def render_coverage_svg(

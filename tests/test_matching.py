@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _bands, _beat_tracks, _keys, _pass, _row_slices
+from beatcover.matching import _BLOCK_ROWS, _bands, _join, _pass, _row_slices
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -180,7 +180,7 @@ def grid_track(intervals, offsets, start=0, condition=Condition.ONBEAT):
 def assert_pass_matches_oracles(pairs, params):
     """Every track of one pass of ``pairs`` against the quadratic oracles."""
     length, cap, gamma = params.context, params.cap, params.gamma
-    results = _pass(pairs, params)
+    results = _pass(_join(pairs), params)
     assert len(results) == len(pairs)
     for k, ((ref, est), (cm, ref_flags, est_flags)) in enumerate(zip(pairs, results)):
         r, e = ref.times.tolist(), est.times.tolist()
@@ -234,10 +234,9 @@ class TestPass:
             refs = [random_times(rng, int(rng.integers(0, 30))) for _ in range(5)]
             starts = np.cumsum([0, *map(len, refs)])
             # track k searches the estimate slice [100 k, 100 k + 100)
-            ends = 100 * np.arange(len(refs) + 1)
-            beat_tracks = _beat_tracks(np.stack([starts[:-1], starts[1:], ends[:-1], ends[1:]], axis=-1))
+            joined, _, _, _, beat_tracks = _join([(BeatSequence(ref), constant_beats(120, 100)) for ref in refs])
             for condition in Condition:
-                windows, eps, _ = window_table(np.concatenate(refs), condition, length, params)
+                windows, eps, _ = window_table(joined, condition, length, params)
                 own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts.tolist(), refs)]
                 tracks = [k for k, (_, table) in enumerate(own) if len(table[0])]
                 own = [(a, table) for a, table in own if len(table[0])]
@@ -263,24 +262,22 @@ class TestPass:
         # from there: its beats must not complete the first track's windows
         ref = BeatSequence([0.5, 1.0, 1.5])
         pairs = [(ref, BeatSequence([0.5, 1.0])), (ref, BeatSequence([1.5, 2.0]))]
-        (cm, ref_flags, est_flags), _ = _pass(pairs, ToleranceParams())
+        (cm, ref_flags, est_flags), _ = _pass(_join(pairs), ToleranceParams())
         assert cm.covered[Condition.ONBEAT].tolist() == [True, True, False]
         assert ref_flags.tolist() == [True, True, False] and est_flags.tolist() == [True, True]
         assert_pass_matches_oracles(pairs, ToleranceParams())
 
     def test_a_pass_matches_only_what_is_asked(self, rng):
-        # coverage of some conditions without L-correct, and L-correct
-        # alone, are those parts of the whole pass; the rest stays False
+        # coverage without L-correct, and L-correct alone, are those parts
+        # of the whole pass; the rest stays False
         params = ToleranceParams(context=3)
         for _ in range(20):
-            pairs = self.seeded_pairs(rng, 3)
-            whole = _pass(pairs, params)
-            conditions = tuple(c for c in Condition if rng.random() < 0.5)
-            for (cm, *flags), (cm_whole, _, _) in zip(_pass(pairs, params, conditions, l_correct=False), whole):
-                for c in Condition:
-                    assert np.array_equal(cm.covered[c], cm_whole.covered[c] & (c in conditions))
+            joined = _join(self.seeded_pairs(rng, 3))
+            whole = _pass(joined, params)
+            for (cm, *flags), (cm_whole, _, _) in zip(_pass(joined, params, l_correct=False), whole):
+                assert np.array_equal(cm.rows, cm_whole.rows)
                 assert not any(f.any() for f in flags)
-            for (cm, *flags), (_, *flags_whole) in zip(_pass(pairs, params, conditions=()), whole):
+            for (cm, *flags), (_, *flags_whole) in zip(_pass(joined, params, coverage=False), whole):
                 assert not cm.rows.any()
                 assert all(np.array_equal(f, g) for f, g in zip(flags, flags_whole))
 
@@ -288,7 +285,7 @@ class TestPass:
         pairs = [(constant_beats(120, 20), constant_beats(120, 20))] * 3
         for length in (21, 10**15, 3 * 10**18):
             params = ToleranceParams(context=length)
-            results = _pass(pairs, params)
+            results = _pass(_join(pairs), params)
             assert not any(cm.rows.any() for cm, _, _ in results)
             assert not any(f.any() for _, *flags in results for f in flags)
 
@@ -325,11 +322,10 @@ def search_bands(tracks, x, tol, q, stop):
     each band in order, and the number of bands in each round; checks
     that a round gives each band at most one candidate.
     """
-    e = np.concatenate([np.asarray(track, dtype=float) for track in tracks])
-    ends = np.cumsum([0, *map(len, tracks)])
-    s = ends[:-1][q]
+    _, e, bounds, key, _ = _join([(BeatSequence([]), BeatSequence(track)) for track in tracks])
+    s = bounds[q, 2]
     got, seen = [[] for _ in x], []
-    for n, j in _bands(_keys(e, ends[:-1], ends[1:]), np.asarray(x), np.asarray(tol), s, s + stop):
+    for n, j in _bands(key, np.asarray(x), np.asarray(tol), s, s + stop):
         assert len(set(n.tolist())) == len(n)
         seen.append(len(n))
         for band, k in zip(n.tolist(), j.tolist()):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from beatcover import (
     mlsr,
     stable_tempi_percentage,
 )
-from beatcover.matching import _BLOCK_ROWS
+from beatcover import matching, metrics
+from beatcover.matching import _BLOCK_ROWS, _join
 from beatcover.metrics import _continuity_pass, _evaluate_tracks
 from beatcover.variants import condition_taps
 from conftest import constant_beats, random_times
@@ -389,7 +391,7 @@ def continuity_pass_case(rng, case):
 
 def assert_continuity_pass_matches_oracles(pairs, gamma):
     """Every track's CMLt and AMLt of one continuity pass against the oracles."""
-    for k, ((ref, est), (cmlt_score, amlt_score)) in enumerate(zip(pairs, _continuity_pass(pairs, gamma))):
+    for k, ((ref, est), (cmlt_score, amlt_score)) in enumerate(zip(pairs, _continuity_pass(_join(pairs), gamma))):
         r, e = ref.times.tolist(), est.times.tolist()
         assert cmlt_score == sum(oracles.oracle_continuity(r, e, gamma)) / max(len(r), len(e)), (k, r, e)
         assert amlt_score == oracles.oracle_amlt(r, e, gamma), (k, r, e)
@@ -430,7 +432,7 @@ class TestContinuityPass:
         ref = BeatSequence([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         far = BeatSequence([30.0, 30.5, 31.0])
         pairs = [(ref, BeatSequence([0.5, 1.0])), (far, BeatSequence([1.5, 2.0, 2.5, 3.0]))]
-        assert [c for c, _ in _continuity_pass(pairs, 0.175)] == [2 / 6, 0.0]
+        assert [c for c, _ in _continuity_pass(_join(pairs), 0.175)] == [2 / 6, 0.0]
         assert_continuity_pass_matches_oracles(pairs, 0.175)
         # Every estimated beat is under 4 s, so the keys scale times by a
         # quarter and the second track's start at index 1 shifts its keys
@@ -438,7 +440,7 @@ class TestContinuityPass:
         # gamma = 0.9 that tap's band reaches 0.6 s, so a key band left
         # unclipped would let it pass the second track's beat at 2 s.
         pairs = [(BeatSequence([0.0, 6.0]), BeatSequence([3.5])), (far, BeatSequence([1.0, 2.0, 3.0]))]
-        assert [c for c, _ in _continuity_pass(pairs, 0.9)] == [1 / 2, 0.0]
+        assert [c for c, _ in _continuity_pass(_join(pairs), 0.9)] == [1 / 2, 0.0]
         assert_continuity_pass_matches_oracles(pairs, 0.9)
 
     def test_a_block_of_dropped_taps_searches_nothing(self):
@@ -453,7 +455,7 @@ class TestContinuityPass:
         ref, est = BeatSequence(r), BeatSequence(r[::2] + 0.01)
         assert amlt(ref, est) == 1.0
         expected = max(cmlt(BeatSequence(taps), est) for taps in (r[::2], r[1::2], r, r[::3]))
-        assert _continuity_pass([(ref, est)], 0.175) == [(cmlt(ref, est), expected)]
+        assert _continuity_pass(_join([(ref, est)]), 0.175) == [(cmlt(ref, est), expected)]
 
     def test_cmlt_of_the_evaluation_is_cmlt(self, rng):
         # CMLt comes from the onbeat variant of AMLt's search, over the
@@ -464,7 +466,7 @@ class TestContinuityPass:
             items = [(f"t{k}", ref, est) for k, (ref, est) in enumerate(pairs)]
             for report, (ref, est) in zip(_evaluate_tracks(items, params), pairs):
                 assert report.cmlt == round(cmlt(ref, est, gamma), 6)
-            for (ref, est), (cmlt_score, amlt_score) in zip(pairs, _continuity_pass(pairs, gamma)):
+            for (ref, est), (cmlt_score, amlt_score) in zip(pairs, _continuity_pass(_join(pairs), gamma)):
                 assert cmlt_score == cmlt(ref, est, gamma)
                 assert amlt_score == amlt(ref, est, gamma)
 
@@ -666,6 +668,24 @@ class TestEvaluateTrack:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_each_pass_builds_one_key_map(self, monkeypatch):
+        # a short track, then one over _BLOCK_ROWS beats: two passes, and
+        # each pass's one key map serves coverage, L-correct, CMLt and AMLt
+        calls = []
+        keys = matching._keys
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return keys(*args)
+
+        for module in (matching, metrics):
+            if getattr(module, "_keys", None) is keys:
+                monkeypatch.setattr(module, "_keys", counted)
+        short, long = constant_beats(120, 20), constant_beats(120, _BLOCK_ROWS + 1)
+        reports = _evaluate_tracks([("short", short, short), ("long", long, long)], ToleranceParams())
+        assert calls == [20, _BLOCK_ROWS + 1]
+        assert [r.cmlt for r in reports] == [1.0, 1.0] and [r.acr_any for r in reports] == [1.0, 1.0]
+
     def test_coverage_and_report_agree(self):
         ref = constant_beats(120, 12)
         est = constant_beats(240, 23)
@@ -726,6 +746,38 @@ def test_scaling_all_times_by_two_changes_no_result(rng):
         assert cmlt(ref, est, params.gamma) == cmlt(ref2, est2, params.gamma), case
         assert amlt(ref, est, params.gamma) == amlt(ref2, est2, params.gamma), case
         assert f1_score(ref, est, params.cap) == f1_score(ref2, est2, params2.cap), case
+
+
+@st.composite
+def grid_pass(draw):
+    """(items, params) of one pass of 1 to 4 tracks on a 1/256 s grid.
+
+    A reference may start at 0 s, and ``cap`` is a power of two, so each
+    estimated beat, one of the reference beats moved by -cap, 0 or +cap,
+    is exact and sits on or inside the tolerance boundary.
+    """
+    cap = draw(st.sampled_from([1 / 64, 1 / 16, 1 / 4]))
+    params = ToleranceParams(cap, draw(st.sampled_from(CONTINUITY_GAMMAS)), draw(st.integers(2, 4)))
+    items = []
+    for k in range(draw(st.integers(1, 4))):
+        start = draw(st.one_of(st.just(0), st.integers(0, 512)))
+        gaps = draw(st.lists(st.integers(16, 256), min_size=params.context - 1, max_size=16))
+        ref = (start + np.cumsum([0, *gaps])) / 256
+        moves = draw(st.lists(st.sampled_from([-1, 0, 1, None]), min_size=len(ref), max_size=len(ref)))
+        est = sorted({t + m * cap for t, m in zip(ref.tolist(), moves) if m is not None and t + m * cap >= 0.0})
+        items.append((f"t{k}", BeatSequence(ref), BeatSequence(est)))
+    return items, params
+
+
+@given(grid_pass())
+def test_scaling_a_pass_by_two_changes_no_report(case):
+    """Doubling every time and cap of a pass of several tracks is exact,
+    as in the seeded one-track test: every report is equal bit for bit."""
+    items, params = case
+    doubled = [(track_id, BeatSequence(2.0 * ref.times), BeatSequence(2.0 * est.times)) for track_id, ref, est in items]
+    params2 = ToleranceParams(2.0 * params.cap, params.gamma, params.context)
+    reports = _evaluate_tracks(items, params)
+    assert [replace(r, params=params) for r in _evaluate_tracks(doubled, params2)] == reports
 
 
 def test_reversing_time_mirrors_coverage(rng):

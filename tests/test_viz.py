@@ -119,6 +119,19 @@ class TestRenderCoverageSvg:
         ref = gen_reference(30, 3700.0)  # last beat at 3698 s
         labels = axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))
         assert labels == [f"{600.0 * k:.1f}" for k in range(7)]
+        ref = BeatSequence([0.0, 7200.0])
+        labels = axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))
+        assert labels == [f"{600.0 * k:.1f}" for k in range(13)]
+
+    @pytest.mark.parametrize("last", [1e12, 1e300])
+    def test_a_huge_axis_gets_at_most_13_ticks(self, last):
+        # a ten-minute step would need over 10**9 ticks at 1e12 s, and
+        # stops advancing at all past about 9e18 s
+        ref = BeatSequence([0.0, last])
+        ticks = [float(label) for label in axis_labels(render_coverage_svg(coverage_matrix(ref, ref), ref))]
+        assert 7 <= len(ticks) <= 13
+        assert ticks == [ticks[1] * k for k in range(len(ticks))]
+        assert ticks[-1] <= last < ticks[-1] + ticks[1]
 
     def test_single_beat_at_zero_without_panel(self):
         # the time axis would span 0 s; it falls back to 1 s
