@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class WindowTooShortError(BeatcoverError):
     """A variant window has fewer than two elements."""
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype).reshape(-1)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64).reshape(-1)
     arr.flags.writeable = False
     return arr
 
@@ -160,8 +160,6 @@ def validate_beats(raw) -> BeatSequence:
         NegativeTimeError: a time is negative.
         NonMonotonicError: a later time is smaller than an earlier one.
     """
-    if isinstance(raw, BeatSequence):
-        return raw
     arr = np.asarray(raw, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise EmptySequenceError("no beat times given")
@@ -253,7 +251,9 @@ class ActivationFunction:
     """Uniformly sampled beat-likelihood curve.
 
     values are in [0, 1]; frame ``n`` corresponds to time ``n / fps``.
-    fps is stored as ``float``.
+    fps is stored as ``float``, and the last frame's time,
+    :attr:`duration`, must be finite: a tiny fps such as ``1e-320``
+    would put it at infinity.
     """
 
     fps: float
@@ -265,6 +265,8 @@ class ActivationFunction:
         if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects nan
             raise ValueError("activation values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
+        if not self.duration < np.inf:
+            raise ValueError(f"fps {self.fps} puts the last of {len(arr)} frames at an infinite time")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -313,21 +315,6 @@ class CoverageMatrix:
         object.__setattr__(self, "covered", MappingProxyType(dict(zip(Condition, rows))))
         object.__setattr__(self, "any_row", unions[0])
         object.__setattr__(self, "offbeat_row", unions[1])
-
-    @classmethod
-    def from_rows(cls, covered: Mapping[Condition, Sequence]) -> "CoverageMatrix":
-        """Build a matrix from per-condition rows.
-
-        Missing conditions are filled with all-False rows.
-
-        Raises:
-            ValueError: the rows differ in length.
-        """
-        lengths = {len(np.asarray(row)) for row in covered.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"coverage rows differ in length: {sorted(lengths)}")
-        n = lengths.pop() if lengths else 0
-        return cls([covered.get(c, np.zeros(n, dtype=bool)) for c in Condition])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoverageMatrix):

@@ -101,7 +101,8 @@ def parse_activation_file(path) -> ActivationFunction:
     Raises:
         MissingFpsError: the first content line is not an fps header.
         ValueOutOfRangeError: a value lies outside [0, 1].
-        ParseError: the fps or a value is not a finite number.
+        ParseError: the fps or a value is not a finite number, or the
+            fps is so small that the last frame's time is infinite.
     """
     fps = None
     values = []
@@ -120,7 +121,10 @@ def parse_activation_file(path) -> ActivationFunction:
         values.append(value)
     if fps is None:
         raise MissingFpsError(path, None, "missing 'fps=<rate>' header")
-    return ActivationFunction(fps=fps, values=np.asarray(values))
+    try:
+        return ActivationFunction(fps=fps, values=np.asarray(values))
+    except ValueError as exc:
+        raise ParseError(path, None, str(exc)) from None
 
 
 def write_activation_file(act: ActivationFunction, path) -> None:

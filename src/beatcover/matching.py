@@ -20,8 +20,12 @@ one-track case of that pass.
 
 The matcher and the continuity metrics (see
 :func:`beatcover.metrics.continuity_correct`) share one band search,
-:func:`_bands`, and one join per pass: the joined estimate is searched
-by one set of keys (:func:`_keys`), built once per pass.  Each band,
+:func:`_bands`, and one join per pass.  A join holds the joined
+references and estimates, the bounds of each track in them, and one
+set of keys (:func:`_keys`) by which the joined estimate is searched,
+built once per pass.  Only window matching also needs to know, for
+each reference beat, where its track lies (:func:`_beat_tracks`), so
+:func:`_pass` and :func:`window_match` build that themselves.  Each band,
 the estimated beats within a tolerance of a centre, lies in one track
 of the joined estimate; every band is widened by the same
 :func:`_slack`, and gives its candidates one per round, in order.  The
@@ -165,23 +169,22 @@ def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> Non
 
 
 def _join(pairs):
-    """The references and the estimates of ``pairs``, joined, with what a band search needs.
+    """The references and the estimates of ``pairs``, joined, with the key map of the estimates.
 
-    Returns ``(r, e, bounds, key, tracks)``: ``bounds`` is an array that
-    holds ``(a, b, s, t)`` per track, whose reference is ``r[a:b]`` and
-    whose estimate is ``e[s:t]``; ``key`` is the :func:`_keys` map of
-    ``e``, and ``tracks`` the :func:`_beat_tracks` of ``r``.  One track's
-    arrays are used as they are.  Only the ``times`` of each side are
-    read: a window may stand in for a reference, whose table of the
-    window's span then has one row, the window itself.
+    Returns ``(r, e, bounds, key)``: ``bounds`` is an array that holds
+    ``(a, b, s, t)`` per track, whose reference is ``r[a:b]`` and whose
+    estimate is ``e[s:t]``, and ``key`` is the :func:`_keys` map of
+    ``e``.  Only the ``times`` of each side are read: a window may stand
+    in for a reference, whose table of the window's span then has one
+    row, the window itself.
     """
     refs = [ref.times for ref, _ in pairs]
     ests = [est.times for _, est in pairs]
     ref_ends = list(accumulate(map(len, refs), initial=0))
     est_ends = list(accumulate(map(len, ests), initial=0))
     bounds = np.array(list(zip(ref_ends, ref_ends[1:], est_ends, est_ends[1:])))
-    r, e = (refs[0], ests[0]) if len(pairs) == 1 else (np.concatenate(refs), np.concatenate(ests))
-    return r, e, bounds, _keys(e, *bounds[:, 2:].T), _beat_tracks(bounds)
+    r, e = np.concatenate(refs), np.concatenate(ests)
+    return r, e, bounds, _keys(e, *bounds[:, 2:].T)
 
 
 def _pass(
@@ -195,7 +198,8 @@ def _pass(
     with ``coverage``, and L-correct only with ``l_correct``; what is
     not matched stays False.
     """
-    r, e, bounds, key, tracks = joined
+    r, e, bounds, key = joined
+    tracks = _beat_tracks(bounds)
     length = params.context
     # a row per condition, then L-correct's reference flags
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
@@ -228,8 +232,8 @@ def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
     window.epsilon`` for every position ``t`` of the window (closed
     comparison, so a distance of exactly epsilon still matches).
     """
-    _, e, _, key, tracks = _join([(window, est)])
-    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), e, key, tracks)[0])
+    _, e, bounds, key = _join([(window, est)])
+    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), e, key, _beat_tracks(bounds))[0])
     return None if j < 0 else j
 
 

@@ -157,7 +157,7 @@ def continuity_correct(
     ToleranceParams(gamma=gamma)  # the band needs 0 < gamma < 1
     if len(ref) < 2:
         raise TooFewBeatsError("continuity needs at least two reference beats")
-    r, e, bounds, key, _ = _join([(ref, est)])
+    r, e, bounds, key = _join([(ref, est)])
     return _continuity(r, bounds, e, key, gamma)
 
 
@@ -214,7 +214,7 @@ def _continuity_pass(joined, gamma: float) -> list[tuple[float, float]]:
     each other (sub-ulp reference gaps).  CMLt is the count of the
     onbeat variant, the reference itself, over the same denominator.
     """
-    r, e, bounds, key, _ = joined
+    r, e, bounds, key = joined
     a, b, s, t = bounds.T
     taps, u, w = _variant_taps(r, a, b)
     offsets = np.cumsum([0] + [len(x) for x in taps[:-1]])[:, None]
@@ -381,7 +381,6 @@ class TrackReport:
     acr_any: float
     acr_offbeat: float
     mlsr: float
-    params: ToleranceParams
 
 
 def evaluate_track(
@@ -448,7 +447,6 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
                     acr_any=_r6(acr.acr_any),
                     acr_offbeat=_r6(acr.acr_offbeat),
                     mlsr=_r6(mlsr(cm)),
-                    params=params,
                 )
             )
     return reports

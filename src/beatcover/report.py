@@ -42,9 +42,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # Scalar TrackReport fields in report order.
-SCALAR_FIELDS = tuple(
-    f.name for f in dataclass_fields(TrackReport) if f.name not in ("track_id", "acr", "params")
-)
+SCALAR_FIELDS = tuple(f.name for f in dataclass_fields(TrackReport) if f.name not in ("track_id", "acr"))
 
 # CLI --metrics groups and the report fields they keep.
 METRIC_GROUPS = {
@@ -242,12 +240,10 @@ def parse_report(text: str) -> DatasetReport:
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    params = ToleranceParams(**obj["params"])
     tracks = tuple(
         TrackReport(
             track_id=t["track_id"],
             acr={Condition.parse(k): v for k, v in t["acr"].items()},
-            params=params,
             **{name: t[name] for name in SCALAR_FIELDS},
         )
         for t in obj["tracks"]
@@ -257,7 +253,7 @@ def parse_report(text: str) -> DatasetReport:
         means=dict(obj["means"]),
         dataset_stats=DatasetStats(**obj["dataset_stats"]),
         warnings=tuple(obj["warnings"]),
-        params=params,
+        params=ToleranceParams(**obj["params"]),
     )
 
 

@@ -10,9 +10,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# ten times the examples, for a CI step that runs the continuity,
-# window-matching pass, band-search and oracle-report tests with
-# ``--hypothesis-profile=deep``
+# ten times the examples, for a CI step that runs every @given test,
+# selected by hypothesis's own marker, with
+# ``--hypothesis-profile=deep -m hypothesis``
 settings.register_profile("deep", settings.get_profile("suite"), max_examples=600)
 settings.load_profile("suite")
 

@@ -1,6 +1,7 @@
 """The top-level namespace is exactly the union of the modules' public names."""
 
 import importlib
+from dataclasses import fields
 from itertools import chain
 
 import beatcover
@@ -58,6 +59,13 @@ def test_star_import_binds_exactly_all():
 def test_earlier_names_are_kept():
     assert len(EARLIER_NAMES) == 64
     assert set(EARLIER_NAMES) <= set(beatcover.__all__)
+
+
+def test_removed_forms_are_gone():
+    # CoverageMatrix has one constructor, and a TrackReport no
+    # ToleranceParams: the dataset report holds the one copy
+    assert not hasattr(beatcover.CoverageMatrix, "from_rows")
+    assert "params" not in [f.name for f in fields(beatcover.TrackReport)]
 
 
 def test_retired_names_are_gone():

@@ -362,6 +362,22 @@ class TestVizCommand:
         assert capsys.readouterr().err == ""
         assert figures[0] == figures[1]
 
+    def test_an_fps_that_puts_the_last_frame_at_infinity_exits_2(self, tmp_path):
+        # (2 - 1) / 1e-320 is inf: the axis would never end, and the
+        # tick loop with it; the file is refused before any drawing
+        ref, est, _ = run_synth(tmp_path)
+        act = tmp_path / "tiny.act"
+        act.write_text("fps=1e-320\n0.5\n0.5\n")
+        out = tmp_path / "c.svg"
+        result = subprocess.run(
+            [sys.executable, "-m", "beatcover", "viz", "--ref", str(ref), "--est", str(est),
+             "--activation", str(act), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {act}: fps 1e-320 puts the last of 2 frames at an infinite time\n"
+        assert not out.exists()
+
     def test_comment_only_reference_exits_2(self, tmp_path, capsys):
         _, est, _ = run_synth(tmp_path)
         ref = tmp_path / "empty.beats"

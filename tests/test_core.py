@@ -40,9 +40,9 @@ class TestValidateBeats:
         with pytest.raises(EmptySequenceError):
             validate_beats([])
 
-    def test_beat_sequence_passes_through_unchanged(self):
+    def test_a_beat_sequence_is_read_as_its_times(self):
         beats = validate_beats([0.0, 1.0])
-        assert validate_beats(beats) is beats
+        assert validate_beats(beats) == beats
 
     @given(
         st.lists(
@@ -175,6 +175,15 @@ class TestActivationFunction:
         with pytest.raises(ValueError, match="activation values must lie in"):
             ActivationFunction(fps=10.0, values=[0.5, value])
 
+    def test_rejects_an_fps_that_puts_the_last_frame_at_infinity(self):
+        # (2 - 1) / 1e-320 overflows; 1e-300 still gives a finite time
+        with pytest.raises(ValueError, match="fps 1e-320 puts the last of 2 frames at an infinite time"):
+            ActivationFunction(fps=1e-320, values=[0.5, 0.5])
+        assert ActivationFunction(fps=1e-300, values=[0.5, 0.5]).duration == 1.0 / 1e-300
+        # a curve of at most one frame has its last frame at 0 s
+        for values in ([], [0.5]):
+            assert ActivationFunction(fps=1e-320, values=values).duration == 0.0
+
     def test_empty_curve_is_valid(self):
         assert len(ActivationFunction(fps=10.0, values=[])) == 0
 
@@ -185,25 +194,24 @@ class TestActivationFunction:
 
 
 class TestCoverageMatrix:
-    def test_from_rows_derives_unions(self):
-        rows = {
-            Condition.ONBEAT: np.array([True, False, False]),
-            Condition.OFFBEAT_HALF: np.array([False, True, False]),
-        }
-        cm = CoverageMatrix.from_rows(rows)
+    def test_rows_derive_unions(self):
+        rows = np.zeros((len(Condition), 3), dtype=bool)
+        rows[list(Condition).index(Condition.ONBEAT)] = [True, False, False]
+        rows[list(Condition).index(Condition.OFFBEAT_HALF)] = [False, True, False]
+        cm = CoverageMatrix(rows)
         assert cm.n_beats == 3
         assert np.array_equal(cm.any_row, [True, True, False])
         assert np.array_equal(cm.offbeat_row, [False, True, False])
-        # unspecified conditions are filled with all-False rows
+        # the other conditions keep their all-False rows
         assert not cm.covered[Condition.HARMONIC_TRIPLE].any()
 
-    def test_from_rows_rejects_mismatched_lengths(self):
-        rows = {
-            Condition.ONBEAT: np.array([True, False]),
-            Condition.OFFBEAT_HALF: np.array([False, True, False]),
-        }
+    def test_rejects_ragged_rows_and_a_wrong_row_count(self):
+        ragged = [np.zeros(2, dtype=bool)] + [np.zeros(3, dtype=bool)] * (len(Condition) - 1)
         with pytest.raises(ValueError):
-            CoverageMatrix.from_rows(rows)
+            CoverageMatrix(ragged)
+        for count in (len(Condition) - 1, len(Condition) + 1):
+            with pytest.raises(ValueError, match="coverage needs a"):
+                CoverageMatrix([np.zeros(3, dtype=bool)] * count)
 
     @pytest.mark.parametrize(
         "shape", [(3,), (len(Condition) - 1, 3), (len(Condition), 3, 1), ()]
@@ -251,7 +259,7 @@ class TestCoverageMatrix:
         offbeat = [i for i, c in enumerate(Condition) if c in OFFBEAT_CONDITIONS]
         assert np.array_equal(cm.any_row, rows.any(axis=0))
         assert np.array_equal(cm.offbeat_row, rows[offbeat].any(axis=0))
-        assert CoverageMatrix.from_rows(cm.covered) == cm
+        assert CoverageMatrix(list(cm.covered.values())) == cm
 
 
 @pytest.mark.parametrize(

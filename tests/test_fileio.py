@@ -92,6 +92,14 @@ class TestActivationFiles:
         with pytest.raises(ParseError):
             parse_activation_file(path)
 
+    def test_fps_that_puts_the_last_frame_at_infinity(self, tmp_path):
+        path = tmp_path / "a.act"
+        path.write_text("fps=1e-320\n0.5\n0.5\n")
+        with pytest.raises(ParseError) as err:
+            parse_activation_file(path)
+        assert str(err.value) == f"{path}: fps 1e-320 puts the last of 2 frames at an infinite time"
+        assert err.value.lineno is None
+
     def test_empty_curve_is_valid(self, tmp_path):
         path = tmp_path / "a.act"
         path.write_text("fps=100\n")

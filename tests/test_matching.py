@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _bands, _join, _pass, _row_slices
+from beatcover.matching import _BLOCK_ROWS, _bands, _beat_tracks, _join, _pass, _row_slices
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -234,7 +234,8 @@ class TestPass:
             refs = [random_times(rng, int(rng.integers(0, 30))) for _ in range(5)]
             starts = np.cumsum([0, *map(len, refs)])
             # track k searches the estimate slice [100 k, 100 k + 100)
-            joined, _, _, _, beat_tracks = _join([(BeatSequence(ref), constant_beats(120, 100)) for ref in refs])
+            joined, _, bounds, _ = _join([(BeatSequence(ref), constant_beats(120, 100)) for ref in refs])
+            beat_tracks = _beat_tracks(bounds)
             for condition in Condition:
                 windows, eps, _ = window_table(joined, condition, length, params)
                 own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts.tolist(), refs)]
@@ -322,7 +323,7 @@ def search_bands(tracks, x, tol, q, stop):
     each band in order, and the number of bands in each round; checks
     that a round gives each band at most one candidate.
     """
-    _, e, bounds, key, _ = _join([(BeatSequence([]), BeatSequence(track)) for track in tracks])
+    _, e, bounds, key = _join([(BeatSequence([]), BeatSequence(track)) for track in tracks])
     s = bounds[q, 2]
     got, seen = [[] for _ in x], []
     for n, j in _bands(key, np.asarray(x), np.asarray(tol), s, s + stop):

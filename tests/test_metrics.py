@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,7 +497,9 @@ class TestLCorrectFMeasure:
 
 
 def matrix_from(rows):
-    return CoverageMatrix.from_rows({Condition.parse(k): np.array(v) for k, v in rows.items()})
+    """The coverage of the named rows; every other condition's row is all False."""
+    n = len(next(iter(rows.values())))
+    return CoverageMatrix([rows.get(c.value, [False] * n) for c in Condition])
 
 
 class TestAcrScores:
@@ -519,8 +520,7 @@ class TestAcrScores:
     def test_any_union_dominates(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 12))
-            rows = {c: rng.random(n) < 0.4 for c in Condition}
-            scores = acr_scores(CoverageMatrix.from_rows(rows))
+            scores = acr_scores(CoverageMatrix(rng.random((len(Condition), n)) < 0.4))
             for c in Condition:
                 assert scores.acr_any >= scores.per_condition[c]
             assert scores.acr_any >= scores.acr_offbeat
@@ -686,6 +686,30 @@ class TestEvaluateTrack:
         assert calls == [20, _BLOCK_ROWS + 1]
         assert [r.cmlt for r in reports] == [1.0, 1.0] and [r.acr_any for r in reports] == [1.0, 1.0]
 
+    def test_only_window_matching_builds_per_beat_track_slices(self, monkeypatch):
+        # continuity reads only the join's key map; a pass's coverage and
+        # L-correct build the slices once, whatever the number of tracks
+        calls = []
+        beat_tracks = matching._beat_tracks
+
+        def counted(bounds):
+            calls.append(len(bounds))
+            return beat_tracks(bounds)
+
+        monkeypatch.setattr(matching, "_beat_tracks", counted)
+        ref, est = constant_beats(120, 20), constant_beats(240, 39)
+        # at double tempo only the first estimated beat, judged on phase
+        # alone, is continuity-correct at the annotated level
+        assert (amlt(ref, est), cmlt(ref, est), continuity_correct(ref, est).sum()) == (1.0, 1 / 39, 1)
+        assert calls == []
+        assert evaluate_track("t", ref, est).amlt == 1.0
+        assert calls == [1]
+        calls.clear()
+        short, long = constant_beats(120, 20), constant_beats(120, _BLOCK_ROWS + 1)
+        items = [("a", short, short), ("b", short, est), ("long", long, long)]
+        assert [r.acr_any for r in _evaluate_tracks(items, ToleranceParams())] == [1.0, 1.0, 1.0]
+        assert calls == [2, 1]
+
     def test_coverage_and_report_agree(self):
         ref = constant_beats(120, 12)
         est = constant_beats(240, 23)
@@ -777,7 +801,7 @@ def test_scaling_a_pass_by_two_changes_no_report(case):
     doubled = [(track_id, BeatSequence(2.0 * ref.times), BeatSequence(2.0 * est.times)) for track_id, ref, est in items]
     params2 = ToleranceParams(2.0 * params.cap, params.gamma, params.context)
     reports = _evaluate_tracks(items, params)
-    assert [replace(r, params=params) for r in _evaluate_tracks(doubled, params2)] == reports
+    assert _evaluate_tracks(doubled, params2) == reports
 
 
 def test_reversing_time_mirrors_coverage(rng):
