@@ -71,23 +71,35 @@ def _number(path, lineno: int, text: str, what: str, convert=float):
     return value
 
 
+def _built(path, lineno: int | None, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or a ParseError at ``path[:lineno]``.
+
+    Every value built from file content is built here, so that the
+    ValueError or BeatcoverError of its own checks names the file.
+    """
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, BeatcoverError) as exc:
+        raise ParseError(path, lineno, str(exc)) from None
+
+
 def parse_beats_file(path) -> BeatSequence:
     """Read one beat time per line; extra columns are ignored.
 
     Annotation files often carry a beat-in-bar label in a second
     column; only the first field counts.  The parsed times go through
     :func:`beatcover.core.validate_beats`, so exact duplicates are
-    collapsed with a warning and ordering violations raise.  A file
-    with no beat times (a tracker that found nothing) gives an empty
-    sequence; callers that need beats, such as reference scoring,
-    reject it themselves.
+    collapsed with a warning, and a negative or decreasing time is a
+    ParseError that names the file.  A file with no beat times (a
+    tracker that found nothing) gives an empty sequence; callers that
+    need beats, such as reference scoring, reject it themselves.
     """
     times = [
         _number(path, lineno, line.split()[0], "beat time") for lineno, line in _content_lines(path)
     ]
     if not times:
         return BeatSequence(np.empty(0))
-    return validate_beats(times)
+    return _built(path, None, validate_beats, times)
 
 
 def write_beats_file(beats: BeatSequence, path) -> None:
@@ -108,9 +120,10 @@ def parse_activation_file(path) -> ActivationFunction:
     values = []
     for lineno, line in _content_lines(path):
         if fps is None:
-            if not line.replace(" ", "").startswith("fps="):
+            key, sep, field = line.partition("=")
+            if key.strip() != "fps" or not sep:
                 raise MissingFpsError(path, lineno, "first line must be 'fps=<rate>'")
-            field = line.split("=", 1)[1].strip()
+            field = field.strip()
             fps = _number(path, lineno, field, "fps")
             if not fps > 0:
                 raise ParseError(path, lineno, f"fps must be a positive real, got {field}")
@@ -121,10 +134,7 @@ def parse_activation_file(path) -> ActivationFunction:
         values.append(value)
     if fps is None:
         raise MissingFpsError(path, None, "missing 'fps=<rate>' header")
-    try:
-        return ActivationFunction(fps=fps, values=np.asarray(values))
-    except ValueError as exc:
-        raise ParseError(path, None, str(exc)) from None
+    return _built(path, None, ActivationFunction, fps=fps, values=np.asarray(values))
 
 
 def write_activation_file(act: ActivationFunction, path) -> None:
@@ -155,10 +165,8 @@ def _parse_segment(path, lineno: int, text: str) -> Segment:
         raise ParseError(path, lineno, "segment needs '<start> <condition> [jitter_std]'")
     start = _number(path, lineno, fields[0], "segment start", int)
     jitter = _number(path, lineno, fields[2], "jitter_std") if len(fields) == 3 else 0.0
-    try:
-        return Segment(start=start, condition=Condition.parse(fields[1]), jitter_std=jitter)
-    except ValueError as exc:
-        raise ParseError(path, lineno, str(exc)) from None
+    condition = _built(path, lineno, Condition.parse, fields[1])
+    return _built(path, lineno, Segment, start=start, condition=condition, jitter_std=jitter)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -196,7 +204,4 @@ def parse_scenario_file(path) -> Scenario:
         raise ParseError(path, None, "missing required key 'tempo'")
     if not segments:
         raise ParseError(path, None, "missing required key 'segment'")
-    try:
-        return Scenario(tempo_curve=tempo, duration=duration, segments=tuple(segments))
-    except ValueError as exc:
-        raise ParseError(path, None, str(exc)) from None
+    return _built(path, None, Scenario, tempo_curve=tempo, duration=duration, segments=tuple(segments))

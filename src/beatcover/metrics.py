@@ -89,6 +89,13 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: f
     ``a`` and do not overlap.  ``key`` is the key map of ``e`` from
     :func:`beatcover.matching._join`; each run's estimate slice is one of
     its tracks, and several runs may share one.
+
+    Each tap's interval is computed once, for all taps: ``local[k]`` is
+    ``taps[k] - taps[k - 1]``, and a run's first tap borrows the
+    interval that follows it.  The taps are searched in blocks of at
+    most ``_BLOCK_ROWS``, which bounds the memory of a search; a tap
+    reads its predecessor and that tap's interval from the whole arrays,
+    so a run may cross a block edge.
     """
     a, b, s, t = runs.T
     flags = np.zeros(int(np.sum(t - s)), dtype=bool)
@@ -96,34 +103,26 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: f
         return flags
     # estimate j of run q has flag ``base[q] + j``
     base = np.cumsum(t - s) - t
+    local = np.diff(taps, prepend=taps[:1])
+    local[a] = local[a + 1]
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
-        # the chunk's taps, from two before it, and their intervals:
-        # tap k is x[k], and local[k] is x[k] - x[k - 1]
-        off = max(start - 2, 0)
-        x = taps[off : stop + 1]
-        local = np.empty(len(x))
-        local[0] = 0.0  # x[0] is searched only as a run's first tap, which borrows
-        np.subtract(x[1:], x[:-1], out=local[1:])
-        first = a[(off <= a) & (a < stop)] - off
-        local[first] = local[first + 1]  # a run's first tap borrows the following interval
-        # tap k of the chunk searches its phase band in its run's
-        # estimate; a tap outside the chunk or in no run searches the
-        # empty slice [0, 0)
-        i = np.arange(off, off + len(x))
+        # each tap of the block searches its phase band in its run's
+        # estimate; a tap in no run searches the empty slice [0, 0)
+        i = np.arange(start, stop)
         q = np.searchsorted(a, i, side="right") - 1
-        inside = (a[q] <= i) & (i < b[q]) & (start <= i) & (i < stop)
-        for k, j in _bands(key, x, gamma * local, s[q] * inside, t[q] * inside):
-            q_k = q[k]
+        inside = (a[q] <= i) & (i < b[q])
+        for n, j in _bands(key, taps[start:stop], gamma * local[start:stop], s[q] * inside, t[q] * inside):
+            k, q_k = i[n], q[n]
             now, before, tol = e[j], e[j - 1], gamma * local[k]
             # past its track's first estimate, estimate j - 1 must be in
             # phase with tap k - 1, and the two intervals must agree; a
             # run's first tap has no predecessor
-            ok = (np.abs(now - x[k]) <= tol) & (
+            ok = (np.abs(now - taps[k]) <= tol) & (
                 (j == s[q_k])
                 | (
-                    (k + off > a[q_k])
-                    & (np.abs(before - x[k - 1]) <= gamma * local[k - 1])
+                    (k > a[q_k])
+                    & (np.abs(before - taps[k - 1]) <= gamma * local[k - 1])
                     & (np.abs((now - before) - local[k]) <= tol)
                 )
             )
@@ -396,20 +395,19 @@ def evaluate_track(
 def _passes(items, params: ToleranceParams):
     """The ``(track_id, ref, est)`` items in passes of up to ``_BLOCK_ROWS`` reference beats.
 
-    Yields lists of ``(track_id, ref, est, F1 scores)``; a track with
-    more beats than that is a pass of its own.  F1 and the window-length
-    check run on each item as it is taken from ``items``, so the first
-    bad item raises, as it would one track at a time; past the check no
-    metric raises.
+    Yields lists of items; a track with more beats than that is a pass
+    of its own.  The window-length check runs on each item as it is
+    taken from ``items``, so the first bad item raises, as it would one
+    track at a time; past the check no metric raises (F1's window is
+    ``params.cap``, which :class:`ToleranceParams` has checked).
     """
     batch, beats = [], 0
     for track_id, ref, est in items:
-        scores = f1_score(ref, est, window=params.cap)
         _check_context(ref, params)
         if batch and beats + len(ref) > _BLOCK_ROWS:
             yield batch
             batch, beats = [], 0
-        batch.append((track_id, ref, est, scores))
+        batch.append((track_id, ref, est))
         beats += len(ref)
     if batch:
         yield batch
@@ -425,11 +423,11 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     """
     reports = []
     for batch in _passes(items, params):
-        joined = _join([(ref, est) for _, ref, est, _ in batch])
+        joined = _join([(ref, est) for _, ref, est in batch])
         matched = _pass(joined, params)
         continuity = _continuity_pass(joined, params.gamma)
-        for track, (cm, *flags), (cmlt_score, amlt_score) in zip(batch, matched, continuity):
-            track_id, ref, est, (precision, recall, f1) = track
+        for (track_id, ref, est), (cm, *flags), (cmlt_score, amlt_score) in zip(batch, matched, continuity):
+            precision, recall, f1 = f1_score(ref, est, window=params.cap)
             lr, lp, lf = _l_correct_scores(*flags)
             acr = acr_scores(cm)
             reports.append(

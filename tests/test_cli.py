@@ -247,6 +247,21 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_decreasing_estimate_is_an_error_that_names_its_file(self, tmp_path, capsys):
+        ref_dir, est_dir = tmp_path / "refs", tmp_path / "ests"
+        ref_dir.mkdir()
+        est_dir.mkdir()
+        beats = "".join(f"{0.5 * k}\n" for k in range(8))
+        for stem in "ab":
+            (ref_dir / f"{stem}.txt").write_text(beats)
+            (est_dir / f"{stem}.txt").write_text(beats)
+        (est_dir / "b.txt").write_text("0.5\n1.5\n1.0\n")
+        out = tmp_path / "r.json"
+        code = run_cli(["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(out)])
+        assert code == 2
+        assert f"error: {est_dir / 'b.txt'}: beat times must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code = run_cli([
             "eval", "--ref", str(tmp_path / "absent"), "--est", str(tmp_path),

@@ -56,6 +56,19 @@ class TestBeatsFiles:
         path.write_text("# nothing here\n")
         assert len(parse_beats_file(path)) == 0
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [("0.5\n1.5\n1.0\n", "beat times must be strictly increasing"), ("-0.5\n1.0\n", "beat times must be >= 0")],
+        ids=["decreasing", "negative"],
+    )
+    def test_bad_sequence_is_a_parse_error_that_names_the_file(self, tmp_path, body, reason):
+        path = tmp_path / "a.beats"
+        path.write_text(body)
+        with pytest.raises(ParseError) as err:
+            parse_beats_file(path)
+        assert str(err.value) == f"{path}: {reason}"
+        assert err.value.lineno is None
+
 
 class TestActivationFiles:
     def test_round_trip(self, tmp_path):
@@ -78,6 +91,20 @@ class TestActivationFiles:
         path.write_text("# no header, no frames\n\n")
         with pytest.raises(MissingFpsError, match="missing 'fps=<rate>' header"):
             parse_activation_file(path)
+
+    @pytest.mark.parametrize("header", ["fps\t= 100", "fps =100", " fps = 100 "])
+    def test_whitespace_around_the_header_key_is_allowed(self, tmp_path, header):
+        path = tmp_path / "a.act"
+        path.write_text(f"{header}\n0.5\n")
+        assert parse_activation_file(path).fps == 100.0
+
+    @pytest.mark.parametrize("header", ["f p s = 100", "fps", "fps: 100"])
+    def test_a_header_key_other_than_fps_is_missing_fps(self, tmp_path, header):
+        path = tmp_path / "a.act"
+        path.write_text(f"{header}\n0.5\n")
+        with pytest.raises(MissingFpsError, match="first line must be 'fps=<rate>'") as err:
+            parse_activation_file(path)
+        assert err.value.lineno == 1
 
     def test_value_out_of_range(self, tmp_path):
         path = tmp_path / "a.act"

@@ -470,6 +470,64 @@ class TestContinuityPass:
                 assert amlt_score == amlt(ref, est, gamma)
 
 
+class TestContinuityBlockEdges:
+    """Runs of one ``metrics._continuity`` search that cross a block edge.
+
+    The taps are searched in blocks of ``_BLOCK_ROWS``, while each tap's
+    interval, and its predecessor's, are read from the whole search.
+    """
+
+    @staticmethod
+    def search(spans, rng, gamma=0.175):
+        """Each run's flags from one search, and from a search of its own.
+
+        ``spans`` holds each run's ``(a, b)`` in 3 * ``_BLOCK_ROWS``
+        taps of 0.3 to 0.7 s intervals; the interval just before each
+        run is 0.05 s, so a first tap that did not borrow the interval
+        after it would get a tenth of its tolerance.  Each estimate keeps
+        its first three beats and drops about a fifth of the others.
+        """
+        ibis = rng.uniform(0.3, 0.7, size=3 * _BLOCK_ROWS)
+        ibis[[a for a, _ in spans]] = 0.05
+        taps = np.cumsum(ibis)
+        pairs = []
+        for a, b in spans:
+            est = taps[a:b] + rng.normal(0.0, 0.03, size=b - a)
+            est[0] = taps[a] + 0.03  # within 0.175 of 0.3 s, not of 0.05 s
+            keep = rng.random(b - a) < 0.8
+            keep[:3] = True
+            pairs.append((BeatSequence(taps[a:b]), BeatSequence(est[keep])))
+        _, e, bounds, key = _join(pairs)
+        runs = np.column_stack([np.array(spans), bounds[:, 2:]])
+        flags = metrics._continuity(taps, runs, e, key, gamma)
+        alone = [continuity_correct(ref, est, gamma) for ref, est in pairs]
+        for (ref, est), own in zip(pairs, alone):
+            assert own.tolist() == oracles.oracle_continuity(ref.times.tolist(), est.times.tolist(), gamma)
+        return np.split(flags, np.cumsum(bounds[:-1, 3] - bounds[:-1, 2])), alone
+
+    def test_a_first_tap_borrows_its_interval_from_the_next_block(self, rng):
+        # the run's first tap is the last tap of block 0, and the
+        # interval it borrows, up to its second tap, lies in block 1
+        edge = _BLOCK_ROWS
+        for case in range(20):
+            (got,), (own,) = self.search([(edge - 1, edge + 11)], rng)
+            assert got.tolist() == own.tolist(), case
+            assert own[0]
+
+    def test_a_tap_reads_its_predecessor_from_the_previous_block(self, rng):
+        # the first run's second tap opens block 1, and the second run's
+        # third tap opens block 2: each reads its predecessor, and that
+        # tap's interval, from the block before
+        spans = [(_BLOCK_ROWS - 1, _BLOCK_ROWS + 11), (2 * _BLOCK_ROWS - 2, 2 * _BLOCK_ROWS + 10)]
+        flagged, missed = 0, 0
+        for case in range(20):
+            got, alone = self.search(spans, rng)
+            assert [f.tolist() for f in got] == [f.tolist() for f in alone], case
+            flagged += int(alone[0][1]) + int(alone[1][2])
+            missed += sum(int(np.count_nonzero(~f)) for f in alone)
+        assert flagged > 20 and missed > 20  # flags go both ways, at the edges too
+
+
 class TestLCorrectFMeasure:
     def test_identity(self):
         ref = constant_beats(120, 10)
