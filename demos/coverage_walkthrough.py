@@ -12,6 +12,7 @@ import numpy as np
 from beatcover import (
     BeatSequence,
     Condition,
+    ToleranceParams,
     acr_scores,
     coverage_matrix,
     evaluate_track,
@@ -64,7 +65,7 @@ fast = gen_reference(240.0, 4.0)
 tight = variant_window(fast, 0, Condition.ONBEAT)
 print(f"onbeat window at 240 BPM: tolerance {tight.epsilon:.4f} s")
 # a single window is one row of the condition's whole table
-_, eps, _ = window_table(fast.times, Condition.ONBEAT, 2)
+_, eps, _ = window_table(fast.times, Condition.ONBEAT, ToleranceParams(context=2))
 print(f"direct check: {eps[0]:.4f} s")
 print(f"subharmonic step 2 there still spans 0.5 s gaps: "
       f"{variant_window(fast, 0, Condition.SUBHARMONIC_HALF).epsilon:.4f} s")

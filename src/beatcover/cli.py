@@ -207,7 +207,3 @@ def main(argv=None) -> int:
     except (BeatcoverError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,6 +9,7 @@ which is far below the matching tolerances in use.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,20 @@ def _built(path, lineno: int | None, build, *args, **kwargs):
     """``build(*args, **kwargs)``, or a ParseError at ``path[:lineno]``.
 
     Every value built from file content is built here, so that the
-    ValueError or BeatcoverError of its own checks names the file.
+    ValueError or BeatcoverError of its own checks names the file, and
+    so does each warning it raises, such as a collapsed duplicate beat
+    time: the warning is issued again, with the path before its message,
+    at the line that called the parser.
     """
     try:
-        return build(*args, **kwargs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = build(*args, **kwargs)
     except (ValueError, BeatcoverError) as exc:
         raise ParseError(path, lineno, str(exc)) from None
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)
+    return value
 
 
 def parse_beats_file(path) -> BeatSequence:

@@ -58,14 +58,6 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
 
 
-# Most reference beats in one pass of several tracks, and most taps that
-# the continuity search checks in one block.  Joining several tracks
-# saves per-call overhead on short tracks; on long tracks, where one
-# table already has thousands of rows, bigger blocks save nothing and
-# only hold more memory.
-_BLOCK_ROWS = 4096
-
-
 def _keys(e: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
     """The search keys of the joined estimate ``e``, whose tracks are the slices ``e[s:t]``.
 
@@ -209,7 +201,7 @@ def _pass(
         check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
         if not (coverage or check):
             continue
-        windows, eps, stride = window_table(r, condition, length, params)
+        windows, eps, stride = window_table(r, condition, params)
         if not len(windows):
             continue
         if coverage:

@@ -24,7 +24,7 @@ from .core import (
     ToleranceParams,
     _finite_positive,
 )
-from .matching import _BLOCK_ROWS, _bands, _join, _pass, l_correct_detection
+from .matching import _bands, _join, _pass, l_correct_detection
 from .variants import condition_taps
 
 __all__ = [
@@ -42,6 +42,13 @@ __all__ = [
     "TrackReport",
     "evaluate_track",
 ]
+
+# Most reference beats in one pass of several tracks, and most taps that
+# the continuity search checks in one block.  Joining several tracks
+# saves per-call overhead on short tracks; on long tracks, where one
+# table already has thousands of rows, bigger blocks save nothing and
+# only hold more memory.
+_BLOCK_ROWS = 4096
 
 
 def _prf(ref_hits: int, n_ref: int, est_hits: int, n_est: int) -> tuple[float, float, float]:

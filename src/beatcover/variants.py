@@ -89,14 +89,15 @@ def condition_taps(times, condition: Condition) -> np.ndarray:
 
 
 def window_table(
-    times, condition: Condition, length: int, params: ToleranceParams = ToleranceParams()
+    times, condition: Condition, params: ToleranceParams = ToleranceParams()
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Every window of one condition over ``times``, one row per anchor.
 
-    Returns ``(windows, eps, stride)``.  Row ``i`` of ``windows`` holds
-    the expected tap times of the window anchored at beat ``i`` and
-    covers beats ``i + stride * arange(length)``; ``eps[i]`` is its
-    tolerance, min(cap, gamma * mean interval of the row).
+    Returns ``(windows, eps, stride)``.  The window length is
+    ``length = params.context``.  Row ``i`` of ``windows`` holds the
+    expected tap times of the window anchored at beat ``i`` and covers
+    beats ``i + stride * arange(length)``; ``eps[i]`` is its tolerance,
+    min(cap, gamma * mean interval of the row).
 
     A row is a run of :func:`condition_taps`: ``length`` taps for
     onbeat and offbeats, every ``step``-th onbeat tap for subharmonics,
@@ -108,14 +109,8 @@ def window_table(
     at most one column more than the taps it is cut from, since no longer
     row fits, and so a huge ``length`` allocates nothing in proportion to
     it.
-
-    Raises:
-        ValueError: ``length`` is not an integer.
-        WindowTooShortError: ``length`` is below 2.
     """
-    length = _index("window length", length)
-    if length < 2:
-        raise WindowTooShortError(f"window length must be >= 2, got {length}")
+    length = params.context
     stride = CONDITION_STEPS.get(condition, 1)
     factor = CONDITION_FACTORS.get(condition, 1)
     taps = condition_taps(times, Condition.ONBEAT if stride > 1 else condition)
@@ -136,8 +131,8 @@ def variant_window(
 ) -> VariantWindow | None:
     """The window of one condition anchored at beat ``instance``, or None.
 
-    The window is row ``instance`` of :func:`window_table` with length
-    ``params.context``, or None where the table has no such row.
+    The window is row ``instance`` of :func:`window_table`, or None
+    where the table has no such row.
 
     Raises:
         ValueError: ``instance`` is not the index of a beat.
@@ -147,11 +142,10 @@ def variant_window(
         raise ValueError(f"instance {instance} out of range for {len(beats)} beats")
     # The window reads beats ``instance`` to ``end - 1``, and an offbeat
     # window also beat ``end``; the table of just those beats has it as
-    # row 0, so one window costs O(length), not a whole-sequence table.
-    length = params.context
+    # row 0, so one window costs O(context), not a whole-sequence table.
     stride = CONDITION_STEPS.get(condition, 1)
-    end = instance + stride * (length - 1) + 1
-    windows, eps, _ = window_table(beats.times[instance : end + 1], condition, length, params)
+    end = instance + stride * (params.context - 1) + 1
+    windows, eps, _ = window_table(beats.times[instance : end + 1], condition, params)
     if not len(windows):
         return None
     return VariantWindow(

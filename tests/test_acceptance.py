@@ -218,7 +218,7 @@ def test_c6_window_shapes_and_epsilon():
         ([0.0, 0.50, 1.00], 0.070),
         ([0.0, 0.40, 0.80], 0.070),
     ):
-        assert abs(window_table(times, Condition.ONBEAT, 3)[1][0] - expected) <= 1e-12
+        assert abs(window_table(times, Condition.ONBEAT, ToleranceParams(context=3))[1][0] - expected) <= 1e-12
 
     # and the closed form on random windows, to 1e-12
     rng = np.random.default_rng(66)

@@ -262,6 +262,23 @@ class TestEvalCommand:
         assert f"error: {est_dir / 'b.txt'}: beat times must be strictly increasing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_each_estimate_with_duplicates_is_named_and_scored_collapsed(self, tmp_path):
+        ref_dir, est_dir, clean_dir = tmp_path / "refs", tmp_path / "ests", tmp_path / "clean"
+        beats = "".join(f"{0.5 * k}\n" for k in range(8))
+        for folder, body in ((ref_dir, beats), (est_dir, beats.replace("1.0\n", "1.0\n1.0\n")), (clean_dir, beats)):
+            folder.mkdir()
+            for stem in "ab":
+                (folder / f"{stem}.txt").write_text(body)
+        out, clean_out = tmp_path / "r.json", tmp_path / "clean.json"
+        with pytest.warns(UserWarning) as caught:
+            code = run_cli(["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(out)])
+        assert code == 0
+        assert sorted(str(w.message) for w in caught) == [
+            f"{est_dir / stem}.txt: collapsed 1 duplicate beat time(s)" for stem in "ab"
+        ]
+        assert run_cli(["eval", "--ref", str(ref_dir), "--est", str(clean_dir), "--out", str(clean_out)]) == 0
+        assert out.read_bytes() == clean_out.read_bytes()
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code = run_cli([
             "eval", "--ref", str(tmp_path / "absent"), "--est", str(tmp_path),

@@ -69,6 +69,15 @@ class TestBeatsFiles:
         assert str(err.value) == f"{path}: {reason}"
         assert err.value.lineno is None
 
+    def test_a_collapsed_duplicate_warns_with_the_path_at_the_caller(self, tmp_path):
+        path = tmp_path / "a.beats"
+        path.write_text("0.5\n1.0\n1.0\n1.5\n")
+        with pytest.warns(UserWarning) as caught:
+            beats = parse_beats_file(path)
+        assert beats.times.tolist() == [0.5, 1.0, 1.5]
+        assert [str(w.message) for w in caught] == [f"{path}: collapsed 1 duplicate beat time(s)"]
+        assert caught[0].filename == __file__
+
 
 class TestActivationFiles:
     def test_round_trip(self, tmp_path):

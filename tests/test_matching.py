@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _BLOCK_ROWS, _bands, _beat_tracks, _join, _pass, _row_slices
+from beatcover.matching import _bands, _beat_tracks, _join, _pass, _row_slices
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -136,16 +136,16 @@ class TestCoverageMatrix:
                     assert np.array_equal(cm.covered[Condition.parse(name)], row)
 
     def test_long_tables_match_single_windows(self):
-        """Every row, on a reference whose span-L tables hold more rows together than one block.
+        """Every row, on a 330 s reference that steps through every condition.
 
-        Such a reference is a pass of its own, and each of its tables is
-        matched in one call of thousands of rows.
+        Each of its tables is matched in one call of hundreds of rows, and
+        every coverage row is the union of the cover sets of the single
+        windows that match.
         """
         duration = 330.0
         ref = gen_reference([(0.0, 100.0), (duration, 160.0)], duration)
         segments = tuple(Segment(start, c, 0.004) for start, c in zip(range(0, len(ref), 70), Condition))
         est = gen_estimate(ref, Scenario([(0.0, 100.0), (duration, 160.0)], duration, segments), seed=3)
-        assert 7 * (len(ref) - 4) > _BLOCK_ROWS
         for context in (2, 3, 4, 5):
             params = ToleranceParams(context=context)
             cm = coverage_matrix(ref, est, params)
@@ -237,8 +237,8 @@ class TestPass:
             joined, _, bounds, _ = _join([(BeatSequence(ref), constant_beats(120, 100)) for ref in refs])
             beat_tracks = _beat_tracks(bounds)
             for condition in Condition:
-                windows, eps, _ = window_table(joined, condition, length, params)
-                own = [(a, window_table(r, condition, length, params)) for a, r in zip(starts.tolist(), refs)]
+                windows, eps, _ = window_table(joined, condition, params)
+                own = [(a, window_table(r, condition, params)) for a, r in zip(starts.tolist(), refs)]
                 tracks = [k for k, (_, table) in enumerate(own) if len(table[0])]
                 own = [(a, table) for a, table in own if len(table[0])]
                 s, stop = _row_slices(beat_tracks, *windows.shape)

@@ -33,8 +33,8 @@ from beatcover import (
     stable_tempi_percentage,
 )
 from beatcover import matching, metrics
-from beatcover.matching import _BLOCK_ROWS, _join
-from beatcover.metrics import _continuity_pass, _evaluate_tracks
+from beatcover.matching import _join
+from beatcover.metrics import _BLOCK_ROWS, _continuity_pass, _evaluate_tracks
 from beatcover.variants import condition_taps
 from conftest import constant_beats, random_times
 

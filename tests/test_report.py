@@ -32,7 +32,7 @@ from beatcover import (
     write_report,
 )
 from beatcover.fileio import parse_beats_file
-from beatcover.matching import _BLOCK_ROWS
+from beatcover.metrics import _BLOCK_ROWS
 from beatcover.variants import condition_taps
 from conftest import constant_beats
 

@@ -48,7 +48,7 @@ class TestConditionTaps:
 
 def onbeat_epsilon(times):
     """Tolerance of the one onbeat window over all of ``times``."""
-    return window_table(times, Condition.ONBEAT, np.size(times))[1][0]
+    return window_table(times, Condition.ONBEAT, ToleranceParams(context=np.size(times)))[1][0]
 
 
 def window(beats, condition, length, instance=0):
@@ -69,7 +69,7 @@ class TestAdaptiveEpsilon:
         assert onbeat_epsilon([0.0, 0.4, 0.8]) == pytest.approx(0.070)
 
     def test_needs_two_times(self):
-        with pytest.raises(WindowTooShortError):
+        with pytest.raises(ValueError, match="context must be >= 2"):
             onbeat_epsilon([1.0])
 
     @given(
@@ -83,10 +83,12 @@ class TestAdaptiveEpsilon:
 
 
 class TestWindowLength:
-    @pytest.mark.parametrize("length", [2.0, 2.5])
-    def test_non_integer_length_rejected(self, length):
-        with pytest.raises(ValueError, match="window length must be an integer"):
-            window_table(constant_beats(120, 8).times, Condition.ONBEAT, length)
+    def test_rows_take_their_length_from_context(self):
+        times = constant_beats(120, 8).times
+        for length in range(2, 9):
+            windows, eps, stride = window_table(times, Condition.ONBEAT, ToleranceParams(context=length))
+            assert windows.shape == (9 - length, length) and eps.shape == (9 - length,) and stride == 1
+            assert np.array_equal(windows, times[np.arange(9 - length)[:, None] + np.arange(length)])
 
     def test_length_beyond_the_sequence_builds_nothing(self):
         # a row of 10**15 taps would need petabytes, and numpy cannot even
@@ -96,7 +98,7 @@ class TestWindowLength:
         for length in (10**15, 3 * 10**18, 10**20):
             params = ToleranceParams(context=length)
             for condition in Condition:
-                windows, eps, _ = window_table(beats.times, condition, length)
+                windows, eps, _ = window_table(beats.times, condition, params)
                 assert len(windows) == 0 and len(eps) == 0
                 assert windows.shape[1] < 4 * len(beats)  # at most the quadruple's taps + 1
                 assert variant_window(beats, 0, condition, params) is None
@@ -104,8 +106,8 @@ class TestWindowLength:
     def test_numpy_integer_length_accepted(self):
         times = constant_beats(120, 8).times
         for condition in Condition:
-            windows, eps, stride = window_table(times, condition, np.int64(3))
-            expected = window_table(times, condition, 3)
+            windows, eps, stride = window_table(times, condition, ToleranceParams(context=np.int64(3)))
+            expected = window_table(times, condition, ToleranceParams(context=3))
             assert windows.tobytes() == expected[0].tobytes()
             assert eps.tobytes() == expected[1].tobytes()
             assert stride == expected[2]
@@ -223,7 +225,7 @@ class TestDispatchAndEnumeration:
 
     def test_two_beats_yield_only_onbeat_and_harmonics(self):
         times = BeatSequence([0.0, 0.5]).times
-        rows = {c: len(window_table(times, c, 2)[0]) for c in Condition}
+        rows = {c: len(window_table(times, c)[0]) for c in Condition}
         assert [c for c in Condition if rows[c]] == [
             Condition.ONBEAT,
             Condition.HARMONIC_DOUBLE,
@@ -235,13 +237,15 @@ class TestDispatchAndEnumeration:
 
     def test_quarter_instances_on_nine_beats(self):
         beats = constant_beats(120, 9)
-        windows, _, stride = window_table(beats.times, Condition.SUBHARMONIC_QUARTER, 2)
+        windows, _, stride = window_table(beats.times, Condition.SUBHARMONIC_QUARTER)
         # rows are anchors 0..4; anchor i covers beats i and i + 4
         assert stride == 4
         assert np.array_equal(windows, beats.times[np.arange(5)[:, None] + [0, 4]])
 
     def test_quarter_absent_with_longer_context(self):
-        windows, eps, _ = window_table(constant_beats(120, 8).times, Condition.SUBHARMONIC_QUARTER, 3)
+        windows, eps, _ = window_table(
+            constant_beats(120, 8).times, Condition.SUBHARMONIC_QUARTER, ToleranceParams(context=3)
+        )
         assert windows.shape == (0, 3)
         assert eps.shape == (0,)
 
@@ -270,7 +274,7 @@ class TestDispatchAndEnumeration:
             for length in range(2, 6):
                 params = ToleranceParams(context=length)
                 for condition in Condition:
-                    windows, eps, stride = window_table(beats.times, condition, length, params)
+                    windows, eps, stride = window_table(beats.times, condition, params)
                     for i in range(len(beats)):
                         win = variant_window(beats, i, condition, params)
                         if i >= len(windows):
