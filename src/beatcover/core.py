@@ -119,11 +119,11 @@ class BeatSequence:
 
     def __post_init__(self):
         arr = _frozen_array(self.times)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("beat times must be finite")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise NegativeTimeError("beat times must be >= 0")
-        if np.any(np.diff(arr) <= 0.0):
+        if (arr[1:] <= arr[:-1]).any():
             raise NonMonotonicError("beat times must be strictly increasing")
         object.__setattr__(self, "times", arr)
 
@@ -163,11 +163,14 @@ def validate_beats(raw) -> BeatSequence:
     arr = np.asarray(raw, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise EmptySequenceError("no beat times given")
-    keep = np.concatenate(([True], np.diff(arr) != 0.0))
-    dropped = int(arr.size - np.count_nonzero(keep))
-    if dropped:
-        warnings.warn(f"collapsed {dropped} duplicate beat time(s)", stacklevel=2)
-        arr = arr[keep]
+    same = arr[1:] == arr[:-1]
+    if same.any():
+        # two equal infinities are not a duplicate: BeatSequence rejects them
+        same &= np.isfinite(arr[1:])
+        dropped = int(np.count_nonzero(same))
+        if dropped:
+            warnings.warn(f"collapsed {dropped} duplicate beat time(s)", stacklevel=2)
+            arr = arr[np.concatenate(([True], ~same))]
     return BeatSequence(arr)
 
 

@@ -1,9 +1,10 @@
 """Text file formats: beat lists, activation curves, scenario scripts.
 
-All three formats are line oriented UTF-8; blank lines and lines whose
-first non-space character is ``#`` are ignored, and a trailing
-``# comment`` is allowed on any line.  Writers emit six decimal places,
-which is far below the matching tolerances in use.
+All three formats are line oriented UTF-8, read without a leading
+byte-order mark; blank lines and lines whose first non-space character
+is ``#`` are ignored, and a trailing ``# comment`` is allowed on any
+line.  Writers emit six decimal places, which is far below the matching
+tolerances in use.
 """
 
 from __future__ import annotations
@@ -47,13 +48,41 @@ class ValueOutOfRangeError(ParseError):
     """An activation value lies outside [0, 1]."""
 
 
-def _content_lines(path):
+def _read(path) -> str:
+    """The text of ``path``; a leading UTF-8 byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
+def _content_lines(text: str):
     """Yield (lineno, text) for lines that carry content."""
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _plain_numbers(text: str):
+    """The numbers of ``text``, or None unless it is the plain case.
+
+    Plain text has no ``#``, no whitespace but line breaks, and one
+    finite number per non-blank line.  Then ``text.split()`` gives
+    exactly the content lines, and ``float`` reads each as ``_number``
+    would, so the caller's per-line loop would give the same values.
+    Anything else is left to that loop, which reports each error with
+    its line.
+    """
+    if "#" in text:
+        return None
+    fields = text.split()
+    # the characters outside the fields are all whitespace, so this
+    # holds exactly when each of them is a line feed or carriage return
+    if sum(map(len, fields)) + text.count("\n") + text.count("\r") != len(text):
+        return None
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _number(path, lineno: int, text: str, what: str, convert=float):
@@ -103,10 +132,13 @@ def parse_beats_file(path) -> BeatSequence:
     tracker that found nothing) gives an empty sequence; callers that
     need beats, such as reference scoring, reject it themselves.
     """
-    times = [
-        _number(path, lineno, line.split()[0], "beat time") for lineno, line in _content_lines(path)
-    ]
-    if not times:
+    text = _read(path)
+    times = _plain_numbers(text)
+    if times is None:
+        times = [
+            _number(path, lineno, line.split()[0], "beat time") for lineno, line in _content_lines(text)
+        ]
+    if len(times) == 0:
         return BeatSequence(np.empty(0))
     return _built(path, None, validate_beats, times)
 
@@ -114,6 +146,18 @@ def parse_beats_file(path) -> BeatSequence:
 def write_beats_file(beats: BeatSequence, path) -> None:
     lines = [f"{t:.6f}" for t in beats.times]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _fps(path, lineno: int, line: str) -> float:
+    """The rate of an ``fps=<rate>`` header line."""
+    key, sep, field = line.partition("=")
+    if key.strip() != "fps" or not sep:
+        raise MissingFpsError(path, lineno, "first line must be 'fps=<rate>'")
+    field = field.strip()
+    fps = _number(path, lineno, field, "fps")
+    if not fps > 0:
+        raise ParseError(path, lineno, f"fps must be a positive real, got {field}")
+    return fps
 
 
 def parse_activation_file(path) -> ActivationFunction:
@@ -125,17 +169,21 @@ def parse_activation_file(path) -> ActivationFunction:
         ParseError: the fps or a value is not a finite number, or the
             fps is so small that the last frame's time is infinite.
     """
+    text = _read(path)
+    first, _, body = text.partition("\n")
+    header = first.strip()
+    # one array pass when line 1, as the per-line loop splits it, is the
+    # whole header with no comment, and the lines after it are plain
+    if header and "#" not in first and len(first.splitlines()) == 1:
+        values = _plain_numbers(body)
+        if values is not None and ((values >= 0.0) & (values <= 1.0)).all():
+            fps = _fps(path, 1, header)
+            return _built(path, None, ActivationFunction, fps=fps, values=values)
     fps = None
     values = []
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(text):
         if fps is None:
-            key, sep, field = line.partition("=")
-            if key.strip() != "fps" or not sep:
-                raise MissingFpsError(path, lineno, "first line must be 'fps=<rate>'")
-            field = field.strip()
-            fps = _number(path, lineno, field, "fps")
-            if not fps > 0:
-                raise ParseError(path, lineno, f"fps must be a positive real, got {field}")
+            fps = _fps(path, lineno, line)
             continue
         value = _number(path, lineno, line.split()[0], "activation value")
         if not 0.0 <= value <= 1.0:
@@ -193,7 +241,7 @@ def parse_scenario_file(path) -> Scenario:
     duration = None
     tempo = None
     segments: list[Segment] = []
-    for lineno, line in _content_lines(path):
+    for lineno, line in _content_lines(_read(path)):
         if "=" not in line:
             raise ParseError(path, lineno, f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")

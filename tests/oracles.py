@@ -354,3 +354,99 @@ def oracle_polyline_points(values, fps, t_max):
 def oracle_format_points(values):
     """``"%.2f"`` of each value, joined alternately by ``,`` and `` ``."""
     return "".join(f"{v:.2f}{', '[k % 2]}" for k, v in enumerate(values))[:-1]
+
+
+# Python's line boundaries, the characters at which ``str.splitlines``
+# ends a line; ``\r\n`` is one boundary.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def oracle_lines(text):
+    """The lines of ``text``, split at each line boundary in turn."""
+    lines, line, k = [], "", 0
+    while k < len(text):
+        c = text[k]
+        if c in LINE_BREAKS:
+            lines.append(line)
+            line = ""
+            if text[k : k + 2] == "\r\n":
+                k += 1
+        else:
+            line += c
+        k += 1
+    if line:
+        lines.append(line)
+    return lines
+
+
+def oracle_beat_fields(text):
+    """``(lineno, field)`` for the first field of each content line.
+
+    README's rule: ``#`` starts a comment, fields are separated by
+    whitespace, and a line with no field is skipped.
+    """
+    out = []
+    for lineno, line in enumerate(oracle_lines(text), start=1):
+        field = ""
+        for c in line:
+            if c == "#" or (c.isspace() and field):
+                break
+            if not c.isspace():
+                field += c
+        if field:
+            out.append((lineno, field))
+    return out
+
+
+def oracle_validate_beats(raw):
+    """``(times, dropped, error)`` of ``validate_beats(raw)`` on a non-empty list.
+
+    Consecutive equal finite times collapse into one (``dropped`` counts
+    the rest; the warning comes before any error).  Then the first rule
+    the collapsed times break gives ``error``, an ``(exception name,
+    message)`` pair: every time finite, none negative, each later time
+    larger than the one before.
+    """
+    times, dropped = [], 0
+    for t in raw:
+        if times and t == times[-1] and math.isfinite(t):
+            dropped += 1
+        else:
+            times.append(t)
+    if not all(math.isfinite(t) for t in times):
+        return times, dropped, ("ValueError", "beat times must be finite")
+    if any(t < 0.0 for t in times):
+        return times, dropped, ("NegativeTimeError", "beat times must be >= 0")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        return times, dropped, ("NonMonotonicError", "beat times must be strictly increasing")
+    return times, dropped, None
+
+
+def oracle_beats_file(text):
+    """What a beat file holding ``text`` parses to.
+
+    Returns ``(times, dropped, None)``, or ``(None, 0, (message,
+    lineno))`` for the ParseError, whose text is ``<path>:<lineno>:
+    <message>``, or ``<path>: <message>`` when ``lineno`` is None.  A
+    byte-order mark at the start of ``text`` is not part of it.  A file
+    with no beat time is an empty sequence; a rule of
+    :func:`oracle_validate_beats` that fails is an error with no line,
+    and then no duplicate is reported.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    times = []
+    for lineno, field in oracle_beat_fields(text):
+        try:
+            t = float(field)
+        except ValueError:
+            return None, 0, (f"beat time is not a number: {field!r}", lineno)
+        if not math.isfinite(t):
+            return None, 0, (f"beat time must be finite, got {field!r}", lineno)
+        times.append(t)
+    if not times:
+        return [], 0, None
+    times, dropped, error = oracle_validate_beats(times)
+    if error is not None:
+        return None, 0, (error[1], None)
+    return times, dropped, None

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from beatcover import (
     ActivationFunction,
+    BeatcoverError,
     BeatSequence,
     Condition,
     CoverageMatrix,
@@ -57,6 +61,39 @@ class TestValidateBeats:
         beats = validate_beats(raw)
         assert len(beats) == len(raw)
         assert np.all(np.diff(beats.times) > 0)
+
+
+    def test_two_equal_infinities_are_not_a_duplicate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beat times must be finite"):
+                validate_beats([0.5, np.inf, np.inf])
+
+    def test_a_duplicate_warns_before_a_later_error(self):
+        with pytest.warns(UserWarning, match="collapsed 1 duplicate"):
+            with pytest.raises(ValueError, match="beat times must be finite"):
+                validate_beats([1.0, 1.0, np.nan])
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_rules_warning_and_error_order_match_the_oracle(self, raw):
+        times, dropped, error = oracles.oracle_validate_beats(raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                beats = validate_beats(raw)
+            except (ValueError, BeatcoverError) as exc:
+                assert (type(exc).__name__, str(exc)) == error
+            else:
+                assert error is None
+                assert beats.times.tobytes() == np.array(times, dtype=np.float64).tobytes()
+        expected = [f"collapsed {dropped} duplicate beat time(s)"] if dropped else []
+        assert [str(w.message) for w in caught] == expected
 
 
 class TestBeatSequence:

@@ -1,6 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
+import oracles
 from beatcover import (
     ActivationFunction,
     Condition,
@@ -16,6 +22,7 @@ from beatcover import (
     write_activation_file,
     write_beats_file,
 )
+from beatcover.fileio import _plain_numbers, _read
 
 
 class TestBeatsFiles:
@@ -77,6 +84,19 @@ class TestBeatsFiles:
         assert beats.times.tolist() == [0.5, 1.0, 1.5]
         assert [str(w.message) for w in caught] == [f"{path}: collapsed 1 duplicate beat time(s)"]
         assert caught[0].filename == __file__
+
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "a.beats"
+        path.write_bytes("\ufeff0.5\n1.0\n".encode("utf-8"))
+        assert parse_beats_file(path).times.tolist() == [0.5, 1.0]
+
+    def test_a_byte_order_mark_inside_the_file_is_not_a_number(self, tmp_path):
+        path = tmp_path / "a.beats"
+        path.write_bytes("0.5\n\ufeff1.0\n".encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            parse_beats_file(path)
+        assert str(err.value) == f"{path}:2: beat time is not a number: '\\ufeff1.0'"
 
 
 class TestActivationFiles:
@@ -157,6 +177,49 @@ class TestActivationFiles:
         path = tmp_path / "a.act"
         write_activation_file(act, path)
         assert parse_activation_file(path).fps == act.fps
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "a.act"
+        path.write_bytes("\ufefffps=100\n0.5\n".encode("utf-8"))
+        assert parse_activation_file(path) == ActivationFunction(fps=100.0, values=[0.5])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "fps=100\r\n0.25\r\n0.75\r\n",
+            "# tracker output\nfps=100\n0.25\n0.75\n",
+            "\nfps = 100\n\n0.25 1\n0.75  # peak\n",
+            "fps=100\x0b0.25\n0.75",
+            " fps=100\n\t0.25\n0.75\xa0\n",
+        ],
+        ids=["crlf", "comment_first", "blank_first", "vertical_tab", "padded"],
+    )
+    def test_every_layout_reads_the_same_curve(self, tmp_path, body):
+        path = tmp_path / "a.act"
+        path.write_text(body, newline="")
+        assert parse_activation_file(path) == ActivationFunction(fps=100.0, values=[0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "body, error, lineno",
+        [
+            ("fps=100\n0.5\n1.5\n", ValueOutOfRangeError, 3),
+            ("fps=100\n0.5\n-0.0001\n", ValueOutOfRangeError, 3),
+            ("fps=100\n0.5\nnan\n", ParseError, 3),
+            ("fps=100\n0.5\n1e999\n", ParseError, 3),
+            ("fps=100\n0.5\n1_0\n", ValueOutOfRangeError, 3),
+            ("fps=100\n\n0.5 x\n0.5x\n", ParseError, 4),
+            ("0.5\nfps=100\n", MissingFpsError, 1),
+            ("fps=0\n0.5\n", ParseError, 1),
+            ("fps=100\x850.5\n2\n", ValueOutOfRangeError, 3),
+        ],
+    )
+    def test_errors_keep_their_type_and_line(self, tmp_path, body, error, lineno):
+        path = tmp_path / "a.act"
+        path.write_text(body)
+        with pytest.raises(ParseError) as err:
+            parse_activation_file(path)
+        assert type(err.value) is error
+        assert err.value.lineno == lineno
 
 
 class TestScenarioFiles:
@@ -271,3 +334,149 @@ def test_non_finite_number_is_a_parse_error_at_its_line(tmp_path, field, text):
     assert type(err.value) is ParseError
     assert err.value.lineno == lineno
     assert str(err.value).startswith(f"{path}:{lineno}: {field} ")
+
+
+# ---------------------------------------------------------------------------
+# beat files against the oracle: a file of one finite number per line with
+# no comment and no whitespace but line breaks is read in one array pass
+# (``_plain_numbers``); any other file goes through the per-line loop.  Both
+# must give what README's rule, read line by line, gives.
+
+NUMBER_FORMATS = ("{:.6f}", "{!r}", "{:.3e}", "{:g}")
+# spliced in among the numbers: not a number, not finite, or out of order
+ODD_TOKENS = ("nan", "inf", "-inf", "1e999", "1_0", "abc", "-0.5", "0.0", "\ufeff1.0")
+# lines that hold no beat time
+ODD_LINES = ("", "   ", "\t", "\xa0", "\x1f", "# header", "  # note")
+# whitespace that separates fields but does not end a line
+SEPARATORS = (" ", "\t", "\x1f", "\xa0", "\u2003")
+# whitespace that ends a line; \r\n is one line end
+LINE_ENDS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
+@st.composite
+def beat_file_texts(draw):
+    """Increasing numbers, one per line, with rarer cases spliced in."""
+    times = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=600.0), max_size=12)))
+    fmt = draw(st.sampled_from(NUMBER_FORMATS))
+    lines = [fmt.format(t) for t in times]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    ends = [end] * len(lines)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        kind = draw(st.sampled_from(("duplicate", "token", "line", "column", "comment", "pad", "end")))
+        if kind in ("duplicate", "token", "line"):
+            if kind == "duplicate":
+                new = lines[at - 1] if at else "1.0"
+            else:
+                new = draw(st.sampled_from(ODD_TOKENS if kind == "token" else ODD_LINES))
+            lines.insert(at, new)
+            ends.insert(at, end)
+        elif at < len(lines):
+            if kind == "column":
+                lines[at] += draw(st.sampled_from(SEPARATORS)) + "1"
+            elif kind == "comment":
+                lines[at] += "  # beat"
+            elif kind == "pad":
+                lines[at] = draw(st.sampled_from(SEPARATORS)) + lines[at] + draw(st.sampled_from(SEPARATORS))
+            else:
+                ends[at] = draw(st.sampled_from(LINE_ENDS))
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + e for line, e in zip(lines, ends))
+
+
+def _finite_number(field: str) -> bool:
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False
+
+
+def _is_plain(text: str) -> bool:
+    """The fast path's rule, read from the oracle's fields."""
+    return (
+        "#" not in text
+        and all(c in "\r\n" for c in text if c.isspace())
+        and all(_finite_number(f) for _, f in oracles.oracle_beat_fields(text))
+    )
+
+
+def _outcome(path):
+    """(time bytes, or a ParseError's text and line; warning messages)
+    of ``parse_beats_file(path)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = parse_beats_file(path).times.tobytes()
+        except ParseError as exc:
+            assert type(exc) is ParseError
+            out = (str(exc), exc.lineno)
+    return out, [str(w.message) for w in caught]
+
+
+def _expected(path, text):
+    """:func:`_outcome` of a file holding ``text``, by the oracle."""
+    times, dropped, error = oracles.oracle_beats_file(text)
+    if error is not None:
+        message, lineno = error
+        where = f"{path}:{lineno}" if lineno is not None else str(path)
+        return (f"{where}: {message}", lineno), []
+    warned = [f"{path}: collapsed {dropped} duplicate beat time(s)"] if dropped else []
+    return np.array(times, dtype=np.float64).tobytes(), warned
+
+
+@pytest.fixture(scope="module")
+def beat_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle") / "a.beats"
+
+
+@given(beat_file_texts())
+def test_beat_files_parse_as_the_oracle_reads_them(beat_path, text):
+    beat_path.write_bytes(text.encode("utf-8"))
+    read = _read(beat_path)
+    fast = _plain_numbers(read)
+    plain = _is_plain(read)
+    event("one array pass" if plain else "per-line loop")
+    assert (fast is not None) == plain
+    if plain:
+        expected = [float(f) for _, f in oracles.oracle_beat_fields(read)]
+        assert fast.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    assert _outcome(beat_path) == _expected(beat_path, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "0.5", "0.5\n1.0\n", "0.5\r\n1.0\r\n", "0.5\r1.0\r", "\n0.5\n\n1.0\n\n", "1e2\n0.5\n", "0.5\n0.5\n", "1_0\n"],
+)
+def test_plain_text_is_read_in_one_array_pass(tmp_path, text):
+    assert _plain_numbers(text) is not None
+    path = tmp_path / "a.beats"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(path) == _expected(path, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# header\n0.5\n",
+        "0.5 1\n1.0 2\n",
+        "0.5\x0b1.0\n",
+        "0.5\x0c1.0\n",
+        "0.5\x1c1.0\n",
+        "0.5\x1f1\n",
+        "0.5\x85\n1.0\n",
+        "0.5\xa0\n1.0\n",
+        "0.5\u2003\n",
+        " 0.5\n",
+        "\n \n0.5\n",
+        "0.5\nnan\n",
+        "0.5\n1e999\n",
+        "0.5\nabc\n",
+        "0.5\n\ufeff1.0\n",
+    ],
+)
+def test_other_text_goes_through_the_per_line_loop(tmp_path, text):
+    assert _plain_numbers(text) is None
+    path = tmp_path / "a.beats"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(path) == _expected(path, text)

@@ -15,6 +15,10 @@
   rates, with and without the estimate ticks, and one with no panel.
   The 5-minute, 100 fps figure, the size the benchmark renders, is
   pinned by its sha256 to keep the repository small.
+
+The demo dataset's committed report, ``demos/out/mini_dataset/report.json``,
+is compared too: ``eval`` must write it from the dataset's files as written
+and from a CRLF, commented, two-column copy of them.
 """
 
 import hashlib
@@ -39,6 +43,7 @@ from test_acceptance import run_pipeline
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIO = Path(__file__).parent.parent / "demos" / "scenarios" / "double_to_quadruple.scenario"
+DEMO_DATASET = Path(__file__).parent.parent / "demos" / "out" / "mini_dataset"
 NOISE_SEED = 5
 
 
@@ -64,6 +69,30 @@ def run_tracker_pipeline(base) -> dict[str, bytes]:
             assert cli_main(["track", "--activation", str(act), "--ppt", ppt, *extra, "--out", str(out)]) == 0
             names.append(out.name)
     return {name: (base / name).read_bytes() for name in names}
+
+
+def annotated_copy(src: Path, dst: Path) -> None:
+    """Copy a dataset's beat files with CRLF line ends, a ``#`` header
+    line and a beat-in-bar second column, the layout annotation tools
+    write; such files go through the parser's per-line loop."""
+    for path in src.glob("*/*.beats"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        body = "".join(f"{line} {k % 4 + 1}\r\n" for k, line in enumerate(lines))
+        out = dst / path.relative_to(src)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_bytes(f"# time beat\r\n{body}".encode("utf-8"))
+
+
+@pytest.mark.parametrize("annotated", [False, True], ids=["as_written", "annotated"])
+def test_demo_dataset_reproduces_its_report(tmp_path, annotated):
+    data = DEMO_DATASET
+    if annotated:
+        data = tmp_path / "data"
+        annotated_copy(DEMO_DATASET, data)
+    out = tmp_path / "report.json"
+    argv = ["eval", "--ref", str(data / "reference"), "--est", str(data / "estimates"), "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert out.read_bytes() == (DEMO_DATASET / "report.json").read_bytes()
 
 
 def test_cli_outputs_match_golden_bytes(tmp_path):
