@@ -282,7 +282,7 @@ class ActivationFunction:
     @property
     def duration(self) -> float:
         """Time of the last frame in seconds."""
-        return (len(self) - 1) / self.fps if len(self) else 0.0
+        return max(len(self) - 1, 0) / self.fps
 
     def frame_times(self) -> np.ndarray:
         return np.arange(len(self)) / self.fps

@@ -53,8 +53,8 @@ _BLOCK_ROWS = 4096
 
 def _prf(ref_hits: int, n_ref: int, est_hits: int, n_est: int) -> tuple[float, float, float]:
     """Precision, recall and their harmonic mean; an empty side scores 0."""
-    p = float(est_hits) / n_est if n_est else 0.0
-    r = float(ref_hits) / n_ref if n_ref else 0.0
+    p = float(est_hits) / (n_est or 1)
+    r = float(ref_hits) / (n_ref or 1)
     return p, r, 2.0 * p * r / (p + r) if p + r else 0.0
 
 
@@ -298,9 +298,7 @@ def acr_scores(cm: CoverageMatrix) -> AcrScores:
     The any-union can never exceed 1 and always dominates each single
     condition and the offbeat union.
     """
-    n = cm.n_beats
-    if n == 0:
-        return AcrScores({c: 0.0 for c in Condition}, 0.0, 0.0)
+    n = cm.n_beats or 1
     return AcrScores(
         per_condition=dict(zip(Condition, (np.count_nonzero(cm.rows, axis=1) / n).tolist())),
         acr_any=float(np.count_nonzero(cm.any_row)) / n,
@@ -316,11 +314,9 @@ def mlsr(cm: CoverageMatrix) -> float:
     skipped entirely; an empty coverage scores 0.
     """
     covered_idx = np.flatnonzero(cm.any_row)
-    if covered_idx.size == 0:
-        return 0.0
     rows = cm.rows[:, covered_idx]
     switched = ~np.any(rows[:, :-1] & rows[:, 1:], axis=0)
-    return int(np.count_nonzero(switched)) / covered_idx.size
+    return int(np.count_nonzero(switched)) / (covered_idx.size or 1)
 
 
 def mean_track_tempo(beats: BeatSequence) -> float:

@@ -193,13 +193,9 @@ def check_metric_groups(names) -> list[str]:
     return names
 
 
-def _selected_fields(metrics) -> tuple[str, ...]:
-    names = list(METRIC_GROUPS) if metrics is None else check_metric_groups(metrics)
-    fields: list[str] = []
-    for name in METRIC_GROUPS:
-        if name in names:
-            fields.extend(METRIC_GROUPS[name])
-    return tuple(fields)
+def _selected_fields(metrics) -> set[str]:
+    names = METRIC_GROUPS if metrics is None else check_metric_groups(metrics)
+    return {field for name in names for field in METRIC_GROUPS[name]}
 
 
 def _track_to_json(track: TrackReport, fields) -> dict:

@@ -215,7 +215,7 @@ def gen_activation(
     _finite_positive("peak_width", peak_width)
     _non_negative("noise_std", noise_std)
     seed = _index("seed", seed, 0)
-    last = float(beats.times[-1]) if len(beats) else 0.0
+    last = float(beats.times.max(initial=0.0))
     if (last + 1.0) * fps > _MAX_FRAMES:
         raise ValueError(f"{last + 1.0} s at fps {fps} would need more than {_MAX_FRAMES} activation frames")
     n_frames = int(round((last + 1.0) * fps)) + 1

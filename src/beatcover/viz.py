@@ -147,8 +147,8 @@ def render_coverage_svg(
     t_max = float(t[-1]) if len(ref) else 1.0
     if act is not None:
         t_max = max(t_max, act.duration)
-    if est is not None and len(est):
-        t_max = max(t_max, float(est.times[-1]))
+    if est is not None:
+        t_max = max(t_max, float(est.times.max(initial=0.0)))
     if t_max <= 0.0:
         t_max = 1.0
 
