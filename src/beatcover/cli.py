@@ -12,7 +12,7 @@ import argparse
 import sys
 from functools import partial
 
-from .core import BeatcoverError, EmptySequenceError, ToleranceParams
+from .core import BeatcoverError, EmptySequenceError, ToleranceParams, TooFewBeatsError
 from .core import _finite, _finite_positive, _index, _non_negative
 from .fileio import (
     parse_activation_file,
@@ -191,7 +191,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    refs = [parse_beats_file(p) for p in list_files(args.ref)]
+    paths = list_files(args.ref)
+    refs = [parse_beats_file(p) for p in paths]
+    for path, ref in zip(paths, refs):
+        try:
+            mean_track_tempo(ref)  # so that a track with no tempo names its file
+        except TooFewBeatsError as exc:
+            raise TooFewBeatsError(f"{path}: {exc}") from None
     stats = dataset_stats_from_refs(refs)
     print(f"tracks:              {stats.n_tracks}")
     print(f"total annotated span: {stats.total_duration:.2f} s")

@@ -238,8 +238,7 @@ def parse_scenario_file(path) -> Scenario:
 
     ``segment`` repeats; everything else appears once.
     """
-    duration = None
-    tempo = None
+    once: dict = {}  # duration and tempo
     segments: list[Segment] = []
     for lineno, line in _content_lines(_read(path)):
         if "=" not in line:
@@ -247,18 +246,19 @@ def parse_scenario_file(path) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "duration":
-            duration = _number(path, lineno, value, "duration")
-        elif key == "tempo":
-            tempo = _parse_tempo(path, lineno, value)
-        elif key == "segment":
+        if key == "segment":
             segments.append(_parse_segment(path, lineno, value))
+        elif key in once:
+            raise ParseError(path, lineno, f"repeated key {key!r}; only 'segment' may repeat")
+        elif key == "duration":
+            once[key] = _number(path, lineno, value, "duration")
+        elif key == "tempo":
+            once[key] = _parse_tempo(path, lineno, value)
         else:
             raise ParseError(path, lineno, f"unknown key {key!r}")
-    if duration is None:
-        raise ParseError(path, None, "missing required key 'duration'")
-    if tempo is None:
-        raise ParseError(path, None, "missing required key 'tempo'")
+    for key in ("duration", "tempo"):
+        if key not in once:
+            raise ParseError(path, None, f"missing required key {key!r}")
     if not segments:
         raise ParseError(path, None, "missing required key 'segment'")
-    return _built(path, None, Scenario, tempo_curve=tempo, duration=duration, segments=tuple(segments))
+    return _built(path, None, Scenario, once["tempo"], once["duration"], tuple(segments))

@@ -212,8 +212,8 @@ def serialize_report(report: DatasetReport, metrics=None) -> str:
     """Deterministic JSON text for a report.
 
     ``metrics`` optionally restricts the emitted metric groups (keys of
-    ``METRIC_GROUPS``); only unrestricted reports are guaranteed to
-    parse back into a full ``DatasetReport``.
+    ``METRIC_GROUPS``); only an unrestricted report parses back into a
+    ``DatasetReport``.
     """
     fields = _selected_fields(metrics)
     mean_keys = [k for k in SCALAR_FIELDS if k in fields]
@@ -231,11 +231,21 @@ def serialize_report(report: DatasetReport, metrics=None) -> str:
 
 
 def parse_report(text: str) -> DatasetReport:
-    """Parse a full JSON report back into a DatasetReport."""
+    """Parse a full JSON report back into a DatasetReport.
+
+    Raises:
+        ValueError: another schema version, or a report written with
+            ``metrics`` that left out some metric group.
+    """
     obj = json.loads(text)
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
+    missing = [
+        name for name, keys in METRIC_GROUPS.items() if not all(k in t for t in obj["tracks"] for k in keys)
+    ]
+    if missing:
+        raise ValueError(f"report lacks metric group(s) {missing}; only a full report reads back")
     tracks = tuple(
         TrackReport(
             track_id=t["track_id"],

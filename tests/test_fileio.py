@@ -259,6 +259,22 @@ class TestScenarioFiles:
         with pytest.raises(ParseError, match=missing):
             parse_scenario_file(path)
 
+    @pytest.mark.parametrize(
+        "body,key,lineno",
+        [
+            ("duration = 8\nduration = 9\ntempo = 120\nsegment = 0 onbeat\n", "duration", 2),
+            ("duration = 8\ntempo = 120\nsegment = 0 onbeat\ntempo = 90\n", "tempo", 4),
+        ],
+        ids=["duration", "tempo"],
+    )
+    def test_repeated_key_is_an_error_at_its_line(self, tmp_path, body, key, lineno):
+        # before, the last value silently won
+        path = tmp_path / "s.scenario"
+        path.write_text(body)
+        with pytest.raises(ParseError, match=f"repeated key '{key}'") as err:
+            parse_scenario_file(path)
+        assert err.value.lineno == lineno
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "s.scenario"
         path.write_text("duration = 4\ntempo = 120\nswing = 0.3\nsegment = 0 onbeat\n")

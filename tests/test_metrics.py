@@ -72,6 +72,12 @@ class TestF1Score:
         ref = constant_beats(120, 8)
         assert f1_score(ref, BeatSequence([])) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("est", [[], [1.0, 1.5]], ids=["both_empty", "estimate_only"])
+    def test_empty_reference(self, est):
+        scores = f1_score(BeatSequence([]), BeatSequence(est))
+        assert scores == (0.0, 0.0, 0.0)
+        assert all(type(s) is float for s in scores)
+
     def test_matching_is_one_to_one(self):
         # two estimates near one reference beat: only one can match
         ref = BeatSequence([1.0, 5.0])

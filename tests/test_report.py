@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 
 from beatcover import (
+    METRIC_GROUPS,
     BeatSequence,
     Condition,
     NoPairsFoundError,
@@ -249,6 +251,17 @@ class TestMeansAndStats:
         assert stats.percent_stable_tempi == pytest.approx(100.0 * 16 / 32)
 
 
+# every non-empty subset of the metric groups, in their order; the full set is last
+SUBSETS = [c for n in range(1, len(METRIC_GROUPS) + 1) for c in itertools.combinations(METRIC_GROUPS, n)]
+
+
+@pytest.fixture(scope="module")
+def full_report(tmp_path_factory):
+    ref_dir, est_dir = make_dataset(tmp_path_factory.mktemp("dataset"), n_tracks=2)
+    report = evaluate_dataset(ref_dir, est_dir)
+    return report, serialize_report(report)
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path):
         ref_dir, est_dir = make_dataset(tmp_path)
@@ -277,6 +290,32 @@ class TestSerialization:
         assert set(track) == {"track_id", "f1", "precision", "recall", "mlsr"}
         assert set(obj["means"]) == {"f1", "precision", "recall", "mlsr"}
         assert "acr" not in track
+
+    @pytest.mark.parametrize("groups", SUBSETS, ids=",".join)
+    def test_a_restricted_report_is_the_full_report_less_the_other_groups(self, full_report, groups):
+        report, text = full_report
+        expected = json.loads(text)
+        dropped = [f for name in METRIC_GROUPS if name not in groups for f in METRIC_GROUPS[name]]
+        if "acr" in dropped:
+            dropped += [f"acr_{c.value}" for c in Condition]
+        for obj in (expected["means"], *expected["tracks"]):
+            for key in dropped:
+                obj.pop(key, None)
+        # the order of the selection does not matter
+        for metrics in (groups, groups[::-1]):
+            assert serialize_report(report, metrics=metrics) == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("groups", SUBSETS[:-1], ids=",".join)
+    def test_a_restricted_report_does_not_read_back(self, full_report, tmp_path, groups):
+        # before, reading a report written with --metrics f1 raised KeyError: 'acr'
+        report, text = full_report
+        path = tmp_path / "report.json"
+        write_report(report, path, metrics=groups)
+        missing = [name for name in METRIC_GROUPS if name not in groups]
+        with pytest.raises(ValueError, match="only a full report reads back") as err:
+            read_report(path)
+        assert str(missing) in str(err.value)
+        assert parse_report(text) == report
 
     @pytest.mark.parametrize("metrics", [[], ()])
     def test_empty_metric_selection_rejected(self, tmp_path, metrics):

@@ -297,6 +297,12 @@ class TestGenActivation:
         assert len(act) == 451
         assert act.duration == pytest.approx(4.5)
 
+    def test_no_beats_give_a_silent_second(self):
+        act = gen_activation(BeatSequence([]), fps=100.0)
+        assert len(act) == 101
+        assert act.duration == 1.0
+        assert not act.values.any()
+
     def test_values_clipped_to_unit_interval(self):
         ref = gen_reference(480, 4.0)  # dense beats force overlapping bumps
         act = gen_activation(ref, fps=50.0, peak_width=0.2)

@@ -133,6 +133,13 @@ class TestRenderCoverageSvg:
         assert ticks == [ticks[1] * k for k in range(len(ticks))]
         assert ticks[-1] <= last < ticks[-1] + ticks[1]
 
+    @pytest.mark.parametrize("ref", [[0.0], [0.5, 1.0, 2.5]])
+    def test_an_empty_estimate_leaves_the_time_axis_alone(self, ref):
+        ref = BeatSequence(ref)
+        cm = coverage_matrix(ref, ref)
+        bare = axis_labels(render_coverage_svg(cm, ref))
+        assert axis_labels(render_coverage_svg(cm, ref, est=BeatSequence([]))) == bare
+
     def test_single_beat_at_zero_without_panel(self):
         # the time axis would span 0 s; it falls back to 1 s
         ref = BeatSequence([0.0])
