@@ -436,7 +436,6 @@ class TestStatsCommand:
         assert "no reference tracks" in capsys.readouterr().err
 
     def test_a_reference_without_a_tempo_is_an_error_that_names_its_file(self, tmp_path, capsys):
-        # before, stats printed "error: tempo needs at least two beats" and no file
         write_beats_file(gen_reference(120, 10.0), tmp_path / "a.beats")
         (tmp_path / "b.beats").write_text("1.5\n")
         write_beats_file(gen_reference(90, 10.0), tmp_path / "c.beats")

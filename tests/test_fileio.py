@@ -268,7 +268,6 @@ class TestScenarioFiles:
         ids=["duration", "tempo"],
     )
     def test_repeated_key_is_an_error_at_its_line(self, tmp_path, body, key, lineno):
-        # before, the last value silently won
         path = tmp_path / "s.scenario"
         path.write_text(body)
         with pytest.raises(ParseError, match=f"repeated key '{key}'") as err:

@@ -307,7 +307,6 @@ class TestSerialization:
 
     @pytest.mark.parametrize("groups", SUBSETS[:-1], ids=",".join)
     def test_a_restricted_report_does_not_read_back(self, full_report, tmp_path, groups):
-        # before, reading a report written with --metrics f1 raised KeyError: 'acr'
         report, text = full_report
         path = tmp_path / "report.json"
         write_report(report, path, metrics=groups)
