@@ -12,9 +12,11 @@ import argparse
 import sys
 from functools import partial
 
-from .core import BeatcoverError, EmptySequenceError, ToleranceParams, TooFewBeatsError
+from .core import BeatcoverError, ToleranceParams
 from .core import _finite, _finite_positive, _index, _non_negative
 from .fileio import (
+    ParseError,
+    _built,
     parse_activation_file,
     parse_beats_file,
     parse_scenario_file,
@@ -156,8 +158,9 @@ def _cmd_track(args) -> int:
         if args.tempo is None and args.ref is None:
             print("beatcover track: error: --ppt dp needs --tempo or --ref", file=sys.stderr)
             return 1
-        tempo = args.tempo if args.tempo is not None else mean_track_tempo(parse_beats_file(args.ref))
-        beats = dp_track(act, tempo, tightness=args.tightness)
+        # a given --tempo is finite and > 0, so "or" reads only a missing one
+        tempo = args.tempo or _built(args.ref, None, mean_track_tempo, parse_beats_file(args.ref))
+        beats = _built(args.activation, None, dp_track, act, tempo, tightness=args.tightness)
     write_beats_file(beats, args.out)
     print(f"wrote {len(beats)} beat(s) -> {args.out}")
     return 0
@@ -167,7 +170,7 @@ def _cmd_viz(args) -> int:
     ref = parse_beats_file(args.ref)
     est = parse_beats_file(args.est)
     if not len(ref):
-        raise EmptySequenceError(f"{args.ref}: no reference beats")
+        raise ParseError(args.ref, None, "no reference beats")
     act = parse_activation_file(args.activation) if args.activation else None
     cm = coverage_matrix(ref, est, ToleranceParams(context=args.L))
     render_coverage_svg(cm, ref, act=act, est=est, path=args.out)
@@ -178,7 +181,7 @@ def _cmd_viz(args) -> int:
 def _cmd_synth(args) -> int:
     scenario = parse_scenario_file(args.scenario)
     ref = gen_reference(scenario.tempo_curve, scenario.duration)
-    est = gen_estimate(ref, scenario, seed=args.seed)
+    est = _built(args.scenario, None, gen_estimate, ref, scenario, seed=args.seed)
     # every output is computed before any is written, so a failed run
     # leaves no partial set of files behind
     act = gen_activation(ref, fps=args.fps) if args.out_act else None
@@ -194,10 +197,7 @@ def _cmd_stats(args) -> int:
     paths = list_files(args.ref)
     refs = [parse_beats_file(p) for p in paths]
     for path, ref in zip(paths, refs):
-        try:
-            mean_track_tempo(ref)  # so that a track with no tempo names its file
-        except TooFewBeatsError as exc:
-            raise TooFewBeatsError(f"{path}: {exc}") from None
+        _built(path, None, mean_track_tempo, ref)  # so that a track with no tempo names its file
     stats = dataset_stats_from_refs(refs)
     print(f"tracks:              {stats.n_tracks}")
     print(f"total annotated span: {stats.total_duration:.2f} s")

@@ -72,10 +72,7 @@ def _keys(e: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, floa
     track's bands.
     """
     scale = math.ldexp(1.0, -max(math.frexp(e.max(initial=0.0))[1], 0))
-    starts = np.zeros(len(e), dtype=np.intp)
-    opens = s[s < t]
-    starts[opens] = opens  # the running maximum carries each track's start over its beats
-    return np.append(np.maximum.accumulate(starts) + e * scale, np.inf), scale
+    return np.append(np.repeat(s, t - s) + e * scale, np.inf), scale
 
 
 def _bands(key, x: np.ndarray, tol: np.ndarray, s: np.ndarray, stop: np.ndarray):

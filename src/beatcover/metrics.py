@@ -392,40 +392,39 @@ def evaluate_track(
     params: ToleranceParams = ToleranceParams(),
 ) -> TrackReport:
     """Run every metric on one (reference, estimate) pair."""
+    _check_context(ref, params)
     return _evaluate_tracks([(track_id, ref, est)], params)[0]
 
 
-def _passes(items, params: ToleranceParams):
+def _passes(items):
     """The ``(track_id, ref, est)`` items in passes of up to ``_BLOCK_ROWS`` reference beats.
 
     Yields lists of items; a track with more beats than that is a pass
-    of its own.  The window-length check runs on each item as it is
-    taken from ``items``, so the first bad item raises, as it would one
-    track at a time; past the check no metric raises (F1's window is
-    ``params.cap``, which :class:`ToleranceParams` has checked).
+    of its own.  ``items`` is not empty.
     """
     batch, beats = [], 0
     for track_id, ref, est in items:
-        _check_context(ref, params)
         if batch and beats + len(ref) > _BLOCK_ROWS:
             yield batch
             batch, beats = [], 0
         batch.append((track_id, ref, est))
         beats += len(ref)
-    if batch:
-        yield batch
+    yield batch
 
 
 def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     """Run every metric on each ``(track_id, ref, est)`` item, in order.
 
-    Each pass of tracks (see :func:`_passes`) is joined and keyed once,
+    ``items`` is not empty, and the caller has run :func:`_check_context`
+    on each reference; past that check no metric raises (F1's window is
+    ``params.cap``, which :class:`ToleranceParams` has checked).  Each
+    pass of tracks (see :func:`_passes`) is joined and keyed once,
     by :func:`beatcover.matching._join`: coverage and L-correct match
     its windows in one :func:`beatcover.matching._pass`, and CMLt and
     AMLt come from one :func:`_continuity_pass`.
     """
     reports = []
-    for batch in _passes(items, params):
+    for batch in _passes(items):
         joined = _join([(ref, est) for _, ref, est in batch])
         matched = _pass(joined, params)
         continuity = _continuity_pass(joined, params.gamma)

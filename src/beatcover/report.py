@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import BeatcoverError, BeatSequence, Condition, ToleranceParams
-from .fileio import parse_beats_file
-from .metrics import TrackReport, _evaluate_tracks, _r6, mean_track_tempo, stable_intervals
+from .fileio import _built, parse_beats_file
+from .metrics import TrackReport, _check_context, _evaluate_tracks, _r6, mean_track_tempo, stable_intervals
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -150,6 +150,8 @@ def evaluate_dataset(ref_dir, est_dir, params: ToleranceParams = ToleranceParams
     Raises:
         NoPairsFoundError: no stem matched at all.
         StemCollisionError: a directory has two files with one stem.
+        ParseError: a file does not parse, or a reference has fewer
+            beats than ``params.context``; either names the file.
     """
     refs = _by_stem(ref_dir)
     ests = _by_stem(est_dir)
@@ -164,9 +166,10 @@ def evaluate_dataset(ref_dir, est_dir, params: ToleranceParams = ToleranceParams
 
     def pairs():  # read lazily, so files are read and scored in stem order
         for stem in stems:
-            ref = parse_beats_file(refs[stem])
+            ref, est = parse_beats_file(refs[stem]), parse_beats_file(ests[stem])
+            _built(refs[stem], None, _check_context, ref, params)
             ref_seqs.append(ref)
-            yield stem, ref, parse_beats_file(ests[stem])
+            yield stem, ref, est
 
     tracks = _evaluate_tracks(pairs(), params)
     return DatasetReport(

@@ -53,6 +53,61 @@ def run_synth(tmp_path, out_act=False):
     return ref, est, act
 
 
+# Runs whose data error lies in one file.  Each builder writes its input
+# files into ``tmp_path`` and returns the argv, with every output under
+# ``tmp_path``, and the path of the bad file.
+
+
+def one_beat_reference_for_dp(tmp_path):
+    act = tmp_path / "a.act"
+    write_activation_file(gen_activation(gen_reference(120, 6.0)), act)
+    ref = tmp_path / "one.beats"
+    ref.write_text("1.5\n")
+    argv = ["track", "--activation", str(act), "--ppt", "dp", "--ref", str(ref), "--out", str(tmp_path / "o")]
+    return argv, ref
+
+
+def frameless_activation_for_dp(tmp_path):
+    act = tmp_path / "a.act"
+    act.write_text("fps=100\n")
+    argv = ["track", "--activation", str(act), "--ppt", "dp", "--tempo", "120", "--out", str(tmp_path / "o")]
+    return argv, act
+
+
+def segment_past_the_reference(tmp_path):
+    scenario = write_scenario(
+        tmp_path, "duration = 8\ntempo = 120\nsegment = 0 onbeat\nsegment = 100 harmonic_double\n"
+    )
+    argv = ["synth", "--scenario", str(scenario)]
+    argv += ["--out-ref", str(tmp_path / "r"), "--out-est", str(tmp_path / "e"), "--out-act", str(tmp_path / "a")]
+    return argv, scenario
+
+
+def reference_shorter_than_the_window(tmp_path):
+    ref_dir, est_dir = tmp_path / "refs", tmp_path / "ests"
+    ref_dir.mkdir()
+    est_dir.mkdir()
+    (ref_dir / "a.txt").write_text("0.5\n1.0\n")
+    (est_dir / "a.txt").write_text("".join(f"{0.5 * k}\n" for k in range(8)))
+    argv = ["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--L", "3", "--out", str(tmp_path / "o")]
+    return argv, ref_dir / "a.txt"
+
+
+def reference_without_a_tempo(tmp_path):
+    ref_dir = tmp_path / "refs"
+    ref_dir.mkdir()
+    write_beats_file(gen_reference(120, 10.0), ref_dir / "a.beats")
+    (ref_dir / "b.beats").write_text("1.5\n")
+    return ["stats", "--ref", str(ref_dir)], ref_dir / "b.beats"
+
+
+def comment_only_reference_for_viz(tmp_path):
+    ref, est = tmp_path / "r.beats", tmp_path / "e.beats"
+    ref.write_text("# not annotated\n")
+    write_beats_file(gen_reference(120, 6.0), est)
+    return ["viz", "--ref", str(ref), "--est", str(est), "--out", str(tmp_path / "o")], ref
+
+
 class TestSynthCommand:
     def test_writes_parseable_outputs(self, tmp_path):
         ref, est, act = run_synth(tmp_path, out_act=True)
@@ -117,6 +172,11 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert f"{path}: " in err and "BPM values must be >= 1e-100" in err
         assert not (tmp_path / "r").exists()
+
+    def test_segment_past_the_reference_names_the_scenario(self, tmp_path, capsys):
+        argv, scenario = segment_past_the_reference(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {scenario}: segment start 100 beyond 16 reference beats\n"
 
     def test_bad_fps_writes_no_output(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -227,7 +287,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "short, garbled, message",
         [
-            ("b", "c", "error: need at least 3 reference beats, got 2"),
+            ("b", "c", "refs/b.txt: need at least 3 reference beats, got 2"),
             ("c", "b", "b.txt:2: beat time is not a number: 'abc'"),
         ],
     )
@@ -342,6 +402,16 @@ class TestTrackCommand:
         assert code == 1
         assert "--tempo or --ref" in capsys.readouterr().err
 
+    def test_dp_with_a_reference_without_a_tempo_names_it(self, tmp_path, capsys):
+        argv, ref = one_beat_reference_for_dp(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {ref}: tempo needs at least two beats\n"
+
+    def test_dp_on_an_activation_without_frames_names_it(self, tmp_path, capsys):
+        argv, act = frameless_activation_for_dp(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {act}: activation has no frames\n"
+
     def test_dp_with_overflowing_period_exits_2(self, tmp_path, capsys):
         act_path = tmp_path / "a.act"
         write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
@@ -441,6 +511,30 @@ class TestStatsCommand:
         write_beats_file(gen_reference(90, 10.0), tmp_path / "c.beats")
         assert run_cli(["stats", "--ref", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'b.beats'}: tempo needs at least two beats\n"
+
+
+class TestDataErrorsNameTheirFile:
+    @pytest.mark.parametrize(
+        "bad_input",
+        [
+            one_beat_reference_for_dp,
+            frameless_activation_for_dp,
+            segment_past_the_reference,
+            reference_shorter_than_the_window,
+            reference_without_a_tempo,
+            comment_only_reference_for_viz,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    def test_one_error_line_that_names_the_file_and_no_output(self, tmp_path, capsys, bad_input):
+        argv, bad = bad_input(tmp_path)
+        inputs = sorted(tmp_path.rglob("*"))
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("\n")
+        assert sorted(tmp_path.rglob("*")) == inputs
 
 
 class TestExitCodes:
