@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .core import BeatcoverError, ToleranceParams
 from .core import _finite, _finite_positive, _index, _non_negative
@@ -206,8 +206,14 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser that ``main`` reads every argv with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BeatcoverError, OSError, ValueError) as exc:

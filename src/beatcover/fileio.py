@@ -10,6 +10,7 @@ tolerances in use.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -108,7 +109,8 @@ def _built(path, lineno: int | None, build, *args, **kwargs):
     ValueError or BeatcoverError of its own checks names the file, and
     so does each warning it raises, such as a collapsed duplicate beat
     time: the warning is issued again, with the path before its message,
-    at the line that called the parser.
+    at the first line outside this module (the line that called the
+    parser, or that called ``_built`` itself).
     """
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -116,8 +118,11 @@ def _built(path, lineno: int | None, build, *args, **kwargs):
             value = build(*args, **kwargs)
     except (ValueError, BeatcoverError) as exc:
         raise ParseError(path, lineno, str(exc)) from None
+    frame, stacklevel = sys._getframe(1), 2
+    while frame.f_globals["__name__"] == __name__:
+        frame, stacklevel = frame.f_back, stacklevel + 1
     for w in caught:
-        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=stacklevel)
     return value
 
 

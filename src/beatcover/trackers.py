@@ -136,8 +136,14 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     Every frame's window bounds come from the same float expressions
     (``_window_offsets``).  Frames are scored a block at a time, as one
     (frames x window) array: a block is no longer than the shortest gap
-    n - p of any window, so it reads only scores of earlier blocks.  The
-    first maximum wins.
+    n - p of any window, so it reads only scores of earlier blocks.  Each
+    block does only what the next one reads: it subtracts the discounts,
+    keeps each frame's best column (the first maximum wins) and its
+    score, and adds that score, where positive, to the frame's
+    activation.  The backlinks are built from the kept columns and
+    scores after the last block.  A frame that links to none keeps its
+    activation, except that from the first block on -0.0 becomes +0.0,
+    which compares equal.
     """
     n_frames = len(v)
     lo, hi = _window_offsets(np.arange(n_frames, dtype=np.float64), tau)
@@ -151,38 +157,50 @@ def _link_frames(v: np.ndarray, tau: float, tightness: float):
     # row n reads no frame after n - g_lo, so g_lo rows depend only on
     # earlier blocks
     block = max(1, min(g_lo, _BLOCK_CELLS // width))
-    starts = np.arange(linkable.argmax(), n_frames, block)
+    starts = range(int(linkable.argmax()), n_frames, block)
     # only blocks with a window narrower than [g_lo, g_hi] need a mask
     narrow = np.logical_or.reduceat((lo > -g_hi) | (hi < -g_lo), starts)
     del lo, hi, linkable
-    penalty = tightness * (np.log(np.arange(g_hi, g_lo - 1, -1)) - np.log(tau)) ** 2
-    backlink = np.full(n_frames, -1, dtype=np.int64)
-    # row n of windows is cumscore[n - g_hi : n - g_lo + 1]; the zeros
-    # standing in for frames before 0 are always masked
-    padded = np.zeros(g_hi + n_frames)
-    cumscore = padded[g_hi:]
-    cumscore[:] = v
+    # one block of slack past the last frame makes every block full; the
+    # slack frames read and write only slack and are never returned
+    padded = np.zeros(g_hi + n_frames + block)
+    padded[g_hi : g_hi + n_frames] = v
+    # frame n's predecessor window is row n of windows, cumscore[n - g_hi : n - g_lo + 1];
+    # the zeros standing in for frames before 0 are always masked
     windows = sliding_window_view(padded, width)
+    best = np.zeros(n_frames + block, dtype=np.intp)  # column of each frame's best predecessor
+    top = np.zeros(n_frames + block)  # its discounted score; 0 links to none
+    # one view per block of each array, so the loop slices nothing
+    span = slice(starts.start, starts.start + len(starts) * block)
+    blocks = zip(
+        windows[span].reshape(len(starts), block, width),
+        padded[g_hi:][span].reshape(len(starts), block),
+        best[span].reshape(len(starts), block),
+        top[span].reshape(len(starts), block),
+        starts,
+        narrow.tolist(),
+    )
+    penalty = np.empty((block, width))
+    penalty[:] = tightness * (np.log(np.arange(g_hi, g_lo - 1, -1)) - np.log(tau)) ** 2
     columns = np.arange(-g_hi, -g_lo + 1)  # p - n of each column
     scores = np.empty((block, width))
     flat = scores.ravel()
-    best = np.empty(block, dtype=np.intp)
     cells = np.arange(block) * width  # flat index of each row's column 0
-    offsets = np.arange(block) - g_hi  # row i links to p = start + offsets[i] + best[i]
-    for start, masked in zip(starts.tolist(), narrow.tolist()):
-        stop = min(start + block, n_frames)
-        k = stop - start
-        rows = scores[:k]
-        np.subtract(windows[start:stop], penalty, out=rows)
+    cell = np.empty(block, dtype=np.intp)
+    zero, lift = np.zeros(block), np.empty(block)  # an array, as numpy converts a scalar 0.0 on every call
+    for window, cumscore, column, score, start, masked in blocks:
+        np.subtract(window, penalty, out=scores)
         if masked:
-            lo, hi = _window_offsets(np.arange(start, stop, dtype=np.float64), tau)
-            rows[(columns < lo[:, None]) | (columns > hi[:, None])] = -np.inf
-        rows.argmax(axis=1, out=best[:k])
-        top = flat.take(cells[:k] + best[:k])
-        linked = top > 0.0
-        np.add(v[start:stop], top, out=cumscore[start:stop], where=linked)
-        np.add(best[:k], offsets[:k] + start, out=backlink[start:stop], where=linked)
-    return cumscore, backlink
+            lo, hi = _window_offsets(np.arange(start, start + block, dtype=np.float64), tau)
+            scores[(columns < lo[:, None]) | (columns > hi[:, None])] = -np.inf
+        scores.argmax(axis=1, out=column)
+        flat.take(np.add(cells, column, out=cell), out=score)
+        cumscore += np.maximum(score, zero, out=lift)
+    # frame n links to p = n - g_hi + best[n] when its best score is positive
+    backlink = best[:n_frames]
+    backlink += np.arange(-g_hi, n_frames - g_hi)
+    backlink[~(top[:n_frames] > 0.0)] = -1
+    return padded[g_hi : g_hi + n_frames], backlink
 
 
 # The global tempo a reference gives ``dp_track`` is its mean track tempo.

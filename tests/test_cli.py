@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import re
 import subprocess
@@ -13,6 +15,7 @@ from beatcover import (
     write_activation_file,
     write_beats_file,
 )
+from beatcover import cli
 from beatcover.cli import main
 
 SCENARIO = (
@@ -189,6 +192,20 @@ class TestSynthCommand:
         assert "fps must be finite and > 0" in capsys.readouterr().err
         assert not ref.exists() and not est.exists() and not act.exists()
 
+
+    def test_a_jitter_re_sort_warns_at_the_synth_command(self, tmp_path):
+        path = write_scenario(tmp_path, "duration = 12.0\ntempo = 120\nsegment = 0 onbeat 0.3\n")
+        lines, first = inspect.getsourcelines(cli._cmd_synth)
+        lineno = first + next(k for k, line in enumerate(lines) if "gen_estimate" in line)
+        with pytest.warns(UserWarning) as caught:
+            code = run_cli([
+                "synth", "--scenario", str(path),
+                "--out-ref", str(tmp_path / "r"), "--out-est", str(tmp_path / "e"),
+            ])
+        assert code == 0
+        assert [(str(w.message), w.filename, w.lineno) for w in caught] == [
+            (f"{path}: jitter broke monotonicity; estimate re-sorted", cli.__file__, lineno)
+        ]
 
     @pytest.mark.parametrize("fps", ["1e15", "1e308"])
     def test_huge_fps_exits_2_and_writes_no_output(self, tmp_path, capsys, fps):
@@ -649,6 +666,22 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "eval" in result.stdout and "synth" in result.stdout
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    ref = tmp_path / "refs"
+    ref.mkdir()
+    (ref / "a.txt").write_text("".join(f"{0.5 * k}\n" for k in range(8)))
+    assert run_cli(["stats", "--ref", str(ref)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(init(self, *a, **k)))
+    assert run_cli(["stats", "--ref", str(ref)]) == 0
+    assert run_cli(["stats"]) == 1
+    assert "the following arguments are required: --ref" in capsys.readouterr().err
+    assert built == []
+    cli.build_parser()  # still public, and each call builds a new parser
+    assert len(built) == 6  # the parser and its five commands
 
 
 class TestPipelineDeterminism:

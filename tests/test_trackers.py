@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from beatcover import (
@@ -14,6 +16,7 @@ from beatcover import (
     global_tempo_from_reference,
     sppk,
 )
+from beatcover.trackers import _BLOCK_CELLS, _link_frames
 from conftest import constant_beats
 
 # seeded random-tempo cases per (fps, tightness) pair in test_matches_dp_oracle
@@ -122,6 +125,32 @@ class TestSppk:
             assert got.times.tolist() == [f / 100.0 for f in expected]
 
 
+@st.composite
+def dp_cases(draw):
+    """(values, fps, tempo, tightness) for ``dp_track``: periods of 2 to
+    150 frames, plateaus, a silent lead-in, values of -0.0, and lengths
+    that seldom fill the last block."""
+    fps = draw(st.sampled_from((7.0, 20.0, 100.0, 44100 / 512, 200.0)))
+    tau = draw(st.floats(min_value=2.0, max_value=150.0))
+    tempo = fps * 60.0 / tau
+    if fps * 60.0 / tempo < 2.0:  # tau rounded below 2 frames
+        tempo = fps * 30.0
+    tightness = draw(
+        st.one_of(
+            st.sampled_from((0.0, 1e308, -1e308)),
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        )
+    )
+    level = st.one_of(st.sampled_from((0.0, -0.0, 0.5, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+    levels = draw(st.lists(level, min_size=1, max_size=60))
+    hold = draw(st.integers(min_value=1, max_value=8))  # frames per level: plateaus
+    n = draw(st.integers(min_value=1, max_value=int(4 * tau) + 40))
+    values = [levels[k // hold % len(levels)] for k in range(n)]
+    lead = draw(st.integers(min_value=0, max_value=n))
+    values[:lead] = [draw(st.sampled_from((0.0, -0.0)))] * lead
+    return values, fps, tempo, tightness
+
+
 class TestDpTrack:
     def test_recovers_clean_impulse_train(self):
         act = impulse_train(1000, 50)  # 120 bpm at 100 fps
@@ -192,6 +221,62 @@ class TestDpTrack:
         act = ActivationFunction(fps=100.0, values=values)
         expected = oracles.oracle_dp_path(values.tolist(), 100.0, tempo, tightness)
         assert dp_track(act, tempo, tightness).times.tolist() == [f / 100.0 for f in expected]
+
+    @given(dp_cases())
+    def test_matches_dp_oracle_on_drawn_activations(self, case):
+        values, fps, tempo, tightness = case
+        act = ActivationFunction(fps=fps, values=values)
+        # a tightness of +-1e308 overflows the discounts to +-inf
+        with np.errstate(over="ignore"):
+            beats = dp_track(act, global_tempo=tempo, tightness=tightness)
+            expected = oracles.oracle_dp_path(values, fps, tempo, tightness)
+        assert beats.times.tolist() == [f / fps for f in expected]
+
+    @pytest.mark.parametrize("tightness", [100.0, 0.0, -1.0])
+    def test_a_wide_window_caps_the_block_by_cells(self, rng, tightness):
+        # tau = 400 frames: the window spans about 600 gaps, so a block
+        # of _BLOCK_CELLS cells holds fewer frames than the shortest gap
+        tau, fps = 400.0, 100.0
+        width = int(2 * tau) - int(np.ceil(tau / 2)) + 1
+        assert _BLOCK_CELLS // width < np.ceil(tau / 2)
+        values = np.round(rng.random(1700), 1)
+        values[:300] = 0.0
+        tempo = fps * 60.0 / tau
+        beats = dp_track(ActivationFunction(fps=fps, values=values), tempo, tightness)
+        expected = oracles.oracle_dp_path(values.tolist(), fps, tempo, tightness)
+        assert beats.times.tolist() == [f / fps for f in expected]
+
+    def test_an_unlinked_negative_zero_scores_positive_zero(self):
+        # a frame with a window (from frame tau/2 = 25 on) that links to
+        # none scores its activation plus +0.0, so -0.0 becomes +0.0; the
+        # two compare equal, so the beats are those of the recurrence
+        # that keeps -0.0
+        values = np.full(400, -0.0)
+        values[200::50] = 1.0
+        cumscore, backlink = _link_frames(values, 50.0, 100.0)
+        assert np.all(np.signbit(cumscore[:25])) and not np.any(np.signbit(cumscore[25:200]))
+        assert backlink[:200].tolist() == [-1] * 200
+        assert cumscore[200:].tolist() == _link_frames(np.abs(values), 50.0, 100.0)[0][200:].tolist()
+        act = ActivationFunction(fps=100.0, values=values)
+        expected = oracles.oracle_dp_path(values.tolist(), 100.0, 120.0)
+        assert dp_track(act, 120.0).times.tolist() == [f / 100.0 for f in expected] == [2.0, 2.5, 3.0, 3.5]
+
+    def test_peak_memory_is_linear_in_frames(self):
+        # about 33 B per frame: the scores (with their lead-in and one
+        # block of slack), each frame's best column and best score, and the
+        # frame numbers that turn the columns into backlinks
+        peaks = []
+        for minutes in (5, 10):
+            act = gen_activation(constant_beats(120.0, 120 * minutes), fps=100.0, noise_std=0.1, seed=1)
+            tracemalloc.start()
+            try:
+                dp_track(act, global_tempo=120.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            assert peak <= 36 * len(act), (minutes, peak / len(act))
+        assert peaks[1] <= 2.1 * peaks[0]
 
     def test_degenerate_period_raises(self):
         act = ActivationFunction(fps=10.0, values=np.full(100, 0.5))
