@@ -7,16 +7,19 @@ following a pulse.
 
 Matching works on whole window tables (see
 :func:`beatcover.variants.window_table`): one private matcher finds,
-for every row at once, the first estimated beat where the row matches.
-Coverage, L-correct detection and the single-window
+for every row of a few tables at once, the first estimated beat where
+the row matches.  Coverage, L-correct detection and the single-window
 :func:`window_match` all go through it.  Coverage and L-correct are one
 pass over the windows of several tracks, joined once by :func:`_join`:
-the pass cuts each condition's table once from the joined references
-and matches each table in one matcher call, in which each track's rows
-search only that track's estimate.  L-correct matches the onbeat and
-half-offbeat tables a second time, with the fixed tolerance cap.
-:func:`coverage_matrix` and :func:`l_correct_detection` are the
-one-track case of that pass.
+the pass cuts each condition's table once from the joined references,
+and each track's rows search only that track's estimate.  Tables whose
+rows start on the same tap share one matcher call, so a pass makes four
+band searches: one for onbeat, the subharmonics, the harmonics and
+L-correct's onbeat table, which start on the reference beat, and one
+for each offbeat fraction, where L-correct's half-offbeat table joins
+coverage's.  L-correct matches its two tables under the fixed
+tolerance cap.  :func:`coverage_matrix` and :func:`l_correct_detection`
+are the one-track case of that pass.
 
 The matcher and the continuity metrics (see
 :func:`beatcover.metrics.continuity_correct`) share one band search,
@@ -29,9 +32,9 @@ each reference beat, where its track lies (:func:`_beat_tracks`), so
 the estimated beats within a tolerance of a centre, lies in one track
 of the joined estimate; every band is widened by the same
 :func:`_slack`, and gives its candidates one per round, in order.  The
-matcher keeps each row's first candidate that aligns every tap; the
-continuity search flags each candidate that passes its phase and
-interval checks.
+matcher keeps, in each table, each row's first candidate that aligns
+every tap within that table's tolerance; the continuity search flags
+each candidate that passes its phase and interval checks.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ import math
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BeatSequence, Condition, CoverageMatrix, ToleranceParams
+from .core import CONDITION_FRACTIONS, BeatSequence, Condition, CoverageMatrix, ToleranceParams
 from .variants import VariantWindow, window_table
 
 __all__ = ["window_match", "coverage_matrix", "l_correct_detection"]
@@ -116,41 +120,64 @@ def _beat_tracks(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.repeat(s, b - a), np.repeat(t, b - a), np.repeat(b, b - a) - np.arange(b[-1])
 
 
-def _row_slices(tracks, rows: int, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """The estimate slice ``[s, stop)`` where each row of a table may start a match.
+def _row_stops(tracks, rows: int, span: int) -> np.ndarray:
+    """The estimate index before which each row of a table may start a match.
 
     The table has ``rows`` rows of ``span`` taps, cut from the joined
-    references whose :func:`_beat_tracks` are ``tracks``.  It has a row
-    for each anchor whose window reads no beat past the last joined one,
-    so the row anchored at beat ``g`` reads beats ``g`` to ``g + reach``,
-    where ``reach`` is the number of beats less the number of rows.  A
-    row that reads past its own track's last beat exists only in the
-    joined table and gets the empty slice ``[s, 0)``; each other row
-    holds the same taps and tolerance as in its track's own table.  A
-    match may start no later than ``t - span``, so an estimate shorter
-    than a window gives no row a candidate.
+    references whose :func:`_beat_tracks` are ``tracks``: the row
+    anchored at beat ``g`` searches from the start ``s[g]`` of its track's
+    estimate.  The table has a row for each anchor whose window reads no
+    beat past the last joined one, so row ``g`` reads beats ``g`` to
+    ``g + reach``, where ``reach`` is the number of beats less the number
+    of rows.  A row that reads past its own track's last beat exists only
+    in the joined table and gets the stop 0, so it has no candidate;
+    each other row holds the same taps and tolerance as in its track's
+    own table.  A match may start no later than ``t - span``, so an
+    estimate shorter than a window gives no row a candidate.
     """
-    s, t, left = tracks
-    return s[:rows], np.where(left[:rows] > len(left) - rows, t[:rows] - span + 1, 0)
+    _, t, left = tracks
+    return np.where(left[:rows] > len(left) - rows, t[:rows] - span + 1, 0)
 
 
-def _first_match(windows: np.ndarray, eps: np.ndarray, e: np.ndarray, key, tracks) -> np.ndarray:
-    """Smallest matching index of ``e`` per window row, or -1.
+def _first_match(tables, e: np.ndarray, key, tracks) -> list[np.ndarray]:
+    """Smallest matching index of ``e`` per row of each ``(windows, eps)`` table, or -1.
 
     ``key`` is the :func:`_keys` map of ``e``, and ``tracks`` the
     :func:`_beat_tracks` of the joined references that the rows are cut
     from: each row searches only its own track's estimate (see
-    :func:`_row_slices`).
+    :func:`_row_stops`).  The tables' first columns are prefixes of one
+    column, so row ``g`` of every table has the same first tap, and the
+    tables share one band per row: it is as wide as the largest ``eps``
+    and reaches the latest stop of the tables that have the row, so its
+    one :func:`_slack` covers each table's own band.  Each round gathers
+    the estimate taps of its candidates once, tap-major, and each table
+    checks them against its own tolerance and stop; candidates come in
+    increasing order, so each row keeps its smallest matching index.
     """
-    rows, span = windows.shape
+    stops = [_row_stops(tracks, *windows.shape) for windows, _ in tables]
+    rows = max(map(len, stops))
+    tol, stop = np.zeros(rows), np.zeros(rows, dtype=np.intp)
+    for (_, eps), own in zip(tables, stops):
+        np.maximum(tol[: len(eps)], eps, out=tol[: len(eps)])
+        np.maximum(stop[: len(own)], own, out=stop[: len(own)])
+    x = next(windows[:, 0] for windows, _ in tables if len(windows) == rows)
+    span = max(windows.shape[1] for windows, _ in tables)
+    firsts = [np.full(len(windows), -1, dtype=np.intp) for windows, _ in tables]
+    # column j holds e[j:j + span]; past the joined estimate, inf, which
+    # only a candidate past its table's stop reads
+    ahead = sliding_window_view(np.append(e, np.full(span, np.inf)), span).T
     # Any match must align the first expected tap, so only candidates
     # within epsilon of the row's first tap need the full check.
-    first = np.full(rows, -1, dtype=np.intp)
-    for n, j in _bands(key, windows[:, 0], eps, *_row_slices(tracks, rows, span)):
-        taps = e[j[:, None] + np.arange(span)]
-        ok = np.all(np.abs(windows[n] - taps) <= eps[n, None], axis=1) & (first[n] < 0)
-        first[n[ok]] = j[ok]
-    return first
+    for n, j in _bands(key, x, tol, tracks[0][:rows], stop):
+        taps = np.take(ahead, j, axis=1)
+        for (windows, eps), own, first in zip(tables, stops, firsts):
+            k = np.searchsorted(n, len(first))  # the candidates of rows in this table
+            m, i = n[:k], j[:k]
+            off = np.take(windows.T, m, axis=1)
+            off -= taps[: len(off), :k]
+            ok = (np.abs(off, out=off) <= eps[m]).all(axis=0) & (i < own[m]) & (first[m] < 0)
+            first[m[ok]] = i[ok]
+    return firsts
 
 
 def _mark(flags: np.ndarray, starts: np.ndarray, stride: int, count: int) -> None:
@@ -193,24 +220,35 @@ def _pass(
     # a row per condition, then L-correct's reference flags
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
     est_flags = np.zeros(len(e), dtype=bool)
+    # the conditions whose rows start on the same tap, the reference beat
+    # or one offbeat fraction of the interval after it, share one search;
+    # a group's tables are cut only when it is searched
+    groups = {}
     for c, condition in enumerate(Condition):
-        # L-correct matches the onbeat and half-offbeat tables a second time
-        check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
-        if not (coverage or check):
+        groups.setdefault(CONDITION_FRACTIONS.get(condition), []).append((c, condition))
+    for group in groups.values():
+        tables = []  # (flag row, stride, windows, eps)
+        for c, condition in group:
+            # L-correct matches the onbeat and half-offbeat rows under the fixed tolerance
+            check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
+            if not (coverage or check):
+                continue
+            windows, eps, stride = window_table(r, condition, params)
+            if not len(windows):
+                continue
+            if coverage:
+                tables.append((c, stride, windows, eps))
+            if check:
+                tables.append((-1, stride, windows, np.broadcast_to(params.cap, len(windows))))
+        if not tables:
             continue
-        windows, eps, stride = window_table(r, condition, params)
-        if not len(windows):
-            continue
-        if coverage:
+        for (c, stride, _, _), first in zip(tables, _first_match([t[2:] for t in tables], e, key, tracks)):
             # row g covers beats g + stride * arange(length) of flag row c
-            first = _first_match(windows, eps, e, key, tracks)
-            _mark(flags[c], np.flatnonzero(first >= 0), stride, length)
-        if check:
-            # L-correct: the same rows under the fixed tolerance
-            first = _first_match(windows, np.full(len(windows), params.cap), e, key, tracks)
             hit = np.flatnonzero(first >= 0)
-            _mark(flags[-1], hit, stride, length)
-            _mark(est_flags, first[hit], 1, windows.shape[1])
+            _mark(flags[c], hit, stride, length)
+            if c < 0:
+                # an L-correct row, onbeat or half-offbeat, has length taps
+                _mark(est_flags, first[hit], 1, length)
     return [(CoverageMatrix(flags[:-1, a:b]), flags[-1, a:b], est_flags[s:t]) for a, b, s, t in bounds.tolist()]
 
 
@@ -222,7 +260,8 @@ def window_match(window: VariantWindow, est: BeatSequence) -> int | None:
     comparison, so a distance of exactly epsilon still matches).
     """
     _, e, bounds, key = _join([(window, est)])
-    j = int(_first_match(window.times[None, :], np.array([window.epsilon]), e, key, _beat_tracks(bounds))[0])
+    table = (window.times[None, :], np.array([window.epsilon]))
+    j = int(_first_match([table], e, key, _beat_tracks(bounds))[0][0])
     return None if j < 0 else j
 
 

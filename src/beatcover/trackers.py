@@ -104,7 +104,10 @@ def dp_track(
         raise DegenerateTempoError(
             f"target period {tau:.3f} frames is below 2; raise fps or lower tempo"
         )
-    cumscore, backlink = _link_frames(act.values, tau, tightness)
+    # a tightness near -/+1e308 overflows discounts and scores to -/+inf,
+    # which the recurrence orders like any score; no invalid value arises
+    with np.errstate(over="ignore"):
+        cumscore, backlink = _link_frames(act.values, tau, tightness)
     path = [int(np.argmax(cumscore))]
     while backlink[path[-1]] >= 0:
         path.append(int(backlink[path[-1]]))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     CONDITION_FACTORS,
@@ -97,7 +98,7 @@ def window_table(
     ``length = params.context``.  Row ``i`` of ``windows`` holds the
     expected tap times of the window anchored at beat ``i`` and covers
     beats ``i + stride * arange(length)``; ``eps[i]`` is its tolerance,
-    min(cap, gamma * mean interval of the row).
+    min(cap, gamma * the mean of the row's gaps, summed in order).
 
     A row is a run of :func:`condition_taps`: ``length`` taps for
     onbeat and offbeats, every ``step``-th onbeat tap for subharmonics,
@@ -105,10 +106,12 @@ def window_table(
     whose interpolated taps verify the faster pulse but cover nothing.
     An offbeat row needs beat ``i + length`` for its last interval.
 
-    The table has one column per tap of a row.  A table with no row has
-    at most one column more than the taps it is cut from, since no longer
-    row fits, and so a huge ``length`` allocates nothing in proportion to
-    it.
+    The table has one column per tap of a row.  It is a read-only view
+    of the condition's taps, so each column is one strided run of them
+    (for onbeat and subharmonics, of ``times`` itself).  A table with no
+    row has at most one column more than the taps it is cut from, since
+    no longer row fits, and so a huge ``length`` allocates nothing in
+    proportion to it.
     """
     length = params.context
     stride = CONDITION_STEPS.get(condition, 1)
@@ -118,9 +121,21 @@ def window_table(
     n_win = max((taps.size - 1 - stride * (span - 1)) // factor + 1, 0)
     if not n_win:
         return np.empty((0, min(span, taps.size + 1))), np.empty(0), stride
-    windows = taps[factor * np.arange(n_win)[:, None] + stride * np.arange(span)]
-    eps = np.minimum(params.cap, params.gamma * np.mean(np.diff(windows, axis=1), axis=1))
+    windows = _rows(taps, n_win, span, factor, stride)
+    # each row's gaps summed in order, as an explicit loop, since numpy
+    # sums a long row pairwise
+    gaps = _rows(taps[stride:] - taps[:-stride], n_win, span - 1, factor, stride)
+    total = np.zeros(n_win)
+    for k in range(span - 1):
+        total += gaps[:, k]
+    eps = np.minimum(params.cap, params.gamma * (total / (span - 1)))
     return windows, eps, stride
+
+
+def _rows(a: np.ndarray, rows: int, span: int, factor: int, stride: int) -> np.ndarray:
+    """The read-only view of ``a`` whose row ``i``, column ``k`` is ``a[factor * i + stride * k]``."""
+    step = a.strides[0]
+    return as_strided(a, (rows, span), (factor * step, stride * step), writeable=False)
 
 
 def variant_window(

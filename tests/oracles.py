@@ -57,8 +57,11 @@ def oracle_window(ref, i, length, kind, param, cap=0.070, gamma=0.175):
             return None
         times = [ref[m] + frac * (ref[m + 1] - ref[m]) for m in range(i, i + length)]
         cover = list(range(i, i + length))
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    eps = min(cap, gamma * (sum(gaps) / len(gaps)))
+    # the gaps summed in order: since Python 3.12, sum() compensates
+    total = 0.0
+    for a, b in zip(times, times[1:]):
+        total += b - a
+    eps = min(cap, gamma * (total / (len(times) - 1)))
     return times, cover, eps
 
 

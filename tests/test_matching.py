@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _bands, _beat_tracks, _join, _pass, _row_slices
+from beatcover.matching import _bands, _beat_tracks, _join, _pass, _row_stops
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, random_times
 
@@ -122,7 +122,7 @@ class TestCoverageMatrix:
 
     def test_matches_oracle_on_random_input(self, rng):
         # context 4 and 5 give harmonic-quadruple windows of 13 and 17
-        # taps, long enough for numpy's unrolled summation in the mean
+        # taps, whose 12 and 16 gaps numpy's mean would sum pairwise
         for context, cap, gamma in itertools.product((2, 3, 4, 5), (0.070, 0.5), (0.175, 0.6)):
             params = ToleranceParams(cap=cap, gamma=gamma, context=context)
             for _ in range(20):
@@ -134,6 +134,20 @@ class TestCoverageMatrix:
                 )
                 for name, row in expected.items():
                     assert np.array_equal(cm.covered[Condition.parse(name)], row)
+
+    def test_a_row_of_eight_gaps_keeps_the_oracles_tolerance(self):
+        # a harmonic-quadruple row at L = 3 has 9 taps and 8 gaps; summed
+        # pairwise, as numpy's mean sums them, its tolerance is one ulp
+        # above the oracle's, and this estimate's first tap lies just there
+        ref = [0.0, 0.0038105186799141746, 0.02038342634318044, 0.034365877557242325]
+        times, _, eps = oracles.oracle_window(ref, 0, 3, "har", 4)
+        est = [0.00044588745125707214, *times[1:]]
+        assert est[0] == np.nextafter(times[0] + eps, np.inf)
+        cm = coverage_matrix(BeatSequence(ref), BeatSequence(est), ToleranceParams(context=3))
+        expected = oracles.oracle_coverage(ref, est, 3)
+        assert expected["harmonic_quadruple"] == [False] * 4
+        for name, row in expected.items():
+            assert cm.covered[Condition.parse(name)].tolist() == row, name
 
     def test_long_tables_match_single_windows(self):
         """Every row, on a 330 s reference that steps through every condition.
@@ -190,6 +204,42 @@ def assert_pass_matches_oracles(pairs, params):
         assert (ref_flags.tolist(), est_flags.tolist()) == oracles.oracle_l_correct(r, e, length, cap), (k, r, e)
 
 
+@st.composite
+def edge_pairs(draw):
+    """1 to 3 tracks whose estimates reach the tolerance edges, and their params.
+
+    Each reference starts within 50 ms of 0 s, and its estimate taps like
+    one condition.  A tap that starts rows of some tables may move to
+    that tap -/+ a tolerance, -/+ one ulp or not: the tolerance of the
+    estimate's own row there, the cap that L-correct matches with, or
+    that of any other row there, so that each group's shared band
+    reaches the edge of each of its tables.
+    """
+    params = ToleranceParams(cap=draw(st.sampled_from([0.02, 0.07, 0.5])), context=draw(st.integers(2, 10)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        gaps = draw(st.lists(st.floats(0.05, 1.0), max_size=params.context + 5))
+        ref = np.cumsum([draw(st.floats(0.0, 0.05)), *gaps])
+        tapped = draw(st.sampled_from(list(Condition)))
+        # the tolerances of the rows that start on each tap, the tapped
+        # condition's first
+        edges = {}
+        for condition in sorted(Condition, key=lambda c: c != tapped):
+            windows, eps, _ = window_table(ref, condition, params)
+            for first, tol in zip(windows[:, 0].tolist(), eps.tolist()):
+                edges.setdefault(first, []).append(tol)
+        est = set()
+        for tap in condition_taps(ref, tapped).tolist():
+            if tap in edges and draw(st.booleans()):
+                tols = [*edges[tap], params.cap]
+                tol = tols[0] if draw(st.booleans()) else draw(st.sampled_from(tols))
+                tap = nudge(tap + draw(st.sampled_from([-1.0, 1.0])) * tol, draw(st.integers(-1, 1)))
+            if tap >= 0.0:
+                est.add(tap)
+        pairs.append((BeatSequence(ref), BeatSequence(sorted(est))))
+    return pairs, params
+
+
 class TestPass:
     """Coverage and L-correct of several tracks matched in one pass."""
 
@@ -227,8 +277,8 @@ class TestPass:
     def test_rows_of_the_concatenation_are_the_tracks_own_rows(self, rng):
         # every row that a pass searches holds the taps and the tolerance
         # of the same row of its track's own table, bit for bit; at L = 8
-        # a harmonic-quadruple row has 29 taps, whose 28 gaps np.mean sums
-        # pairwise
+        # a harmonic-quadruple row has 29 taps, whose 28 gaps are summed
+        # in order
         for length in range(2, 9):
             params = ToleranceParams(context=length)
             refs = [random_times(rng, int(rng.integers(0, 30))) for _ in range(5)]
@@ -241,7 +291,7 @@ class TestPass:
                 own = [(a, window_table(r, condition, params)) for a, r in zip(starts.tolist(), refs)]
                 tracks = [k for k, (_, table) in enumerate(own) if len(table[0])]
                 own = [(a, table) for a, table in own if len(table[0])]
-                s, stop = _row_slices(beat_tracks, *windows.shape)
+                s, stop = beat_tracks[0][: len(windows)], _row_stops(beat_tracks, *windows.shape)
                 # a row in no track has no candidate; every other row may
                 # start a match anywhere in its track's slice but the last
                 # span - 1 beats
@@ -307,6 +357,10 @@ class TestPass:
     def test_pass_matches_oracles(self, tracks, length, cap):
         pairs = [grid_track(*track) for track in tracks]
         assert_pass_matches_oracles(pairs, ToleranceParams(cap=cap, context=length))
+
+    @given(edge_pairs())
+    def test_pass_matches_oracles_on_tolerance_edges(self, case):
+        assert_pass_matches_oracles(*case)
 
 
 def brute_first_in_band(lo, hi, table):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,11 +227,21 @@ class TestDpTrack:
     def test_matches_dp_oracle_on_drawn_activations(self, case):
         values, fps, tempo, tightness = case
         act = ActivationFunction(fps=fps, values=values)
-        # a tightness of +-1e308 overflows the discounts to +-inf
-        with np.errstate(over="ignore"):
-            beats = dp_track(act, global_tempo=tempo, tightness=tightness)
-            expected = oracles.oracle_dp_path(values, fps, tempo, tightness)
+        beats = dp_track(act, global_tempo=tempo, tightness=tightness)
+        expected = oracles.oracle_dp_path(values, fps, tempo, tightness)
         assert beats.times.tolist() == [f / fps for f in expected]
+
+    @pytest.mark.parametrize("tightness", [1e308, -1e308])
+    def test_an_overflowing_tightness_warns_nothing(self, rng, tightness):
+        # at -1e308 the scores overflow to inf; the beats are still the
+        # oracle's, and numpy's overflow warning is not raised
+        values = np.round(rng.random(1000), 1)
+        act = ActivationFunction(fps=100.0, values=values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beats = dp_track(act, 120.0, tightness)
+        expected = oracles.oracle_dp_path(values.tolist(), 100.0, 120.0, tightness)
+        assert beats.times.tolist() == [f / 100.0 for f in expected]
 
     @pytest.mark.parametrize("tightness", [100.0, 0.0, -1.0])
     def test_a_wide_window_caps_the_block_by_cells(self, rng, tightness):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -80,6 +82,22 @@ class TestAdaptiveEpsilon:
         times = period * np.arange(count)
         expected = min(0.070, 0.175 * period)
         assert onbeat_epsilon(times) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_every_tolerance_is_the_oracles(self, rng):
+        # bit for bit at every condition and L from 2 to 12, under a cap
+        # that no row reaches: from 8 gaps on, numpy's mean would sum a
+        # row pairwise, where the oracle sums it in order
+        params = [ToleranceParams(cap=1.0, context=length) for length in range(2, 13)]
+        for _ in range(8):
+            ibis = 60.0 / rng.uniform(50.0, 220.0, size=30)
+            beats = BeatSequence(rng.uniform(0.0, 3.0) + np.concatenate([[0.0], np.cumsum(ibis)]))
+            ref = beats.times.tolist()
+            for p, (name, (kind, param)) in itertools.product(params, oracles.CONDITIONS.items()):
+                windows, eps, _ = window_table(beats.times, Condition.parse(name), p)
+                assert not (len(windows) and windows.flags.writeable)
+                expected = [oracles.oracle_window(ref, i, p.context, kind, param, p.cap)[2] for i in range(len(eps))]
+                assert eps.tobytes() == np.array(expected).tobytes(), (p.context, name)
 
 
 class TestWindowLength:
