@@ -9,6 +9,7 @@ statistics).  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache, partial
 
@@ -41,6 +42,13 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only "-1" and "-.5" as negative numbers, so the
+        # "-1e308" of "--tightness -1e308" would be taken for an option;
+        # here any "-" before a digit, or before "." and a digit, is a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on usage problems by default; this tool reserves
     # 2 for data errors, so usage errors are remapped to 1.
     def error(self, message):

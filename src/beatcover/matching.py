@@ -21,8 +21,9 @@ coverage's.  L-correct matches its two tables under the fixed
 tolerance cap.  :func:`coverage_matrix` and :func:`l_correct_detection`
 are the one-track case of that pass.
 
-The matcher and the continuity metrics (see
-:func:`beatcover.metrics.continuity_correct`) share one band search,
+The matcher, the continuity metrics (see
+:func:`beatcover.metrics.continuity_correct`) and F1 (see
+:func:`beatcover.metrics.f1_score`) share one band search,
 :func:`_bands`, and one join per pass.  A join holds the joined
 references and estimates, the bounds of each track in them, and one
 set of keys (:func:`_keys`) by which the joined estimate is searched,
@@ -34,7 +35,8 @@ of the joined estimate; every band is widened by the same
 :func:`_slack`, and gives its candidates one per round, in order.  The
 matcher keeps, in each table, each row's first candidate that aligns
 every tap within that table's tolerance; the continuity search flags
-each candidate that passes its phase and interval checks.
+each candidate that passes its phase and interval checks; F1 takes
+two rounds, a reference beat's partner and whether it has another.
 """
 
 from __future__ import annotations

@@ -58,6 +58,46 @@ def _prf(ref_hits: int, n_ref: int, est_hits: int, n_est: int) -> tuple[float, f
     return p, r, 2.0 * p * r / (p + r) if p + r else 0.0
 
 
+def _f1_pass(joined, window: float) -> list[int]:
+    """F1's matched count of each track of ``joined``, in one band search.
+
+    ``joined`` is a :func:`beatcover.matching._join` of the tracks.  Each
+    reference beat searches its band ``r -/+ window`` in its own track's
+    estimate, for two rounds: its first candidate is its partner when
+    within ``window``.  A track where no beat has a second candidate and
+    no two beats share a partner has a forced pairing, so its count is
+    the number of its beats with a partner; only the other, crowded,
+    tracks run the greedy loop.
+    """
+    r, e, bounds, key = joined
+    a, b, s, t = bounds.T
+    owner = np.repeat(np.arange(len(bounds)), b - a)
+    rounds = _bands(key, r, np.full(len(r), window), s[owner], t[owner])
+    empty = np.zeros(0, dtype=np.intp)
+    n, j = next(rounds, (empty, empty))
+    second, _ = next(rounds, (empty, empty))
+    hit = np.abs(r[n] - e[j]) <= window
+    n, j = n[hit], j[hit]
+    # partners rise with the beats, so beats that share one are neighbours
+    crowded = np.concatenate([second, n[1:][j[1:] == j[:-1]]])
+    counts = np.bincount(owner[n], minlength=len(bounds))
+    for q in np.flatnonzero(np.bincount(owner[crowded], minlength=len(bounds))).tolist():
+        # Python floats are the same doubles, and far cheaper to index one by one.
+        ref, est = r[a[q] : b[q]].tolist(), e[s[q] : t[q]].tolist()
+        matched = i = k = 0
+        while i < len(ref) and k < len(est):
+            if abs(ref[i] - est[k]) <= window:
+                matched += 1
+                i += 1
+                k += 1
+            elif est[k] < ref[i]:
+                k += 1
+            else:
+                i += 1
+        counts[q] = matched
+    return counts.tolist()
+
+
 def f1_score(
     ref: BeatSequence, est: BeatSequence, window: float = ToleranceParams.cap
 ) -> tuple[float, float, float]:
@@ -65,26 +105,19 @@ def f1_score(
 
     Beats are matched one-to-one, greedily in time order; for sorted
     sequences and a single symmetric window the greedy pairing is a
-    maximum matching.  An empty estimate scores (0, 0, 0) by convention.
+    maximum matching.  Each reference beat finds its partners by the
+    band search that window matching uses; where no beat's band holds a
+    second estimated beat and no two beats share a partner, the pairing
+    is forced and is counted without the greedy loop.  This is the
+    one-track case of the pass that scores F1 for every track of an
+    evaluation.  An empty side scores (0, 0, 0) by convention.
 
     Raises:
         ValueError: ``window`` not finite and > 0.
     """
     _finite_positive("window", window)
-    # Python floats are the same doubles, and far cheaper to index one by one.
-    r, e = ref.times.tolist(), est.times.tolist()
-    matched = 0
-    i = j = 0
-    while i < len(r) and j < len(e):
-        if abs(r[i] - e[j]) <= window:
-            matched += 1
-            i += 1
-            j += 1
-        elif e[j] < r[i]:
-            j += 1
-        else:
-            i += 1
-    return _prf(matched, len(r), matched, len(e))
+    matched = _f1_pass(_join([(ref, est)]), window)[0]
+    return _prf(matched, len(ref), matched, len(est))
 
 
 def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: float) -> np.ndarray:
@@ -420,16 +453,20 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
     ``params.cap``, which :class:`ToleranceParams` has checked).  Each
     pass of tracks (see :func:`_passes`) is joined and keyed once,
     by :func:`beatcover.matching._join`: coverage and L-correct match
-    its windows in one :func:`beatcover.matching._pass`, and CMLt and
-    AMLt come from one :func:`_continuity_pass`.
+    its windows in one :func:`beatcover.matching._pass`, CMLt and AMLt
+    come from one :func:`_continuity_pass`, and F1 from one
+    :func:`_f1_pass`.
     """
     reports = []
     for batch in _passes(items):
         joined = _join([(ref, est) for _, ref, est in batch])
         matched = _pass(joined, params)
         continuity = _continuity_pass(joined, params.gamma)
-        for (track_id, ref, est), (cm, *flags), (cmlt_score, amlt_score) in zip(batch, matched, continuity):
-            precision, recall, f1 = f1_score(ref, est, window=params.cap)
+        f1_matched = _f1_pass(joined, params.cap)
+        for (track_id, ref, est), (cm, *flags), (cmlt_score, amlt_score), hits in zip(
+            batch, matched, continuity, f1_matched
+        ):
+            precision, recall, f1 = _prf(hits, len(ref), hits, len(est))
             lr, lp, lf = _l_correct_scores(*flags)
             acr = acr_scores(cm)
             reports.append(

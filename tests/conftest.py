@@ -31,6 +31,13 @@ def random_times(rng, count, span=20.0):
     return raw[keep]
 
 
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` representable doubles."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +430,31 @@ class TestTrackCommand:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"error: {act}: activation has no frames\n"
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tightness", "-1e308"), ("--tightness", "-1e3"), ("--threshold", "-1e-3")]
+    )
+    def test_a_negative_value_in_exponent_notation_is_the_flags_value(self, tmp_path, flag, value):
+        act_path = tmp_path / "a.act"
+        write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
+        ppt = "dp" if flag == "--tightness" else "sppk"
+        argv = ["track", "--activation", str(act_path), "--ppt", ppt, "--tempo", "120", "--out"]
+        spaced, joined = tmp_path / "spaced.beats", tmp_path / "joined.beats"
+        assert run_cli(argv + [str(spaced), flag, value]) == 0
+        assert run_cli(argv + [str(joined), f"{flag}={value}"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_a_dash_before_a_letter_is_still_an_option(self, tmp_path, capsys):
+        act_path = tmp_path / "a.act"
+        write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
+        out = tmp_path / "found.beats"
+        code = run_cli([
+            "track", "--activation", str(act_path), "--ppt", "dp", "--tempo", "120",
+            "--tightness", "-x", "--out", str(out),
+        ])
+        assert code == 1
+        assert "beatcover track: error: argument --tightness: expected one argument\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dp_with_overflowing_period_exits_2(self, tmp_path, capsys):
         act_path = tmp_path / "a.act"
         write_activation_file(gen_activation(gen_reference(120, 6.0)), act_path)
@@ -682,6 +708,27 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
     assert built == []
     cli.build_parser()  # still public, and each call builds a new parser
     assert len(built) == 6  # the parser and its five commands
+
+
+def test_scoring_loads_no_further_numpy_module(tmp_path):
+    # a numpy module that loads on first use (numpy.ma does, from
+    # np.unique on numpy 2) raises the peak memory of every evaluation
+    dataset = Path(__file__).parent.parent / "demos" / "out" / "mini_dataset"
+    ref, est = (str(dataset / side / "steady.beats") for side in ("reference", "estimates"))
+    argv = ["eval", "--ref", str(dataset / "reference"), "--est", str(dataset / "estimates"),
+            "--out", str(tmp_path / "report.json")]
+    script = (
+        "import json, sys\n"
+        "from beatcover import cli, evaluate_track, parse_beats_file\n"
+        "before = set(sys.modules)\n"
+        f"evaluate_track('steady', parse_beats_file({ref!r}), parse_beats_file({est!r}))\n"
+        "track = set(sys.modules) - before\n"
+        f"cli.main({argv!r})\n"
+        "print(json.dumps([sorted(track), sorted(set(sys.modules) - before - track)]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert [[m for m in new if m.split(".")[0] == "numpy"] for new in loaded] == [[], []], loaded
 
 
 class TestPipelineDeterminism:

@@ -22,7 +22,7 @@ from beatcover import (
 )
 from beatcover.matching import _bands, _beat_tracks, _join, _pass, _row_stops
 from beatcover.variants import condition_taps, window_table
-from conftest import constant_beats, random_times
+from conftest import constant_beats, nudge, random_times
 
 
 def onbeat_window(times, length=3):
@@ -490,13 +490,6 @@ class TestBands:
 # ``|w0 - e| <= eps``.
 NEAR_ZERO_REF = [0.07534006385069895, 0.6260426855856602, 1.1767453073206215, 1.7274479290555829]
 NEAR_ZERO_EST = [0.005340063850698947, 0.6270426855856602, 1.1767453073206215, 1.7274479290555829]
-
-
-def nudge(x, ulps):
-    """``x`` moved by ``ulps`` representable doubles."""
-    for _ in range(abs(ulps)):
-        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
-    return float(x)
 
 
 class TestNearZero:

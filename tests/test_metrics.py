@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 import oracles
@@ -34,9 +34,9 @@ from beatcover import (
 )
 from beatcover import matching, metrics
 from beatcover.matching import _join
-from beatcover.metrics import _BLOCK_ROWS, _continuity_pass, _evaluate_tracks
+from beatcover.metrics import _BLOCK_ROWS, _continuity_pass, _evaluate_tracks, _f1_pass
 from beatcover.variants import condition_taps
-from conftest import constant_beats, random_times
+from conftest import constant_beats, nudge, random_times
 
 
 def ref_est_strategy():
@@ -47,6 +47,42 @@ def ref_est_strategy():
         unique=True,
     ).map(sorted)
     return st.tuples(times, times)
+
+
+@st.composite
+def f1_passes(draw):
+    """1 to 3 tracks for one F1 pass, and its window.
+
+    Times lie on a grid of a quarter window, so a reference beat may
+    have several partners, or share one with the next beat (a crowded
+    track), or not (a forced pairing).  An estimated beat may instead sit
+    at a reference beat -/+ the window, moved by one ulp or not.  Each
+    reference starts within 50 ms of 0 s or past 10^4 s; a reference or
+    an estimate may be empty.
+    """
+    window = draw(st.sampled_from([0.02, 0.07, 0.5]))
+    grid = window / 4
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.one_of(st.floats(0.0, 0.05), st.floats(1e4, 2e4)))
+        steps = draw(st.lists(st.integers(1, 16), max_size=12))
+        ref = (start + grid * np.cumsum([0, *steps]))[: draw(st.integers(0, 13))]
+        est = set()
+        for r in ref.tolist():
+            for _ in range(draw(st.integers(0, 2))):
+                if draw(st.booleans()):
+                    e = r + grid * draw(st.integers(-6, 6))
+                else:
+                    e = nudge(r + draw(st.sampled_from([-window, window])), draw(st.integers(-1, 1)))
+                if e >= 0.0:
+                    est.add(e)
+        pairs.append((BeatSequence(ref), BeatSequence(sorted(est))))
+    return pairs, window
+
+
+def partners(ref, est, window):
+    """The estimated beats within ``window`` of each reference beat, by a scan."""
+    return [[j for j, e in enumerate(est) if abs(r - e) <= window] for r in ref]
 
 
 class TestF1Score:
@@ -100,6 +136,54 @@ class TestF1Score:
         best = oracles.oracle_f1_matched(ref_raw, est_raw)
         assert precision * len(est) == pytest.approx(best)
         assert recall * len(ref) == pytest.approx(best)
+
+    @given(f1_passes())
+    def test_pass_counts_are_the_oracles(self, case):
+        pairs, window = case
+        expected = []
+        for ref, est in pairs:
+            r, e = ref.times.tolist(), est.times.tolist()
+            found = partners(r, e, window)
+            shared = [j for p in found for j in p]
+            event("crowded" if max(map(len, found), default=0) > 1 or len(set(shared)) < len(shared) else "forced")
+            expected.append(oracles.oracle_f1_matched(r, e, window))
+        assert _f1_pass(_join(pairs), window) == expected
+
+    def test_pass_counts_at_the_window_edge(self, rng):
+        # every estimated beat at a reference beat -/+ the window, moved
+        # by up to one ulp; references that start within 50 ms of 0 s or
+        # past 10^4 s, with gaps of half a window and more, and empty
+        # estimates
+        for _ in range(300):
+            window = float(rng.choice([0.02, 0.07, 0.5, rng.uniform(0.01, 1.0)]))
+            pairs = []
+            for _ in range(int(rng.integers(1, 4))):
+                start = rng.uniform(0.0, 0.05) if rng.random() < 0.5 else rng.uniform(1e4, 2e4)
+                gaps = rng.uniform(0.5, 3.0, int(rng.integers(0, 6))) * window
+                ref = start + np.cumsum(np.concatenate([[0.0], gaps]))
+                est = set()
+                for r in ref.tolist() if rng.random() < 0.8 else []:
+                    e = nudge(r + rng.choice([-window, window]), int(rng.integers(-1, 2)))
+                    if e >= 0.0 and rng.random() < 0.8:
+                        est.add(e)
+                pairs.append((BeatSequence(ref), BeatSequence(sorted(est))))
+            expected = [oracles.oracle_f1_matched(r.times.tolist(), e.times.tolist(), window) for r, e in pairs]
+            assert _f1_pass(_join(pairs), window) == expected, (pairs, window)
+
+    def test_a_huge_window_takes_two_band_rounds(self, monkeypatch):
+        # every beat is every estimate's partner; the pass still looks at
+        # two candidates per beat, and the greedy loop pairs them
+        rounds = []
+
+        def counted(*args):
+            for n, j in matching._bands(*args):
+                rounds.append(len(n))
+                yield n, j
+
+        monkeypatch.setattr(metrics, "_bands", counted)
+        ref, est = constant_beats(120, 10_000), constant_beats(180, 15_000)
+        assert f1_score(ref, est, window=1e6)[:2] == (10_000 / 15_000, 1.0)
+        assert rounds == [10_000, 10_000]
 
 
 CONTINUITY_GAMMAS = (0.05, 0.175, 0.6, 0.9)
