@@ -12,14 +12,15 @@ the row matches.  Coverage, L-correct detection and the single-window
 :func:`window_match` all go through it.  Coverage and L-correct are one
 pass over the windows of several tracks, joined once by :func:`_join`:
 the pass cuts each condition's table once from the joined references,
-and each track's rows search only that track's estimate.  Tables whose
-rows start on the same tap share one matcher call, so a pass makes four
-band searches: one for onbeat, the subharmonics, the harmonics and
-L-correct's onbeat table, which start on the reference beat, and one
-for each offbeat fraction, where L-correct's half-offbeat table joins
-coverage's.  L-correct matches its two tables under the fixed
-tolerance cap.  :func:`coverage_matrix` and :func:`l_correct_detection`
-are the one-track case of that pass.
+and each track's rows search only that track's estimate, to its end.
+Tables whose rows start on the same tap share one matcher call, so a
+pass makes four band searches: one for onbeat, the subharmonics, the
+harmonics and L-correct's onbeat table, which start on the reference
+beat, and one for each offbeat fraction, where L-correct's half-offbeat
+table joins coverage's.  L-correct matches its two tables under the
+fixed tolerance cap.  The pass has nothing to switch off:
+:func:`coverage_matrix` and :func:`l_correct_detection` each make the
+whole one-track pass and return their part of it.
 
 The matcher, the continuity metrics (see
 :func:`beatcover.metrics.continuity_correct`) and F1 (see
@@ -122,62 +123,51 @@ def _beat_tracks(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.repeat(s, b - a), np.repeat(t, b - a), np.repeat(b, b - a) - np.arange(b[-1])
 
 
-def _row_stops(tracks, rows: int, span: int) -> np.ndarray:
-    """The estimate index before which each row of a table may start a match.
-
-    The table has ``rows`` rows of ``span`` taps, cut from the joined
-    references whose :func:`_beat_tracks` are ``tracks``: the row
-    anchored at beat ``g`` searches from the start ``s[g]`` of its track's
-    estimate.  The table has a row for each anchor whose window reads no
-    beat past the last joined one, so row ``g`` reads beats ``g`` to
-    ``g + reach``, where ``reach`` is the number of beats less the number
-    of rows.  A row that reads past its own track's last beat exists only
-    in the joined table and gets the stop 0, so it has no candidate;
-    each other row holds the same taps and tolerance as in its track's
-    own table.  A match may start no later than ``t - span``, so an
-    estimate shorter than a window gives no row a candidate.
-    """
-    _, t, left = tracks
-    return np.where(left[:rows] > len(left) - rows, t[:rows] - span + 1, 0)
-
-
 def _first_match(tables, e: np.ndarray, key, tracks) -> list[np.ndarray]:
     """Smallest matching index of ``e`` per row of each ``(windows, eps)`` table, or -1.
 
     ``key`` is the :func:`_keys` map of ``e``, and ``tracks`` the
-    :func:`_beat_tracks` of the joined references that the rows are cut
-    from: each row searches only its own track's estimate (see
-    :func:`_row_stops`).  The tables' first columns are prefixes of one
-    column, so row ``g`` of every table has the same first tap, and the
-    tables share one band per row: it is as wide as the largest ``eps``
-    and reaches the latest stop of the tables that have the row, so its
-    one :func:`_slack` covers each table's own band.  Each round gathers
-    the estimate taps of its candidates once, tap-major, and each table
-    checks them against its own tolerance and stop; candidates come in
-    increasing order, so each row keeps its smallest matching index.
+    :func:`_beat_tracks` ``(s, t, left)`` of the joined references that
+    the rows are cut from.  A table has a row for each anchor whose
+    window reads no beat past the last joined one, so its row ``g``
+    reads beats ``g`` to ``g + len(left) - len(windows)``.  The row is in
+    its own track only when ``left[g]`` is greater than that reach, and
+    then it holds the same taps and tolerance as in its track's own
+    table.  Its match at ``j`` must fit in its track's estimate:
+    ``t[g] - j`` is at least the table's span, so an estimate shorter
+    than a window gives the row no match.  The tables' first columns are
+    prefixes of one column, so row ``g`` of every table has the same
+    first tap, and the tables share one band per row: it is as wide as
+    the largest ``eps`` and runs to the track's end ``t[g]``, so its one
+    :func:`_slack` covers each table's own band.  Each round gathers the
+    estimate taps of its candidates, their room ``t - j`` and their
+    rows' ``left`` once, tap-major, and each table checks them against
+    its own tolerance, span and reach; candidates come in increasing
+    order, so each row keeps its smallest matching index.
     """
-    stops = [_row_stops(tracks, *windows.shape) for windows, _ in tables]
-    rows = max(map(len, stops))
-    tol, stop = np.zeros(rows), np.zeros(rows, dtype=np.intp)
-    for (_, eps), own in zip(tables, stops):
+    s, t, left = tracks
+    rows = max(len(eps) for _, eps in tables)
+    tol = np.zeros(rows)
+    for _, eps in tables:
         np.maximum(tol[: len(eps)], eps, out=tol[: len(eps)])
-        np.maximum(stop[: len(own)], own, out=stop[: len(own)])
     x = next(windows[:, 0] for windows, _ in tables if len(windows) == rows)
     span = max(windows.shape[1] for windows, _ in tables)
     firsts = [np.full(len(windows), -1, dtype=np.intp) for windows, _ in tables]
     # column j holds e[j:j + span]; past the joined estimate, inf, which
-    # only a candidate past its table's stop reads
+    # only a candidate without room for its table's span reads
     ahead = sliding_window_view(np.append(e, np.full(span, np.inf)), span).T
     # Any match must align the first expected tap, so only candidates
     # within epsilon of the row's first tap need the full check.
-    for n, j in _bands(key, x, tol, tracks[0][:rows], stop):
+    for n, j in _bands(key, x, tol, s[:rows], t[:rows]):
         taps = np.take(ahead, j, axis=1)
-        for (windows, eps), own, first in zip(tables, stops, firsts):
+        room, rest = t[n] - j, left[n]
+        for (windows, eps), first in zip(tables, firsts):
             k = np.searchsorted(n, len(first))  # the candidates of rows in this table
             m, i = n[:k], j[:k]
             off = np.take(windows.T, m, axis=1)
             off -= taps[: len(off), :k]
-            ok = (np.abs(off, out=off) <= eps[m]).all(axis=0) & (i < own[m]) & (first[m] < 0)
+            ok = (np.abs(off, out=off) <= eps[m]).all(axis=0) & (first[m] < 0)
+            ok &= (room[:k] >= len(off)) & (rest[:k] > len(left) - len(first))
             first[m[ok]] = i[ok]
     return firsts
 
@@ -205,16 +195,15 @@ def _join(pairs):
     return r, e, bounds, _keys(e, *bounds[:, 2:].T)
 
 
-def _pass(
-    joined, params: ToleranceParams, coverage: bool = True, l_correct: bool = True
-) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
+def _pass(joined, params: ToleranceParams) -> list[tuple[CoverageMatrix, np.ndarray, np.ndarray]]:
     """The coverage and the L-correct flags of each track of ``joined``, in one pass.
 
     ``joined`` is a :func:`_join` of the tracks.  Each track gets
     ``(coverage, ref_flags, est_flags)``: what :func:`coverage_matrix`
-    and :func:`l_correct_detection` return.  Coverage is matched only
-    with ``coverage``, and L-correct only with ``l_correct``; what is
-    not matched stays False.
+    and :func:`l_correct_detection` return.  The onbeat and half-offbeat
+    groups match L-correct's table, the condition's rows under the fixed
+    tolerance ``params.cap``, in the band search that they make for
+    coverage.
     """
     r, e, bounds, key = joined
     tracks = _beat_tracks(bounds)
@@ -223,24 +212,19 @@ def _pass(
     flags = np.zeros((len(Condition) + 1, len(r)), dtype=bool)
     est_flags = np.zeros(len(e), dtype=bool)
     # the conditions whose rows start on the same tap, the reference beat
-    # or one offbeat fraction of the interval after it, share one search;
-    # a group's tables are cut only when it is searched
+    # or one offbeat fraction of the interval after it, share one search
     groups = {}
     for c, condition in enumerate(Condition):
         groups.setdefault(CONDITION_FRACTIONS.get(condition), []).append((c, condition))
     for group in groups.values():
         tables = []  # (flag row, stride, windows, eps)
         for c, condition in group:
-            # L-correct matches the onbeat and half-offbeat rows under the fixed tolerance
-            check = l_correct and condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF)
-            if not (coverage or check):
-                continue
             windows, eps, stride = window_table(r, condition, params)
             if not len(windows):
                 continue
-            if coverage:
-                tables.append((c, stride, windows, eps))
-            if check:
+            tables.append((c, stride, windows, eps))
+            # L-correct matches the onbeat and half-offbeat rows under the fixed tolerance
+            if condition in (Condition.ONBEAT, Condition.OFFBEAT_HALF):
                 tables.append((-1, stride, windows, np.broadcast_to(params.cap, len(windows))))
         if not tables:
             continue
@@ -275,7 +259,7 @@ def coverage_matrix(
     A reference beat is covered under a condition when it lies in the
     cover set of at least one fully matched window of that condition.
     """
-    return _pass(_join([(ref, est)]), params, l_correct=False)[0][0]
+    return _pass(_join([(ref, est)]), params)[0][0]
 
 
 def l_correct_detection(
@@ -289,4 +273,4 @@ def l_correct_detection(
     flags over the reference beats and over the estimated beats; an
     estimated beat is flagged when it takes part in any matched window.
     """
-    return _pass(_join([(ref, est)]), params, coverage=False)[0][1:]
+    return _pass(_join([(ref, est)]), params)[0][1:]

@@ -20,7 +20,7 @@ from beatcover import (
     variant_window,
     window_match,
 )
-from beatcover.matching import _bands, _beat_tracks, _join, _pass, _row_stops
+from beatcover.matching import _bands, _beat_tracks, _join, _pass
 from beatcover.variants import condition_taps, window_table
 from conftest import constant_beats, nudge, random_times
 
@@ -285,18 +285,18 @@ class TestPass:
             starts = np.cumsum([0, *map(len, refs)])
             # track k searches the estimate slice [100 k, 100 k + 100)
             joined, _, bounds, _ = _join([(BeatSequence(ref), constant_beats(120, 100)) for ref in refs])
-            beat_tracks = _beat_tracks(bounds)
+            s, t, left = _beat_tracks(bounds)
             for condition in Condition:
                 windows, eps, _ = window_table(joined, condition, params)
                 own = [(a, window_table(r, condition, params)) for a, r in zip(starts.tolist(), refs)]
                 tracks = [k for k, (_, table) in enumerate(own) if len(table[0])]
                 own = [(a, table) for a, table in own if len(table[0])]
-                s, stop = beat_tracks[0][: len(windows)], _row_stops(beat_tracks, *windows.shape)
-                # a row in no track has no candidate; every other row may
-                # start a match anywhere in its track's slice but the last
-                # span - 1 beats
-                q = np.where(stop > s, s // 100, -1)
-                assert (stop[q >= 0] == s[q >= 0] + 101 - windows.shape[1]).all()
+                # row g reads beats g to g + reach, so it is in its track
+                # when more than reach of the track's beats are left; it
+                # searches that track's slice, to the track's end
+                n_rows = len(windows)
+                q = np.where(left[:n_rows] > len(left) - n_rows, s[:n_rows] // 100, -1)
+                assert (t[:n_rows] == s[:n_rows] + 100).all()
                 runs = [(rows[0], rows[-1] + 1) for rows in (np.flatnonzero(q == k).tolist() for k in tracks)]
                 assert [run[:2] for run in runs] == [(a, a + len(table[0])) for a, table in own]
                 # each track's rows are one run, and every other row is in no track
@@ -317,20 +317,6 @@ class TestPass:
         assert cm.covered[Condition.ONBEAT].tolist() == [True, True, False]
         assert ref_flags.tolist() == [True, True, False] and est_flags.tolist() == [True, True]
         assert_pass_matches_oracles(pairs, ToleranceParams())
-
-    def test_a_pass_matches_only_what_is_asked(self, rng):
-        # coverage without L-correct, and L-correct alone, are those parts
-        # of the whole pass; the rest stays False
-        params = ToleranceParams(context=3)
-        for _ in range(20):
-            joined = _join(self.seeded_pairs(rng, 3))
-            whole = _pass(joined, params)
-            for (cm, *flags), (cm_whole, _, _) in zip(_pass(joined, params, l_correct=False), whole):
-                assert np.array_equal(cm.rows, cm_whole.rows)
-                assert not any(f.any() for f in flags)
-            for (cm, *flags), (_, *flags_whole) in zip(_pass(joined, params, coverage=False), whole):
-                assert not cm.rows.any()
-                assert all(np.array_equal(f, g) for f, g in zip(flags, flags_whole))
 
     def test_window_longer_than_every_track_builds_nothing(self):
         pairs = [(constant_beats(120, 20), constant_beats(120, 20))] * 3

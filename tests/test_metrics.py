@@ -696,6 +696,25 @@ class TestAcrScores:
         assert acr_scores(cm).acr_any == 2 / 3
         assert acr_scores(coverage_matrix(ref, est, ToleranceParams(context=3))).acr_any == 1.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_acr_any_hardly_sees_spurious_taps_at_two_beats(self, seed):
+        # README's table: a jittered on-beat estimate plus a tap 100 ms
+        # before every k-th beat; at L = 2 every beat keeps a window of
+        # two consecutive taps that avoids the extra ones, at L = 3 with
+        # k = 2 no window does
+        ref = gen_reference(120.0, 60.0)
+        jittered = np.clip(ref.times + np.random.default_rng(seed).normal(0, 0.005, len(ref)), 0, None)
+        for k, taps, f1, precision, cmlt_score, acr_any_at_3 in (
+            (8, 134, 0.944882, 0.895522, 0.791045, 1.0),
+            (2, 179, 0.802676, 0.670391, 0.340782, 0.0),
+        ):
+            est = BeatSequence(np.sort(np.concatenate([jittered, ref.times[k::k] - 0.1])))
+            report = evaluate_track("spurious", ref, est)
+            assert len(est) == taps
+            assert (report.f1, report.precision, report.cmlt) == (f1, precision, cmlt_score)
+            assert report.acr_any == 1.0 and report.mlsr == 0.0
+            assert evaluate_track("spurious", ref, est, ToleranceParams(context=3)).acr_any == acr_any_at_3
+
     def test_no_beats_scores_zero(self):
         scores = acr_scores(CoverageMatrix(np.zeros((len(Condition), 0), dtype=bool)))
         assert set(scores.per_condition.values()) == {0.0}
