@@ -42,11 +42,11 @@ two rounds, a reference beat's partner and whether it has another.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CONDITION_FRACTIONS, BeatSequence, Condition, CoverageMatrix, ToleranceParams
 from .variants import VariantWindow, window_table
@@ -54,7 +54,7 @@ from .variants import VariantWindow, window_table
 __all__ = ["window_match", "coverage_matrix", "l_correct_detection"]
 
 
-def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _slack(tol: float, t: float) -> float:
     """Slack that widens the band ``t -/+ tol`` to hold every ``x`` with ``|t - x| <= tol``.
 
     The band edges ``t - tol`` and ``t + tol`` round, and so, when ``t``
@@ -62,7 +62,7 @@ def _slack(tol: np.ndarray, t: np.ndarray) -> np.ndarray:
     direction; a few ulps of slack keep every ``x`` that passes the
     check inside the band.
     """
-    return 4.0 * (np.spacing(tol) + np.spacing(np.abs(t)))
+    return 4.0 * (math.ulp(tol) + math.ulp(abs(t)))
 
 
 def _keys(e: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
@@ -94,21 +94,26 @@ def _bands(key, x: np.ndarray, tol: np.ndarray, s: np.ndarray, stop: np.ndarray)
     or after 0 s, so it is wide enough for every band.  A band's first
     candidate is the track's first beat at or above its lower key edge;
     its candidates go on while their keys are no greater than its upper
-    edge's.
+    edge's.  An edge past the float range is inf, which still bounds its
+    band; only when the widest upper edge is inf does numpy compute
+    under ``errstate``, so that it does not warn.
     """
     keys, scale = key
-    tol = tol + _slack(tol.max(initial=0.0), x.max(initial=0.0))
-    lo, up = x - tol, np.add(x, tol, out=tol)
-    for edge in (lo, up):
-        edge *= scale
-        edge += s
+    wide, far = float(tol.max(initial=0.0)), float(x.max(initial=0.0))
+    slack = _slack(wide, far)
+    with np.errstate(over="ignore") if far + (wide + slack) == math.inf else contextlib.nullcontext():
+        tol = tol + slack
+        lo, up = x - tol, np.add(x, tol, out=tol)
+        for edge in (lo, up):
+            edge *= scale
+            edge += s
     j = np.maximum(np.searchsorted(keys, lo, side="left"), s)
-    n = np.flatnonzero((j < stop) & (keys[j] <= up))
+    n = ((j < stop) & (keys[j] <= up)).nonzero()[0]
     j, up, stop = j[n], up[n], stop[n]
     while len(n):
         yield n, j
         j = j + 1
-        live = np.flatnonzero((j < stop) & (keys[j] <= up))
+        live = ((j < stop) & (keys[j] <= up)).nonzero()[0]
         n, j, up, stop = n[live], j[live], up[live], stop[live]
 
 
@@ -155,7 +160,9 @@ def _first_match(tables, e: np.ndarray, key, tracks) -> list[np.ndarray]:
     firsts = [np.full(len(windows), -1, dtype=np.intp) for windows, _ in tables]
     # column j holds e[j:j + span]; past the joined estimate, inf, which
     # only a candidate without room for its table's span reads
-    ahead = sliding_window_view(np.append(e, np.full(span, np.inf)), span).T
+    padded = np.full(len(e) + span, np.inf)
+    padded[: len(e)] = e
+    ahead = np.ndarray((span, len(e) + 1), buffer=padded, strides=padded.strides * 2)
     # Any match must align the first expected tap, so only candidates
     # within epsilon of the row's first tap need the full check.
     for n, j in _bands(key, x, tol, s[:rows], t[:rows]):

@@ -28,6 +28,10 @@ _MAX_BEATS = 1_000_000
 # activation curve; it stops a huge fps before the frame arrays are built.
 _MAX_FRAMES = 10_000_000
 
+# Most (beat, frame) cells of one gen_activation block; a block has fewer
+# beats when the bumps are wide, so memory stays linear.
+_BLOCK_CELLS = 1 << 14
+
 # Lowest accepted BPM.  Below about 1e-152 the squared beat rate in
 # gen_reference underflows and constant-tempo beats leave the 60 / bpm
 # grid; the floor keeps a wide margin above that.
@@ -203,7 +207,11 @@ def gen_activation(
 
     The curve runs from 0 to one second past the last beat (a bare
     second if there are no beats), is clipped to [0, 1], and gets
-    seeded Gaussian noise when noise_std > 0.
+    seeded Gaussian noise when noise_std > 0.  Each frame sums its bumps
+    in beat order, and each bump covers only the frames within 40 widths
+    of its beat, past which it is exactly 0.  Beats are summed in
+    blocks of a bounded number of (beat, frame) cells, so time and
+    memory grow with the frames and the beats, not with their product.
 
     Raises ValueError for an fps or peak_width that is not finite and
     positive, a noise_std that is not finite and >= 0, a seed that is not
@@ -219,17 +227,42 @@ def gen_activation(
     if (last + 1.0) * fps > _MAX_FRAMES:
         raise ValueError(f"{last + 1.0} s at fps {fps} would need more than {_MAX_FRAMES} activation frames")
     n_frames = int(round((last + 1.0) * fps)) + 1
-    t = np.arange(n_frames) / fps
-    values = np.zeros(n_frames)
-    # exp(-0.5 * z**2) is exactly 0.0 once |z| passes about 38.6, so a
-    # bump only changes the frames within 40 widths of its beat
-    reach = 40.0 * peak_width
-    starts = np.searchsorted(t, beats.times - reach)
-    stops = np.searchsorted(t, beats.times + reach, side="right")
-    for b, a, z in zip(beats.times, starts, stops):
-        values[a:z] += np.exp(-0.5 * ((t[a:z] - b) / peak_width) ** 2)
-    values = np.clip(values, 0.0, 1.0)
+    values = np.clip(_bump_sum(beats.times, n_frames, fps, peak_width), 0.0, 1.0)
     if noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, noise_std, n_frames)
         values = np.clip(values + noise, 0.0, 1.0)
     return ActivationFunction(fps=fps, values=values)
+
+
+def _bump_sum(times: np.ndarray, n_frames: int, fps: float, peak_width: float) -> np.ndarray:
+    """The sum of one Gaussian bump per beat over frames ``0 .. n_frames - 1``.
+
+    Frame ``f`` is at ``t = f / fps``, and the beat at ``b`` adds
+    ``exp(-0.5 * ((t - b) / peak_width) ** 2)`` to it, in beat order,
+    starting from 0.0.  A block of beats holds at most ``_BLOCK_CELLS``
+    (beat, frame) cells, or one beat.
+    """
+    t = np.arange(n_frames) / fps
+    values = np.zeros(n_frames)
+    # exp(-0.5 * z**2) is exactly 0.0 once |z| passes about 38.6, so a
+    # bump only changes the frames [start, start + count) within 40 widths
+    # of its beat
+    reach = 40.0 * peak_width
+    starts = np.searchsorted(t, times - reach)
+    counts = np.searchsorted(t, times + reach, side="right") - starts
+    block = max(1, _BLOCK_CELLS // max(int(counts.max(initial=0)), 1))
+    for i in range(0, len(times), block):
+        width = counts[i : i + block]
+        # each beat's frames in turn, beat after beat
+        ends = np.cumsum(width)
+        frames = np.repeat(starts[i : i + block] - (ends - width), width)
+        frames += np.arange(ends[-1])
+        z = t[frames]
+        z -= np.repeat(times[i : i + block], width)
+        z /= peak_width
+        z **= 2
+        z *= -0.5
+        # unbuffered and in index order: each frame gets its bumps in beat
+        # order, the sums that one += per beat would make
+        np.add.at(values, frames, np.exp(z, out=z))
+    return values

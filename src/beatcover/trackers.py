@@ -9,6 +9,7 @@ be competitive.
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,23 +46,51 @@ def sppk(
     order of descending value (ties broken toward the earlier frame);
     a candidate closer than ``min_gap`` seconds to an already accepted
     peak is suppressed.  May return an empty sequence.
+
+    Most candidates are settled in one array pass: one that ranks first
+    among the candidates closer than ``min_gap`` to it is accepted, and
+    those are suppressed.  Only the candidates near no such sure peak go
+    through the greedy loop, so it makes the same decisions in a few steps.
     """
-    _non_negative("min_gap", min_gap)
+    min_gap = _non_negative("min_gap", min_gap)
     _finite("threshold", threshold)
-    v = act.values
+    v, fps = act.values, act.fps
     interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
-    candidates = interior[v[interior] >= threshold]
-    order = candidates[np.lexsort((candidates, -v[candidates]))]
-    # accepted stays sorted; since d / fps grows with d, the nearest
-    # accepted peak on each side decides the gap test
-    accepted: list[int] = []
-    for frame in order.tolist():
+    frames = interior[v[interior] >= threshold]
+    # rank of each candidate in the greedy order
+    order = np.lexsort((frames, -v[frames]))
+    rank = np.empty(len(frames) + 1, dtype=np.intp)
+    rank[order] = np.arange(len(frames))
+    rank[-1] = len(frames)  # lets reduceat end a slice at the last candidate
+    # Two peaks conflict when fewer than gap frames apart: gap is the
+    # least d >= 1 with d / fps >= min_gap, since d / fps grows with d.
+    # Past the last frame every two candidates conflict, so gap stops there.
+    gap = len(v) if not min_gap * fps < len(v) else max(1, math.ceil(min_gap * fps))
+    while gap > 1 and (gap - 1) / fps >= min_gap:
+        gap -= 1
+    while gap < len(v) and gap / fps < min_gap:
+        gap += 1
+    # the candidates [lo, hi) within gap - 1 frames of each one
+    lo = np.searchsorted(frames, frames - (gap - 1))
+    hi = np.searchsorted(frames, frames + (gap - 1), side="right")
+    # A candidate that ranks first among its neighbours is accepted:
+    # each peak accepted before it ranks higher, so lies at least gap
+    # away.  Its neighbours are then suppressed, and no other candidate
+    # is near it, so the loop below, seeded with these sure peaks,
+    # decides the rest as the greedy loop over every candidate would.
+    sure = np.minimum.reduceat(rank, np.stack([lo, hi], axis=1).ravel())[::2] == rank[:-1]
+    near = np.concatenate(([0], np.cumsum(sure)))
+    rest = (near[hi] == near[lo])[order]  # in no sure peak's reach, in greedy order
+    # accepted stays sorted; the nearest accepted peak on each side
+    # decides the gap test
+    accepted: list[int] = frames[sure].tolist()
+    for frame in frames[order[rest]].tolist():
         i = bisect.bisect(accepted, frame)
-        if (i == 0 or (frame - accepted[i - 1]) / act.fps >= min_gap) and (
-            i == len(accepted) or (accepted[i] - frame) / act.fps >= min_gap
+        if (i == 0 or (frame - accepted[i - 1]) / fps >= min_gap) and (
+            i == len(accepted) or (accepted[i] - frame) / fps >= min_gap
         ):
             accepted.insert(i, frame)
-    return BeatSequence(np.asarray(accepted, dtype=np.float64) / act.fps)
+    return BeatSequence(np.asarray(accepted, dtype=np.float64) / fps)
 
 
 def dp_track(

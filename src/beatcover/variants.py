@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import (
     CONDITION_FACTORS,
@@ -79,13 +78,14 @@ def condition_taps(times, condition: Condition) -> np.ndarray:
     - Harmonics tap each beat and ``factor - 1`` points evenly spaced
       inside the interval after it, then the last beat.
     """
-    r = np.asarray(times, dtype=np.float64).reshape(-1)
+    # contiguous, so that window_table can view the taps as rows
+    r = np.ascontiguousarray(times, dtype=np.float64).reshape(-1)
     if condition in CONDITION_STEPS:
         return r[:: CONDITION_STEPS[condition]]
     if condition in CONDITION_FRACTIONS:
-        return r[:-1] + CONDITION_FRACTIONS[condition] * np.diff(r)
+        return r[:-1] + CONDITION_FRACTIONS[condition] * (r[1:] - r[:-1])
     factor = CONDITION_FACTORS[condition]
-    grid = r[:-1, None] + np.diff(r)[:, None] * np.arange(factor) / factor
+    grid = r[:-1, None] + (r[1:] - r[:-1])[:, None] * np.arange(factor) / factor
     return np.concatenate([grid.reshape(-1), r[-1:]])
 
 
@@ -133,9 +133,10 @@ def window_table(
 
 
 def _rows(a: np.ndarray, rows: int, span: int, factor: int, stride: int) -> np.ndarray:
-    """The read-only view of ``a`` whose row ``i``, column ``k`` is ``a[factor * i + stride * k]``."""
-    step = a.strides[0]
-    return as_strided(a, (rows, span), (factor * step, stride * step), writeable=False)
+    """The read-only view of the contiguous ``a`` whose row ``i``, column ``k`` is ``a[factor * i + stride * k]``."""
+    view = np.ndarray((rows, span), buffer=a, strides=(factor * a.itemsize, stride * a.itemsize))
+    view.flags.writeable = False
+    return view
 
 
 def variant_window(

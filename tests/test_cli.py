@@ -284,6 +284,24 @@ class TestEvalCommand:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_largest_float_cap_does_not_warn(self, tmp_path):
+        # the band edges of L-correct and F1 overflow to inf, which still
+        # bounds every band; the suite turns any numpy warning into an error
+        ref_dir, est_dir = self.make_dirs(tmp_path)
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "eval", "--ref", str(ref_dir), "--est", str(est_dir),
+            "--out", str(out), "--cap", "1.7976931348623157e308",
+        ])
+        assert code == 0
+        track = json.loads(out.read_text())["tracks"][0]
+        # under an unbounded window each reference beat pairs with the
+        # estimated beat of the same rank, and every onbeat window matches
+        n_ref, n_est = (len(parse_beats_file(d / "a.beats")) for d in (ref_dir, est_dir))
+        assert track["recall"] == round(min(n_ref, n_est) / n_ref, 6)
+        assert track["precision"] == round(min(n_ref, n_est) / n_est, 6)
+        assert track["l_correct_r"] == 1.0
+
     def test_comment_only_estimate_scores_zero(self, tmp_path):
         ref_dir, est_dir = self.make_dirs(tmp_path)
         (est_dir / "a.beats").write_text("# tracker found nothing\n")

@@ -185,6 +185,16 @@ class TestF1Score:
         assert f1_score(ref, est, window=1e6)[:2] == (10_000 / 15_000, 1.0)
         assert rounds == [10_000, 10_000]
 
+    @pytest.mark.parametrize("window", [1e308, np.finfo(float).max])
+    def test_band_edges_past_the_float_range_do_not_warn(self, window):
+        # 1.5e308 + 1e308 and the slack of the largest float are inf, which
+        # still bounds every band; the suite turns numpy's warning into an error
+        ref, est = BeatSequence([1e308, 1.5e308]), BeatSequence([1.2e308])
+        assert f1_score(ref, est, window=window) == (1.0, 0.5, 2.0 / 3.0)
+        ref, est = constant_beats(120, 40), constant_beats(180, 50)
+        assert f1_score(ref, est, window=window) == (0.8, 1.0, 2.0 * 0.8 / 1.8)
+        assert l_correct_detection(ref, est, ToleranceParams(cap=window))[0].all()
+
 
 CONTINUITY_GAMMAS = (0.05, 0.175, 0.6, 0.9)
 

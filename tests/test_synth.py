@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from beatcover import (
     gen_reference,
     sppk,
 )
+from beatcover.synth import _BLOCK_CELLS
 
 
 class TestGenReference:
@@ -365,6 +367,32 @@ class TestGenActivation:
                     )
                     expected = oracles.oracle_activation(times, fps, peak_width, noise_std, seed)
                     assert act.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("peak_width", [0.001, 0.05])
+    def test_several_blocks_match_dense_oracle_bytes(self, rng, peak_width):
+        # A block holds _BLOCK_CELLS // (frames of the widest bump) beats,
+        # and a bump covers at least 80 * peak_width * fps - 1 frames, so
+        # these curves cross at least two block edges.  The gaps are well
+        # inside the bump, so most frames sum bumps from both sides of an edge.
+        for fps, noise_std in ((100.0, 0.0), (44100 / 512, 0.1)):
+            per_block = _BLOCK_CELLS // (int(80.0 * peak_width * fps) - 1)
+            count = 2 * per_block + int(rng.integers(1, per_block))
+            times = float(rng.uniform(0.0, 2.0)) + np.cumsum(rng.uniform(0.001, 20.0 * peak_width, count))
+            act = gen_activation(BeatSequence(times), fps=fps, peak_width=peak_width, noise_std=noise_std, seed=5)
+            expected = oracles.oracle_activation(times, fps, peak_width, noise_std, 5)
+            assert act.values.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_linear_in_frames(self):
+        # about 18 B per frame: the curve and its frame times while the
+        # bumps are summed, a block at a time, then the clipped curve and
+        # the copy that ActivationFunction keeps
+        tracemalloc.start()
+        try:
+            act = gen_activation(gen_reference(120.0, 3600.0), fps=100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * len(act), peak / len(act)
 
     def test_round_trips_through_peak_picker(self):
         ref = gen_reference(120, 8.0)

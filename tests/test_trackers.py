@@ -107,23 +107,29 @@ class TestSppk:
             sppk(act, threshold=threshold)
 
     def test_matches_suppression_oracle(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(20, 240))
-            values = rng.random(n)
-            threshold = float(rng.uniform(0.2, 0.6))
-            min_gap = float(rng.uniform(0.02, 0.3))
-            act = ActivationFunction(fps=100.0, values=values)
-            got = sppk(act, threshold=threshold, min_gap=min_gap)
-            expected = oracles.oracle_suppression(values.tolist(), 100.0, threshold, min_gap)
-            assert got.times.tolist() == [f / 100.0 for f in expected]
-        # a long curve whose peaks share few values, with no gap and with
-        # gaps that are exact frame multiples (kept at equality)
-        values = np.round(rng.random(5000), 1)
-        act = ActivationFunction(fps=100.0, values=values)
-        for min_gap in (0.0, 1 / 100.0, 3 / 100.0, 25 / 100.0):
-            got = sppk(act, threshold=0.3, min_gap=min_gap)
-            expected = oracles.oracle_suppression(values.tolist(), 100.0, 0.3, min_gap)
-            assert got.times.tolist() == [f / 100.0 for f in expected]
+        for fps in (100.0, 44100 / 512):
+            for _ in range(30):
+                n = int(rng.integers(20, 240))
+                values = rng.random(n)
+                threshold = float(rng.uniform(0.2, 0.6))
+                min_gap = float(rng.uniform(0.02, 0.3))
+                act = ActivationFunction(fps=fps, values=values)
+                got = sppk(act, threshold=threshold, min_gap=min_gap)
+                expected = oracles.oracle_suppression(values.tolist(), fps, threshold, min_gap)
+                assert got.times.tolist() == [f / fps for f in expected]
+            # a long curve whose peaks share few values, with no gap; with
+            # gaps that are exact frame multiples (kept at equality), among
+            # them 7 and 13 frames, whose min_gap * fps rounds above 7 or 13
+            # at one of the two rates; one ulp past 41 frames, where it
+            # rounds to 41 at both; and past the curve's end, the last so
+            # long that min_gap * fps is inf
+            values = np.round(rng.random(5000), 1)
+            act = ActivationFunction(fps=fps, values=values)
+            multiples = [k / fps for k in (1, 3, 7, 13, 25)]
+            for min_gap in (0.0, *multiples, np.nextafter(41 / fps, np.inf), 1e300, 1e308):
+                got = sppk(act, threshold=0.3, min_gap=min_gap)
+                expected = oracles.oracle_suppression(values.tolist(), fps, 0.3, min_gap)
+                assert got.times.tolist() == [f / fps for f in expected]
 
 
 @st.composite
