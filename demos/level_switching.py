@@ -4,8 +4,9 @@
 Continuity metrics collapse to near zero the moment a tracker switches
 level mid-piece, even though both halves are individually coherent.
 The switch ratio instead counts how often adjacent covered beats stop
-sharing a condition, so one level change costs one switch, not the
-whole track.
+sharing a condition, so a level change costs at most one switch, not
+the whole track, and none when a beat that both levels cover bridges
+it, as at this scenario's handover from double to quadruple time.
 
 Outputs land in demos/out/.
 """

@@ -10,7 +10,7 @@ compute.  Dataset tempo statistics round out the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,12 +130,15 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: f
     :func:`beatcover.matching._join`; each run's estimate slice is one of
     its tracks, and several runs may share one.
 
-    Each tap's interval is computed once, for all taps: ``local[k]`` is
-    ``taps[k] - taps[k - 1]``, and a run's first tap borrows the
-    interval that follows it.  The taps are searched in blocks of at
-    most ``_BLOCK_ROWS``, which bounds the memory of a search; a tap
-    reads its predecessor and that tap's interval from the whole arrays,
-    so a run may cross a block edge.
+    Each tap's tolerance is computed once, for all taps, in one array:
+    ``tol[k]`` is ``gamma`` times the interval ``taps[k] - taps[k - 1]``,
+    and a run's first tap borrows the tolerance of the tap after it.  The
+    band search, the phase check and the predecessor's phase check read
+    ``tol``; the interval check, which only a tap past its run's first
+    makes, compares with that tap's own interval.  The taps are searched
+    in blocks of at most ``_BLOCK_ROWS``, which bounds the memory of a
+    search; a tap reads its predecessor and that tap's tolerance from the
+    whole arrays, so a run may cross a block edge.
     """
     a, b, s, t = runs.T
     flags = np.zeros(int(np.sum(t - s)), dtype=bool)
@@ -143,8 +146,9 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: f
         return flags
     # estimate j of run q has flag ``base[q] + j``
     base = np.cumsum(t - s) - t
-    local = np.diff(taps, prepend=taps[:1])
-    local[a] = local[a + 1]
+    tol = np.diff(taps, prepend=taps[:1])
+    tol[a] = tol[a + 1]
+    tol *= gamma
     for start in range(0, len(taps), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(taps))
         # each tap of the block searches its phase band in its run's
@@ -152,18 +156,18 @@ def _continuity(taps: np.ndarray, runs: np.ndarray, e: np.ndarray, key, gamma: f
         i = np.arange(start, stop)
         q = np.searchsorted(a, i, side="right") - 1
         inside = (a[q] <= i) & (i < b[q])
-        for n, j in _bands(key, taps[start:stop], gamma * local[start:stop], s[q] * inside, t[q] * inside):
+        for n, j in _bands(key, taps[start:stop], tol[start:stop], s[q] * inside, t[q] * inside):
             k, q_k = i[n], q[n]
-            now, before, tol = e[j], e[j - 1], gamma * local[k]
+            now, before, prev = e[j], e[j - 1], taps[k - 1]
             # past its track's first estimate, estimate j - 1 must be in
             # phase with tap k - 1, and the two intervals must agree; a
             # run's first tap has no predecessor
-            ok = (np.abs(now - taps[k]) <= tol) & (
+            ok = (np.abs(now - taps[k]) <= tol[k]) & (
                 (j == s[q_k])
                 | (
                     (k > a[q_k])
-                    & (np.abs(before - taps[k - 1]) <= gamma * local[k - 1])
-                    & (np.abs((now - before) - local[k]) <= tol)
+                    & (np.abs(before - prev) <= tol[k - 1])
+                    & (np.abs((now - before) - (taps[k] - prev)) <= tol[k])
                 )
             )
             flags[base[q_k[ok]] + j[ok]] = True
@@ -397,10 +401,12 @@ def _r6(x) -> float:
 class TrackReport:
     """All per-track scores, rounded to six decimals.
 
-    Rounding happens once, at construction time via
-    :func:`evaluate_track`, so a report survives JSON serialization
-    byte-exactly and dataset means recomputed from parsed reports agree
-    with the stored ones.
+    Rounding happens in ``__post_init__``, with :func:`_r6`, so it holds
+    for every report built, by :func:`evaluate_track` from raw scores or
+    by :func:`beatcover.report.parse_report` from JSON.  Rounding a
+    rounded value changes nothing, so a report survives JSON
+    serialization byte-exactly and dataset means recomputed from parsed
+    reports agree with the stored ones.
     """
 
     track_id: str
@@ -416,6 +422,13 @@ class TrackReport:
     acr_any: float
     acr_offbeat: float
     mlsr: float
+
+    def __post_init__(self) -> None:
+        # frozen, so each rounded value is set past the dataclass's __setattr__
+        for f in fields(self)[1:]:  # every field but track_id
+            value = getattr(self, f.name)
+            rounded = {c: _r6(v) for c, v in value.items()} if f.name == "acr" else _r6(value)
+            object.__setattr__(self, f.name, rounded)
 
 
 def evaluate_track(
@@ -469,21 +482,11 @@ def _evaluate_tracks(items, params: ToleranceParams) -> list[TrackReport]:
             precision, recall, f1 = _prf(hits, len(ref), hits, len(est))
             lr, lp, lf = _l_correct_scores(*flags)
             acr = acr_scores(cm)
+            # in field order; the report rounds what it is given
             reports.append(
                 TrackReport(
-                    track_id=track_id,
-                    f1=_r6(f1),
-                    precision=_r6(precision),
-                    recall=_r6(recall),
-                    cmlt=_r6(cmlt_score),
-                    amlt=_r6(amlt_score),
-                    l_correct_f=_r6(lf),
-                    l_correct_p=_r6(lp),
-                    l_correct_r=_r6(lr),
-                    acr={c: _r6(v) for c, v in acr.per_condition.items()},
-                    acr_any=_r6(acr.acr_any),
-                    acr_offbeat=_r6(acr.acr_offbeat),
-                    mlsr=_r6(mlsr(cm)),
+                    track_id, f1, precision, recall, cmlt_score, amlt_score, lf, lp, lr,
+                    acr.per_condition, acr.acr_any, acr.acr_offbeat, mlsr(cm),
                 )
             )
     return reports

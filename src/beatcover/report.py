@@ -236,6 +236,12 @@ def serialize_report(report: DatasetReport, metrics=None) -> str:
 def parse_report(text: str) -> DatasetReport:
     """Parse a full JSON report back into a DatasetReport.
 
+    Each track's scores are rounded to six decimals as its
+    :class:`~beatcover.metrics.TrackReport` is built.  What
+    :func:`serialize_report` writes is already rounded and reads back
+    unchanged; a hand-written score with more decimals reads back
+    rounded.  The stored means are read as written.
+
     Raises:
         ValueError: another schema version, or a report written with
             ``metrics`` that left out some metric group.

@@ -47,10 +47,14 @@ def sppk(
     a candidate closer than ``min_gap`` seconds to an already accepted
     peak is suppressed.  May return an empty sequence.
 
-    Most candidates are settled in one array pass: one that ranks first
-    among the candidates closer than ``min_gap`` to it is accepted, and
-    those are suppressed.  Only the candidates near no such sure peak go
-    through the greedy loop, so it makes the same decisions in a few steps.
+    Closeness is tested once, in whole frames: ``gap`` is the least
+    ``d >= 1`` with ``d / fps >= min_gap``, and two peaks conflict when
+    they are fewer than ``gap`` frames apart.  Most candidates are
+    settled in one array pass: one that ranks first among the candidates
+    closer than ``gap`` to it is accepted, and those are suppressed.  Only
+    the candidates near no such sure peak go through the greedy loop,
+    which tests the same ``gap``, so it makes the same decisions in a few
+    steps.
     """
     min_gap = _non_negative("min_gap", min_gap)
     _finite("threshold", threshold)
@@ -82,13 +86,11 @@ def sppk(
     near = np.concatenate(([0], np.cumsum(sure)))
     rest = (near[hi] == near[lo])[order]  # in no sure peak's reach, in greedy order
     # accepted stays sorted; the nearest accepted peak on each side
-    # decides the gap test
+    # decides the gap test, the same integer rule as the pass above
     accepted: list[int] = frames[sure].tolist()
     for frame in frames[order[rest]].tolist():
         i = bisect.bisect(accepted, frame)
-        if (i == 0 or (frame - accepted[i - 1]) / fps >= min_gap) and (
-            i == len(accepted) or (accepted[i] - frame) / fps >= min_gap
-        ):
+        if (i == 0 or frame - accepted[i - 1] >= gap) and (i == len(accepted) or accepted[i] - frame >= gap):
             accepted.insert(i, frame)
     return BeatSequence(np.asarray(accepted, dtype=np.float64) / fps)
 

@@ -15,14 +15,19 @@ def test_the_smallest_record_has_every_key(tmp_path, capsys):
     assert bench_layers.main(["--minutes", "1", "--repeats", "1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert json.loads(capsys.readouterr().out) == record
-    assert set(record) == {"recipe", "method", "repeats", "environment", "lengths"}
-    assert set(record["environment"]) == {"python", "numpy", "cpu_count", "machine", "system"}
+    assert set(record) == {"recipe", "method", "repeats", "environment", "lengths", "dataset"}
+    assert set(record["environment"]) == {"python", "numpy", "simd_found", "cpu_count", "machine", "system"}
+    assert all(isinstance(feature, str) for feature in record["environment"]["simd_found"])
     (length,) = record["lengths"]
     assert length["minutes"] == 1
     # 120 reference beats; 60 on the beat, then 59 intervals at double tempo and the last beat
     assert (length["ref_beats"], length["est_beats"]) == (120, 179)
     assert list(length["layers"]) == list(bench_layers.LAYERS)
-    for layer in length["layers"].values():
+    assert {"l_correct_detection", "cmlt", "mlsr", "parse_beats_file", "serialize_report"} <= set(length["layers"])
+    fixed = record["dataset"]
+    assert (fixed["tracks"], fixed["ref_beats"]) == (24, 2549)
+    assert list(fixed["layers"]) == list(bench_layers.DATASET_LAYERS) == ["evaluate_dataset", "cli_eval"]
+    for layer in [*length["layers"].values(), *fixed["layers"].values()]:
         assert set(layer) == {"best_ms", "peak_mb"}
 
 

@@ -32,9 +32,9 @@ from beatcover import (
     mlsr,
     stable_tempi_percentage,
 )
-from beatcover import matching, metrics
+from beatcover import TrackReport, matching, metrics
 from beatcover.matching import _join
-from beatcover.metrics import _BLOCK_ROWS, _continuity_pass, _evaluate_tracks, _f1_pass
+from beatcover.metrics import _BLOCK_ROWS, _continuity_pass, _evaluate_tracks, _f1_pass, _r6
 from beatcover.variants import condition_taps
 from conftest import constant_beats, nudge, random_times
 
@@ -654,6 +654,14 @@ class TestLCorrectFMeasure:
             l_correct_fmeasure(BeatSequence([0.0]), constant_beats(120, 4))
 
 
+def scripted(*segments):
+    """The report of a scripted estimate over ``gen_reference(120.0, 60.0)``:
+    each ``(start, condition)`` segment with 5 ms jitter, seed 1."""
+    ref = gen_reference(120.0, 60.0)
+    scenario = Scenario(120.0, 60.0, tuple(Segment(start, Condition.parse(c), 0.005) for start, c in segments))
+    return evaluate_track("scripted", ref, gen_estimate(ref, scenario, seed=1))
+
+
 def matrix_from(rows):
     """The coverage of the named rows; every other condition's row is all False."""
     n = len(next(iter(rows.values())))
@@ -725,6 +733,21 @@ class TestAcrScores:
             assert report.acr_any == 1.0 and report.mlsr == 0.0
             assert evaluate_track("spurious", ref, est, ToleranceParams(context=3)).acr_any == acr_any_at_3
 
+    @pytest.mark.parametrize(
+        "condition, acr_any, amlt_score",
+        [
+            ("subharmonic_half", 0.5, 1.0),
+            ("subharmonic_third", 0.333333, 1.0),
+            ("subharmonic_quarter", 0.25, 0.025),
+        ],
+    )
+    def test_a_subharmonic_window_covers_only_the_beats_it_taps(self, condition, acr_any, amlt_score):
+        # README's table: a held subharmonic level covers every step-th
+        # beat, while AMLt scores it against its whole-track variant
+        report = scripted((0, condition))
+        assert (report.acr_any, report.acr[Condition.parse(condition)]) == (acr_any, acr_any)
+        assert (report.amlt, report.mlsr) == (amlt_score, 0.0)
+
     def test_no_beats_scores_zero(self):
         scores = acr_scores(CoverageMatrix(np.zeros((len(Condition), 0), dtype=bool)))
         assert set(scores.per_condition.values()) == {0.0}
@@ -767,6 +790,15 @@ class TestMlsr:
         assert not onbeat[46:].any() and not half[:45].any()
         assert mlsr(cm) == 0.0
 
+    def test_a_level_change_costs_a_switch_only_when_no_beat_bridges_it(self):
+        # README's MLSR values: beats 40 and 80 are covered by onbeat and
+        # subharmonic_half alike, so neither change is counted; no beat is
+        # covered by both onbeat and offbeat_half, so that change is one
+        # switch over the 119 covered beats (the last beat is uncovered)
+        assert scripted((0, "onbeat"), (40, "subharmonic_half"), (80, "onbeat")).mlsr == 0.0
+        report = scripted((0, "onbeat"), (60, "offbeat_half"))
+        assert (report.mlsr, report.acr_any) == (0.008403, 0.991667) == (_r6(1 / 119), _r6(119 / 120))
+
     def test_uncovered_beats_are_skipped(self):
         cm = matrix_from(
             {
@@ -804,6 +836,25 @@ class TestTempoStats:
     def test_single_beat_raises(self):
         with pytest.raises(TooFewBeatsError):
             mean_track_tempo(BeatSequence([1.0]))
+
+
+class TestTrackReport:
+    def test_a_report_rounds_what_it_is_given(self):
+        acr = {c: 1 / (k + 3) for k, c in enumerate(Condition)}
+        scores = 2 / 3, 1 / 3, 1 / 7, np.float64(0.1234565), 0.5, 1e-7, 4e-7, 1.0
+        report = TrackReport("t", *scores, acr, 0.9999996, 0.0, 1 / 119)
+        assert (report.f1, report.precision, report.recall) == (0.666667, 0.333333, 0.142857)
+        assert (report.cmlt, report.amlt, report.l_correct_f, report.l_correct_p, report.l_correct_r) == (
+            _r6(0.1234565), 0.5, 0.0, 0.0, 1.0
+        )
+        assert (report.acr_any, report.acr_offbeat, report.mlsr) == (1.0, 0.0, 0.008403)
+        assert type(report.cmlt) is float
+        assert report.acr == {c: _r6(v) for c, v in acr.items()} and report.acr[Condition.ONBEAT] == 0.333333
+        assert report.acr is not acr and acr[Condition.ONBEAT] == 1 / 3
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_rounding_twice_is_rounding_once(self, x):
+        assert _r6(_r6(x)) == _r6(x)
 
 
 class TestEvaluateTrack:

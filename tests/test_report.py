@@ -271,6 +271,14 @@ class TestSerialization:
         assert back == report
         assert serialize_report(back) == text
 
+    def test_a_hand_written_score_reads_back_rounded(self, tmp_path):
+        ref_dir, est_dir = make_dataset(tmp_path, n_tracks=1)
+        obj = json.loads(serialize_report(evaluate_dataset(ref_dir, est_dir)))
+        obj["tracks"][0]["f1"] = 0.1234567
+        obj["tracks"][0]["acr"]["onbeat"] = 0.9999996
+        (track,) = parse_report(json.dumps(obj)).tracks
+        assert (track.f1, track.acr[Condition.ONBEAT]) == (0.123457, 1.0)
+
     def test_write_read_files(self, tmp_path):
         ref_dir, est_dir = make_dataset(tmp_path, n_tracks=2)
         report = evaluate_dataset(ref_dir, est_dir)

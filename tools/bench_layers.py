@@ -7,14 +7,22 @@ of Gaussian jitter (``default_rng(7)``), its absolute value taken so that
 no tap falls before 0 s.  The activation is ``gen_activation`` of the
 reference at 100 fps with 0.1 noise (seed 1); ``sppk`` and ``dp_track``
 track it, and the figure is the coverage of the ``dp_track`` beats with
-the activation panel.  The activation is parsed from a file that
-``write_activation_file`` writes to a temporary directory.
+the activation panel.  The activation and the estimate are parsed from
+files written to a temporary directory, and the report that
+``serialize_report`` writes is ``evaluate_dataset``'s of that one pair.
+The dataset is fixed: 24 tracks, track k at a constant 90 + 60 * (7k mod
+24) / 23 BPM for 30 + 45k / 23 s, its estimate in the k-th condition (in
+``Condition`` order, mod 10) for the first half of the beats and in the
+next one after, with 5 ms of jitter (``gen_estimate`` seed k).
 
 Each layer is one public call.  Its time is the best of ``--repeats``
 ``perf_counter`` runs, and its peak is the ``tracemalloc`` peak of one
-more run (in MB of 10**6 bytes).  Coverage and continuity run inside the
-passes of ``evaluate_track``; ``coverage_matrix`` and ``amlt`` time the
-one-track calls, which make a whole pass each.
+more run (in MB of 10**6 bytes).  Coverage, L-correct and continuity run
+inside the passes of ``evaluate_track``; ``coverage_matrix``,
+``l_correct_detection``, ``cmlt`` and ``amlt`` time the one-track calls,
+which make a whole pass each.  ``mlsr`` reads the coverage of the
+recipe's pair.  The dataset's layers are ``evaluate_dataset`` and
+``cli.main(["eval", ...])``, in process, whose printed line is dropped.
 
 Usage::
 
@@ -29,6 +37,8 @@ repository root that does not exist yet.  The package is imported from
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -44,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import beatcover as bc  # noqa: E402
+from beatcover import cli  # noqa: E402
 
 MINUTES = (1, 5, 10, 60)
 LAYERS = (
@@ -52,11 +63,18 @@ LAYERS = (
     "dp_track",
     "render_coverage_svg",
     "parse_activation_file",
+    "parse_beats_file",
     "coverage_matrix",
+    "l_correct_detection",
+    "cmlt",
     "amlt",
+    "mlsr",
     "f1_score",
     "evaluate_track",
+    "serialize_report",
 )
+DATASET_TRACKS = 24
+DATASET_LAYERS = ("evaluate_dataset", "cli_eval")
 
 
 def recipe(minutes: int) -> tuple[bc.BeatSequence, bc.BeatSequence]:
@@ -86,6 +104,15 @@ def measure(call, repeats: int) -> dict:
     return {"best_ms": round(best * 1e3, 4), "peak_mb": round(peak / 1e6, 4)}
 
 
+def write_pair(ref: bc.BeatSequence, est: bc.BeatSequence, root: Path, stem: str) -> tuple[Path, Path]:
+    """Write one pair as ``root/ref/<stem>.beats`` and ``root/est/<stem>.beats``."""
+    dirs = root / "ref", root / "est"
+    for d, beats in zip(dirs, (ref, est)):
+        d.mkdir(parents=True, exist_ok=True)
+        bc.write_beats_file(beats, d / f"{stem}.beats")
+    return dirs
+
+
 def layers(minutes: int, repeats: int, workdir: Path) -> dict:
     """The record of one length: its input sizes and each layer's time and peak."""
     ref, est = recipe(minutes)
@@ -93,18 +120,26 @@ def layers(minutes: int, repeats: int, workdir: Path) -> dict:
     tempo = bc.global_tempo_from_reference(ref)
     tracked = bc.dp_track(act, tempo)
     cm = bc.coverage_matrix(ref, tracked)
+    scored = bc.coverage_matrix(ref, est)
     act_path = workdir / f"{minutes}.act"
     bc.write_activation_file(act, act_path)
+    ref_dir, est_dir = write_pair(ref, est, workdir / str(minutes), "track")
+    report = bc.evaluate_dataset(ref_dir, est_dir)
     calls = {
         "gen_activation": lambda: bc.gen_activation(ref, fps=100.0, noise_std=0.1, seed=1),
         "sppk": lambda: bc.sppk(act),
         "dp_track": lambda: bc.dp_track(act, tempo),
         "render_coverage_svg": lambda: bc.render_coverage_svg(cm, ref, act=act, est=tracked),
         "parse_activation_file": lambda: bc.parse_activation_file(act_path),
+        "parse_beats_file": lambda: bc.parse_beats_file(est_dir / "track.beats"),
         "coverage_matrix": lambda: bc.coverage_matrix(ref, est),
+        "l_correct_detection": lambda: bc.l_correct_detection(ref, est),
+        "cmlt": lambda: bc.cmlt(ref, est),
         "amlt": lambda: bc.amlt(ref, est),
+        "mlsr": lambda: bc.mlsr(scored),
         "f1_score": lambda: bc.f1_score(ref, est),
         "evaluate_track": lambda: bc.evaluate_track("track", ref, est),
+        "serialize_report": lambda: bc.serialize_report(report),
     }
     return {
         "minutes": minutes,
@@ -115,10 +150,52 @@ def layers(minutes: int, repeats: int, workdir: Path) -> dict:
     }
 
 
+def dataset(repeats: int, workdir: Path) -> dict:
+    """The record of the fixed dataset: its sizes and each layer's time and peak."""
+    conditions = list(bc.Condition)
+    ref_beats = est_beats = 0
+    for k in range(DATASET_TRACKS):
+        bpm = 90.0 + 60.0 * ((7 * k) % DATASET_TRACKS) / (DATASET_TRACKS - 1)
+        duration = 30.0 + 45.0 * k / (DATASET_TRACKS - 1)
+        ref = bc.gen_reference(bpm, duration)
+        segments = (
+            bc.Segment(0, conditions[k % len(conditions)], 0.005),
+            bc.Segment(len(ref) // 2, conditions[(k + 1) % len(conditions)], 0.005),
+        )
+        est = bc.gen_estimate(ref, bc.Scenario(bpm, duration, segments), seed=k)
+        ref_dir, est_dir = write_pair(ref, est, workdir / "dataset", f"track{k:02d}")
+        ref_beats, est_beats = ref_beats + len(ref), est_beats + len(est)
+    argv = ["eval", "--ref", str(ref_dir), "--est", str(est_dir), "--out", str(workdir / "report.json")]
+
+    def cli_eval():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code:
+            raise RuntimeError(f"beatcover eval exited {code}")
+
+    calls = {"evaluate_dataset": lambda: bc.evaluate_dataset(ref_dir, est_dir), "cli_eval": cli_eval}
+    return {
+        "tracks": DATASET_TRACKS,
+        "ref_beats": ref_beats,
+        "est_beats": est_beats,
+        "layers": {name: measure(calls[name], repeats) for name in DATASET_LAYERS},
+    }
+
+
+def simd_found() -> list:
+    """The SIMD extensions that numpy dispatches to and this CPU has, as ``np.show_runtime`` lists them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "simd_found": simd_found(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "system": platform.system(),
@@ -144,6 +221,7 @@ def main(argv=None) -> int:
     out = args.out or next_record()
     with tempfile.TemporaryDirectory() as tmp:
         lengths = [layers(m, args.repeats, Path(tmp)) for m in args.minutes]
+        fixed = dataset(args.repeats, Path(tmp))
     recipe_text, method_text = (" ".join(part.split()) for part in __doc__.split("\n\n")[1:3])
     record = {
         "recipe": recipe_text,
@@ -151,6 +229,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "environment": environment(),
         "lengths": lengths,
+        "dataset": fixed,
     }
     text = json.dumps(record, indent=2) + "\n"
     out.write_text(text)
